@@ -6,6 +6,7 @@ data directory configured, each block lives in one file named by its
 """
 
 import os
+import threading
 
 from . import hashing
 from .chain import deserialize_block
@@ -21,6 +22,7 @@ class BlockStore:
         self.hash_alg = hash_alg
         self._blocks = {}  # address -> serialized block
         self._used = 0
+        self._put_lock = threading.Lock()  # one quota check + insert at a time
         if data_dir is not None:
             os.makedirs(data_dir, exist_ok=True)
             self._load()
@@ -53,16 +55,17 @@ class BlockStore:
         """Store a serialized block; returns its content address."""
         block = deserialize_block(raw)
         address = hashing.digest(block.data, self.hash_alg)
-        if address in self._blocks:
-            return address
-        if len(raw) > self.freespace:
-            raise UsageError(f"quota exceeded: {len(raw)} bytes needed, {self.freespace} free")
-        self._blocks[address] = raw
-        self._used += len(raw)
-        if self.data_dir is not None:
-            path = os.path.join(self.data_dir, address.hex())
-            with open(path, "wb") as fh:
-                fh.write(raw)
+        with self._put_lock:
+            if address in self._blocks:
+                return address
+            if len(raw) > self.freespace:
+                raise UsageError(f"quota exceeded: {len(raw)} bytes needed, {self.freespace} free")
+            self._blocks[address] = raw
+            self._used += len(raw)
+            if self.data_dir is not None:
+                path = os.path.join(self.data_dir, address.hex())
+                with open(path, "wb") as fh:
+                    fh.write(raw)
         return address
 
     def has(self, address: bytes) -> bool:

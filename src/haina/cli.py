@@ -3,6 +3,7 @@
 import logging
 import os
 import sys
+from contextlib import closing
 
 import click
 
@@ -56,26 +57,28 @@ def node():
 @click.option("--bootstrap", default=None, help="peer to synchronize the roster from")
 def node_serve(listen, data_dir, quota_gb, nf_path, bootstrap):
     """Run the storage-node service until interrupted."""
-    try:
-        nf = _load_node_file(nf_path)
-        if bootstrap:
-            net = RealNet()
-            reply, _ = net.request(listen, bootstrap, Frame(MsgType.GET_NF), 5000.0)
-            if reply.type is MsgType.NF_DATA:
-                nf = update_node_file(nf, bytes.fromhex(reply.header["digest"]), lambda: reply.body)
-        store = BlockStore(int(quota_gb * 10**9), data_dir=data_dir)
-        service = NodeService(listen, store, nf, transport=RealNet())
-        server = NodeServer(parse_address(listen), service)
-    except HainaError as exc:
-        _fail(exc)
-    except OSError as exc:
-        click.echo(f"error: cannot serve on {listen}: {exc}", err=True)
-        sys.exit(3)
-    log.info("serving %s from %s", listen, data_dir)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
+    with closing(RealNet()) as net:
+        try:
+            nf = _load_node_file(nf_path)
+            if bootstrap:
+                reply, _ = net.request(listen, bootstrap, Frame(MsgType.GET_NF), 5000.0)
+                if reply.type is MsgType.NF_DATA:
+                    nf = update_node_file(nf, bytes.fromhex(reply.header["digest"]), lambda: reply.body)
+            store = BlockStore(int(quota_gb * 10**9), data_dir=data_dir)
+            service = NodeService(listen, store, nf, transport=net)
+            server = NodeServer(parse_address(listen), service)
+        except HainaError as exc:
+            _fail(exc)
+        except OSError as exc:
+            click.echo(f"error: cannot serve on {listen}: {exc}", err=True)
+            sys.exit(3)
+        log.info("serving %s from %s", listen, data_dir)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.server_close()
 
 
 def _write_csv(path, rows):
@@ -100,7 +103,8 @@ def upload(file_path, n, nf_path, rate, k, seed, meta_out, csv_out):
             data = fh.read()
         nf = _load_node_file(nf_path)
         cfg = PorConfig(k=k, rate=rate)
-        report = client_upload(data, n, cfg, nf, RealNet(), seed=seed)
+        with closing(RealNet()) as net:
+            report = client_upload(data, n, cfg, nf, net, seed=seed)
     except HainaError as exc:
         _fail(exc)
     meta_out = meta_out or file_path + META_SUFFIX
@@ -132,7 +136,8 @@ def download(meta_path, nf_path, out_path, mode, csv_out):
         with open(meta_path, "rb") as fh:
             meta = parse_meta_file(fh.read())
         nf = _load_node_file(nf_path)
-        report = client_download(meta, nf, RealNet(), mode=mode)
+        with closing(RealNet()) as net:
+            report = client_download(meta, nf, net, mode=mode)
     except HainaError as exc:
         _fail(exc)
     with open(out_path, "wb") as fh:

@@ -59,9 +59,9 @@ def _encode_header(header: dict) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-def _decode_header(raw: bytes) -> dict:
+def _decode_header(raw) -> dict:
     try:
-        text = raw.decode("utf-8")
+        text = str(raw, "utf-8")
     except UnicodeDecodeError:
         raise ParseError("header", "header is not valid UTF-8") from None
     header = {}
@@ -83,7 +83,8 @@ def encode_frame(frame: Frame) -> bytes:
     return HEADER_FMT.pack(MAGIC, int(frame.type), len(header), len(frame.body)) + header + frame.body
 
 
-def decode_frame(raw: bytes) -> Frame:
+def decode_frame(raw) -> Frame:
+    """Decode one whole frame from any bytes-like object; the body is always bytes."""
     if len(raw) < FRAME_OVERHEAD:
         raise ParseError("frame", f"truncated frame: {len(raw)} bytes")
     magic, type_tag, header_len, body_len = HEADER_FMT.unpack_from(raw)
@@ -98,8 +99,9 @@ def decode_frame(raw: bytes) -> Frame:
         msg_type = MsgType(type_tag)
     except ValueError:
         raise ParseError("frame", f"unknown message type tag {type_tag}") from None
-    header = _decode_header(raw[FRAME_OVERHEAD : FRAME_OVERHEAD + header_len])
-    body = raw[FRAME_OVERHEAD + header_len :]
+    view = memoryview(raw)
+    header = _decode_header(view[FRAME_OVERHEAD : FRAME_OVERHEAD + header_len])
+    body = bytes(view[FRAME_OVERHEAD + header_len :])
     return Frame(type=msg_type, header=header, body=body)
 
 

@@ -7,11 +7,13 @@ store acknowledgement.
 """
 
 import json
+import socket
 import socketserver
 import threading
 
+from . import hashing
 from .blockstore import BlockStore
-from .errors import CampaignError, HainaError
+from .errors import CampaignError, HainaError, ParseError
 from .frames import Frame, MsgType, error_frame
 from .nodefile import NodeFile
 from .por import CampaignResult, CandidateRecord, PorConfig, run_campaign
@@ -35,6 +37,13 @@ def encode_candidates(result: CampaignResult) -> str:
 
 def decode_candidates(text: str):
     return tuple(CandidateRecord(**d) for d in json.loads(text))
+
+
+def _int_field(frame, key: str) -> int:
+    try:
+        return int(frame.header.get(key, "0"))
+    except (TypeError, ValueError):
+        raise ParseError(key, "not an integer") from None
 
 
 class NodeService:
@@ -80,13 +89,13 @@ class NodeService:
         )
 
     def _on_store_ready(self, frame):
+        next_size = _int_field(frame, "next_size")
         raw = frame.body
         if self.corrupt_storage and len(raw) > 104:
             # flip one data-domain byte; the claimed store is fake
             raw = raw[:-1] + bytes([raw[-1] ^ 0xFF])
         address = self.store.put(raw)
         header = {"stored": address.hex()}
-        next_size = int(frame.header.get("next_size", "0"))
         elect = frame.header.get("elect", "0") == "1"
         if elect:
             try:
@@ -98,26 +107,26 @@ class NodeService:
         return Frame(MsgType.STORE_ACK, header)
 
     def _on_election(self, frame):
-        size = int(frame.header.get("size", "0"))
+        size = _int_field(frame, "size")
         free = self.store.freespace
         if free >= size and size >= 0:
             return Frame(MsgType.TAKEPART, {"freespace": str(free)})
         return Frame(MsgType.REFUSE, {"freespace": str(free)})
 
     def _on_check_store(self, frame):
-        address = bytes.fromhex(frame.header["address"])
+        address = hashing.parse_hex_digest(frame.header.get("address"), "address")
         if not self.store.has(address):
             return error_frame(f"no block stored at {address.hex()}")
         return Frame(MsgType.CHECK_STORE_REPLY, {"digest": self.store.stored_digest(address).hex()})
 
     def _on_get_block(self, frame):
-        address = bytes.fromhex(frame.header["address"])
+        address = hashing.parse_hex_digest(frame.header.get("address"), "address")
         if not self.store.has(address):
             return error_frame(f"no block stored at {address.hex()}")
         return Frame(MsgType.BLOCK_DATA, {"address": address.hex()}, self.store.get(address))
 
     def _on_has_block(self, frame):
-        address = bytes.fromhex(frame.header["address"])
+        address = hashing.parse_hex_digest(frame.header.get("address"), "address")
         return Frame(MsgType.HAS_BLOCK_REPLY, {"has": "1" if self.store.has(address) else "0"})
 
 
@@ -140,14 +149,41 @@ class _FrameRequestHandler(socketserver.BaseRequestHandler):
 
 
 class NodeServer(socketserver.ThreadingTCPServer):
-    """Real TCP server wrapping a NodeService."""
+    """Real TCP server wrapping a NodeService.
+
+    Clients keep their connections open between requests, so
+    `server_close()` also shuts down every live connection: a stopped
+    node answers nothing more, not even on a connection opened earlier.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, listen, service: NodeService):
         self.service = service
+        self._live = set()
+        self._live_lock = threading.Lock()
         super().__init__(listen, _FrameRequestHandler)
+
+    def process_request(self, request, client_address):
+        with self._live_lock:
+            self._live.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._live_lock:
+            self._live.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._live_lock:
+            live, self._live = self._live, set()
+        for request in live:
+            try:
+                request.shutdown(socket.SHUT_RDWR)  # wakes the handler blocked in recv
+            except OSError:
+                pass  # the peer already closed it
 
     def serve_background(self):
         thread = threading.Thread(target=self.serve_forever, daemon=True)

@@ -1,47 +1,79 @@
 """Socket transport: the same request/broadcast contract as the simulator.
 
-One TCP connection per request; round-trips are measured with the
-monotonic clock.  Broadcast fans requests out on threads and joins at
-the timeout.
+Connections persist: each `RealNet` keeps a stack of idle sockets per
+peer and reuses one for the next request to that peer.  A socket goes
+back on its stack only after a whole reply was read from it; any
+timeout or error closes it, so a late reply can never be read as the
+answer to a later request.  A reused socket that the peer has closed
+(for example, after a node restart) costs one retry on a fresh
+connection.  Broadcast fans requests out on one executor per `RealNet`
+and joins them all.  Round-trips are measured with the monotonic clock.
 """
 
 import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import NetworkError, ParseError
 from .frames import FRAME_OVERHEAD, HEADER_FMT, MAGIC, MAX_FRAME, Frame, decode_frame, encode_frame
 
+BROADCAST_WORKERS = 32
+
 
 def send_frame(sock, frame: Frame):
     sock.sendall(encode_frame(frame))
 
 
-def _recv_exact(sock, n: int):
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf.extend(chunk)
-    return bytes(buf)
+def _recv_into(sock, view) -> bool:
+    """Fill `view` from the socket; False if the peer closed it first."""
+    while view:
+        n = sock.recv_into(view)
+        if n == 0:
+            return False
+        view = view[n:]
+    return True
 
 
 def recv_frame(sock):
-    """Read one frame; returns None on clean EOF before any byte."""
-    head = _recv_exact(sock, FRAME_OVERHEAD)
-    if head is None:
+    """Read one frame; returns None if the peer closed or reset the
+    connection before the frame's first byte."""
+    head = bytearray(FRAME_OVERHEAD)
+    try:
+        n = sock.recv_into(head)
+    except ConnectionResetError:
         return None
+    if n == 0:
+        return None
+    if not _recv_into(sock, memoryview(head)[n:]):
+        raise ParseError("frame", "connection closed mid-frame")
     magic, _, header_len, body_len = HEADER_FMT.unpack(head)
     if magic != MAGIC:
         raise ParseError("frame", f"bad magic {magic!r}")
-    total = header_len + body_len
-    if FRAME_OVERHEAD + total > MAX_FRAME:
+    total = FRAME_OVERHEAD + header_len + body_len
+    if total > MAX_FRAME:
         raise ParseError("frame", "declared frame size exceeds cap")
-    rest = _recv_exact(sock, total)
-    if rest is None:
+    raw = bytearray(total)
+    raw[:FRAME_OVERHEAD] = head
+    if not _recv_into(sock, memoryview(raw)[FRAME_OVERHEAD:]):
         raise ParseError("frame", "connection closed mid-frame")
-    return decode_frame(head + rest)
+    return decode_frame(raw)
+
+
+def _exchange(sock, data: bytes, timeout_s: float):
+    """Send one encoded frame and read its reply.
+
+    Returns None when the peer had closed the connection before the
+    reply's first byte; a timeout always raises.
+    """
+    sock.settimeout(timeout_s)
+    try:
+        sock.sendall(data)
+    except socket.timeout:
+        raise
+    except OSError:
+        return None
+    return recv_frame(sock)
 
 
 def parse_address(address: str):
@@ -57,34 +89,67 @@ class RealNet:
 
     The `origin` argument is accepted for interface parity with the
     simulator; real sockets always originate from the caller's host.
+    Call `close()` to release the idle sockets and the broadcast workers.
     """
 
+    def __init__(self):
+        self._idle = {}  # peer address -> idle sockets, most recently used last
+        self._lock = threading.Lock()
+        self._pool = ThreadPoolExecutor(max_workers=BROADCAST_WORKERS)
+
+    def _take(self, dst: str):
+        with self._lock:
+            stack = self._idle.get(dst)
+            return stack.pop() if stack else None
+
+    def _give(self, dst: str, sock):
+        with self._lock:
+            self._idle.setdefault(dst, []).append(sock)
+
     def request(self, origin: str, dst: str, frame: Frame, timeout_ms: float = 1000.0):
-        host, port = parse_address(dst)
+        address = parse_address(dst)
+        timeout_s = timeout_ms / 1000.0
+        data = encode_frame(frame)
         t0 = time.monotonic()
+        sock = self._take(dst)
+        reply = None
         try:
-            with socket.create_connection((host, port), timeout=timeout_ms / 1000.0) as sock:
-                sock.settimeout(timeout_ms / 1000.0)
-                send_frame(sock, frame)
-                reply = recv_frame(sock)
-        except (OSError, socket.timeout) as exc:
+            if sock is not None:
+                reply = _exchange(sock, data, timeout_s)
+                if reply is None:  # the peer dropped the idle socket: retry once, fresh
+                    sock.close()
+            if reply is None:
+                sock = socket.create_connection(address, timeout=timeout_s)
+                reply = _exchange(sock, data, timeout_s)
+        except OSError as exc:
+            if sock is not None:
+                sock.close()
             raise NetworkError(f"request to {dst} failed: {exc}") from None
+        except ParseError:
+            sock.close()
+            raise
         if reply is None:
+            sock.close()
             raise NetworkError(f"{dst} closed the connection")
+        self._give(dst, sock)
         rtt = (time.monotonic() - t0) * 1000.0
         return reply, rtt
 
     def broadcast(self, origin: str, dsts, frame: Frame, timeout_ms: float = 1000.0) -> dict:
+        futures = {dst: self._pool.submit(self.request, origin, dst, frame, timeout_ms) for dst in dsts}
         results = {}
-        if not dsts:
-            return results
-        with ThreadPoolExecutor(max_workers=min(len(dsts), 32)) as pool:
-            futures = {
-                dst: pool.submit(self.request, origin, dst, frame, timeout_ms) for dst in dsts
-            }
-            for dst, future in futures.items():
-                try:
-                    results[dst] = future.result()
-                except NetworkError:
-                    results[dst] = None
+        for dst, future in futures.items():
+            try:
+                results[dst] = future.result()
+            except NetworkError:
+                results[dst] = None
         return results
+
+    def close(self):
+        """Stop the broadcast workers and close every idle socket."""
+        self._pool.shutdown()
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for stack in idle.values():
+            for sock in stack:
+                sock.close()

@@ -106,6 +106,7 @@ def live_cluster(tmp_path):
     for server in servers:
         server.shutdown()
         server.server_close()
+        server.service.transport.close()
 
 
 class TestLiveRoundTrip:

@@ -1,11 +1,14 @@
 import random
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
 from haina.blockstore import BlockStore
 from haina.chain import build_chain, content_address, serialize_block
-from haina.errors import IncompleteChainError, UsageError
+from haina.errors import IncompleteChainError, NetworkError, UsageError
 from haina.frames import Frame, MsgType
 from haina.node import NodeServer, NodeService
 from haina.nodefile import make_node_file, parse_node_file
@@ -42,6 +45,42 @@ class TestBlockStore:
         store.put(raw)
         store.put(raw)
         assert store.used_bytes == len(raw)
+
+    def test_concurrent_puts_never_exceed_quota(self):
+        class SlowCheckStore(BlockStore):
+            @property
+            def freespace(self):
+                free = super().freespace
+                time.sleep(0.001)  # widen the gap between the quota check and the insert
+                return free
+
+        raws = [serialize_block(_block(bytes([i]) * 64)) for i in range(32)]
+        quota = 8 * len(raws[0])
+        store = SlowCheckStore(quota)
+        barrier = threading.Barrier(len(raws))
+        accepted = []
+
+        def put(raw):
+            barrier.wait()
+            try:
+                store.put(raw)
+                accepted.append(raw)
+            except UsageError:
+                pass
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=put, args=(raw,)) for raw in raws]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(accepted) == 8
+        assert store.used_bytes == quota
 
     def test_persistence_roundtrip(self, tmp_path):
         raw = serialize_block(_block())
@@ -108,6 +147,23 @@ class TestNodeService:
         reply, _ = net.request("u:0", "a:1", Frame(MsgType.PONG))
         assert reply.type is MsgType.ERROR
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            Frame(MsgType.GET_BLOCK),
+            Frame(MsgType.GET_BLOCK, {"address": "zz" * 32}),
+            Frame(MsgType.CHECK_STORE, {"address": "00" * 31}),
+            Frame(MsgType.HAS_BLOCK, {"address": ""}),
+            Frame(MsgType.ELECTION, {"size": "1.5"}),
+            Frame(MsgType.STORE_READY, {"next_size": "ten", "elect": "1"}, serialize_block(_block())),
+        ],
+    )
+    def test_malformed_frame_yields_error(self, frame):
+        net, _, services = _sim_pair()
+        reply, _ = net.request("u:0", "a:1", frame)
+        assert reply.type is MsgType.ERROR
+        assert services["a:1"].store.used_bytes == 0
+
 
 class TestResolve:
     def test_unique_holder_found(self):
@@ -142,30 +198,129 @@ class TestResolve:
             resolve(net, "u:0", bytes(32), nf)
 
 
-@pytest.mark.parametrize("payload_size", [10, 5000])
-def test_real_tcp_roundtrip(payload_size):
-    # loopback smoke test of the socket transport against a live node
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    listen = f"127.0.0.1:{port}"
-    nf = make_node_file([listen])
-    service = NodeService(listen, BlockStore(10**9), nf, transport=RealNet())
+class _SlowEcho:
+    """Answers every frame with a PONG naming it, after the delay it asks for."""
+
+    def handle(self, frame):
+        time.sleep(float(frame.header.get("delay", "0")))
+        return Frame(MsgType.PONG, {"n": frame.header.get("n", "")})
+
+
+def _serve(port=0, service=None):
+    """Start a loopback node (an empty store unless `service` is given); returns (server, address)."""
     server = NodeServer(("127.0.0.1", port), service)
+    listen = f"127.0.0.1:{server.server_address[1]}"
+    if service is None:
+        server.service = NodeService(listen, BlockStore(10**9), make_node_file([listen]))
     server.serve_background()
-    try:
-        net = RealNet()
-        reply, rtt = net.request("client:0", listen, Frame(MsgType.PING))
-        assert reply.type is MsgType.PONG and rtt > 0
-        block = _block(random.Random(1).randbytes(payload_size))
-        store = Frame(MsgType.STORE_READY, {"next_size": "0", "elect": "0"}, serialize_block(block))
-        ack, _ = net.request("client:0", listen, store)
-        assert ack.type is MsgType.STORE_ACK
-        got, _ = net.request(
-            "client:0", listen, Frame(MsgType.GET_BLOCK, {"address": content_address(block).hex()})
-        )
-        assert got.type is MsgType.BLOCK_DATA
-        assert got.body == serialize_block(block)
-    finally:
-        server.shutdown()
+    return server, listen
+
+
+def _stop(*servers):
+    # each shutdown() waits up to one 0.5 s poll of serve_forever; overlap them
+    stoppers = [threading.Thread(target=server.shutdown) for server in servers]
+    for stopper in stoppers:
+        stopper.start()
+    for stopper in stoppers:
+        stopper.join(timeout=5)
+    for server in servers:
         server.server_close()
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Record every socket.create_connection call."""
+    calls = []
+    create = socket.create_connection
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return create(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return calls
+
+
+@pytest.fixture
+def tcp_nodes():
+    nodes = [_serve() for _ in range(3)]
+    net = RealNet()
+    yield [listen for _, listen in nodes], net
+    net.close()
+    _stop(*(server for server, _ in nodes))
+
+
+@pytest.mark.parametrize("payload_size", [10, 5000])
+def test_real_tcp_roundtrip(payload_size, tcp_nodes):
+    # loopback smoke test of the socket transport against a live node
+    (listen, *_), net = tcp_nodes
+    reply, rtt = net.request("client:0", listen, Frame(MsgType.PING))
+    assert reply.type is MsgType.PONG and rtt > 0
+    block = _block(random.Random(1).randbytes(payload_size))
+    store = Frame(MsgType.STORE_READY, {"next_size": "0", "elect": "0"}, serialize_block(block))
+    ack, _ = net.request("client:0", listen, store)
+    assert ack.type is MsgType.STORE_ACK
+    got, _ = net.request("client:0", listen, Frame(MsgType.GET_BLOCK, {"address": content_address(block).hex()}))
+    assert got.type is MsgType.BLOCK_DATA
+    assert got.body == serialize_block(block)
+
+
+class TestTransportContract:
+    def test_sequential_requests_share_one_connection(self, tcp_nodes, connects):
+        (listen, *_), net = tcp_nodes
+        for _ in range(20):
+            reply, _ = net.request("client:0", listen, Frame(MsgType.PING))
+            assert reply.type is MsgType.PONG
+        assert len(connects) == 1
+
+    def test_broadcast_starts_no_threads_after_the_first(self, tcp_nodes):
+        addresses, net = tcp_nodes
+        net.broadcast("client:0", addresses, Frame(MsgType.PING))
+        threads = threading.active_count()
+        for _ in range(10):
+            replies = net.broadcast("client:0", addresses, Frame(MsgType.PING))
+            assert [replies[a][0].type for a in addresses] == [MsgType.PONG] * 3
+        assert threading.active_count() == threads
+
+    def test_stopped_node_fails_and_restarted_node_answers(self, connects):
+        server, listen = _serve()
+        port = int(listen.rpartition(":")[2])
+        net = RealNet()
+        try:
+            net.request("client:0", listen, Frame(MsgType.PING))
+            _stop(server)
+            # the pooled socket is dead and nothing listens any more
+            with pytest.raises(NetworkError):
+                net.request("client:0", listen, Frame(MsgType.PING))
+            server, _ = _serve(port)
+            net.request("client:0", listen, Frame(MsgType.PING))
+            _stop(server)
+            server, _ = _serve(port)
+            before = len(connects)
+            reply, _ = net.request("client:0", listen, Frame(MsgType.PING))
+            assert reply.type is MsgType.PONG
+            assert len(connects) == before + 1  # the stale socket, then one fresh one
+        finally:
+            net.close()
+            _stop(server)
+
+    def test_timed_out_socket_is_discarded(self, connects):
+        server, listen = _serve(service=_SlowEcho())
+        net = RealNet()
+        try:
+            with pytest.raises(NetworkError):
+                net.request("client:0", listen, Frame(MsgType.PING, {"n": "1", "delay": "0.3"}), timeout_ms=100)
+            reply, _ = net.request("client:0", listen, Frame(MsgType.PING, {"n": "2"}), timeout_ms=1000)
+            assert reply.header["n"] == "2"
+            assert len(connects) == 2
+        finally:
+            net.close()
+            _stop(server)
+
+    def test_malformed_frame_keeps_the_connection(self, tcp_nodes, connects):
+        (listen, *_), net = tcp_nodes
+        bad, _ = net.request("client:0", listen, Frame(MsgType.GET_BLOCK, {"address": "not hex"}))
+        assert bad.type is MsgType.ERROR
+        good, _ = net.request("client:0", listen, Frame(MsgType.HAS_BLOCK, {"address": "00" * 32}))
+        assert good.type is MsgType.HAS_BLOCK_REPLY and good.header["has"] == "0"
+        assert len(connects) == 1
