@@ -14,12 +14,11 @@ from .errors import IntegrityError, UsageError
 
 
 class BlockStore:
-    def __init__(self, quota_bytes: int, data_dir=None, hash_alg: str = hashing.DEFAULT_ALGORITHM):
+    def __init__(self, quota_bytes: int, data_dir=None):
         if quota_bytes < 0:
             raise UsageError("quota cannot be negative")
         self.quota_bytes = quota_bytes
         self.data_dir = data_dir
-        self.hash_alg = hash_alg
         self._blocks = {}  # address -> serialized block
         self._used = 0
         self._put_lock = threading.Lock()  # one quota check + insert at a time
@@ -54,7 +53,7 @@ class BlockStore:
     def put(self, raw: bytes) -> bytes:
         """Store a serialized block; returns its content address."""
         block = deserialize_block(raw)
-        address = hashing.digest(block.data, self.hash_alg)
+        address = hashing.digest(block.data)
         with self._put_lock:
             if address in self._blocks:
                 return address
@@ -80,4 +79,4 @@ class BlockStore:
     def stored_digest(self, address: bytes) -> bytes:
         """Recompute the data-domain hash of the stored bytes (storage proof)."""
         block = deserialize_block(self.get(address))
-        return hashing.digest(block.data, self.hash_alg)
+        return hashing.digest(block.data)

@@ -42,7 +42,6 @@ class Block:
 class Chain:
     blocks: tuple
     state: LockState = LockState.UNLOCKED
-    hash_alg: str = hashing.DEFAULT_ALGORITHM
 
     def __len__(self):
         return len(self.blocks)
@@ -59,15 +58,15 @@ class Violation:
         return f"block {self.block_index}: {self.field}_hash does not match neighbor data"
 
 
-def content_address(block: Block, hash_alg: str = hashing.DEFAULT_ALGORITHM) -> bytes:
+def content_address(block: Block) -> bytes:
     """Content address of a block: the hash of its data domain.
 
     Identical for locked and unlocked blocks.
     """
-    return hashing.digest(block.data, hash_alg)
+    return hashing.digest(block.data)
 
 
-def build_chain(payloads, hash_alg: str = hashing.DEFAULT_ALGORITHM) -> Chain:
+def build_chain(payloads) -> Chain:
     """Build an unlocked circular chain over the given data-domain payloads.
 
     Block i points backward to H(payload[i-1]) and forward to
@@ -80,7 +79,7 @@ def build_chain(payloads, hash_alg: str = hashing.DEFAULT_ALGORITHM) -> Chain:
     if any(len(p) == 0 for p in payloads):
         raise UsageError("every data-domain payload must be non-empty")
 
-    digests = [hashing.digest(p, hash_alg) for p in payloads]
+    digests = [hashing.digest(p) for p in payloads]
     m = len(payloads)
     blocks = tuple(
         Block(
@@ -91,7 +90,7 @@ def build_chain(payloads, hash_alg: str = hashing.DEFAULT_ALGORITHM) -> Chain:
         )
         for i in range(m)
     )
-    return Chain(blocks=blocks, state=LockState.UNLOCKED, hash_alg=hash_alg)
+    return Chain(blocks=blocks, state=LockState.UNLOCKED)
 
 
 def verify_chain(chain: Chain) -> list:
@@ -103,7 +102,7 @@ def verify_chain(chain: Chain) -> list:
     if chain.state is not LockState.UNLOCKED:
         raise StateError("verify_chain is defined on unlocked chains only")
     m = len(chain.blocks)
-    digests = [hashing.digest(b.data, chain.hash_alg) for b in chain.blocks]
+    digests = [hashing.digest(b.data) for b in chain.blocks]
     violations = []
     for i, block in enumerate(chain.blocks):
         if block.previous_hash != digests[(i - 1) % m]:

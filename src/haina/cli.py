@@ -10,8 +10,8 @@ import click
 from .blockstore import BlockStore
 from .client import download as client_download
 from .client import upload as client_upload
-from .errors import HainaError, UsageError
-from .experiments import parse_cluster_spec, run_experiment
+from .errors import HainaError
+from .experiments import EXPERIMENTS, parse_cluster_spec, run_experiment
 from .metafile import META_SUFFIX, parse_meta_file, serialize_meta_file
 from .metrics import MetricsRow, rows_to_csv
 from .node import NodeServer, NodeService
@@ -153,11 +153,7 @@ def download(meta_path, nf_path, out_path, mode, csv_out):
 
 @main.command()
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
-@click.option(
-    "--experiment",
-    required=True,
-    type=click.Choice(["fairness", "decision_time", "bdam_speedup", "capacity"]),
-)
+@click.option("--experiment", required=True, type=click.Choice(list(EXPERIMENTS)))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def sim(spec_path, experiment, out_path):
     """Run one experiment on an in-process simulated cluster (virtual time)."""

@@ -1,18 +1,19 @@
 """User-side orchestration: upload placement and bidirectional recovery.
 
 Upload runs the whole pre-processing pipeline, places block after
-block through the election protocol, verifies each store, and emits
-the meta file.  Download walks the stored chain from the header block
-with a forward and a backward cursor at once, then reassembles and
+block through the election protocol, verifies each store against the
+block's SHA-256 content address, and emits the meta file.  Download
+walks the stored chain from the header block in one walk with one
+cursor (forward) or two (forward and backward), then reassembles and
 decrypts the file.
 """
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import hashing
-from .chain import Block, build_chain, content_address, deserialize_block, serialize_block
+from . import frames
+from .chain import build_chain, deserialize_block, serialize_block
 from .crypto import (
     CipherConfig,
     decrypt_file,
@@ -53,18 +54,6 @@ class UploadReport:
 
 
 @dataclass
-class FetchPlan:
-    header_address: bytes
-    mask: bytes
-    n: int
-    forward: bytes = None  # next address the forward cursor wants
-    backward: bytes = None
-    fetched: dict = field(default_factory=dict)  # address -> unlocked Block
-    forward_alive: bool = True
-    backward_alive: bool = True
-
-
-@dataclass
 class FetchResult:
     blocks: list  # chain order, starting at the header
     elapsed_ms: float
@@ -86,12 +75,12 @@ def _store_timeout(cfg: PorConfig) -> float:
     return cfg.timeout_ms * 4
 
 
+def _store_header(next_size: int, elect: bool) -> dict:
+    return {"next_size": str(next_size), "elect": "1" if elect else "0"}
+
+
 def _place_block(transport, node, block, next_size, elect, cfg):
-    frame = Frame(
-        MsgType.STORE_READY,
-        {"next_size": str(next_size), "elect": "1" if elect else "0"},
-        serialize_block(block),
-    )
+    frame = Frame(MsgType.STORE_READY, _store_header(next_size, elect), serialize_block(block))
     reply, rtt = transport.request(USER_ADDRESS, node, frame, _store_timeout(cfg))
     if reply.type is not MsgType.STORE_ACK:
         reason = reply.header.get("reason", reply.type.name)
@@ -117,7 +106,6 @@ def upload(
     rng=None,
     seed: int = None,
     timestamp_ns: int = None,
-    hash_alg: str = hashing.DEFAULT_ALGORITHM,
 ) -> UploadReport:
     """Encrypt, shard, chain, lock, and place a file on the cluster.
 
@@ -137,7 +125,7 @@ def upload(
         timestamp_ns = rng.getrandbits(64)
 
     t0 = time.perf_counter()
-    key = generate_key(file, timestamp_ns, hash_alg)
+    key = generate_key(file, timestamp_ns)
     mask = generate_mask(rng)
     cipher_cfg = CipherConfig(iv=rng.randbytes(16))
     ef = encrypt_file(file, key, cipher_cfg)
@@ -148,20 +136,28 @@ def upload(
     encrypt_ms = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    domains = embed_key_shards(split_ciphertext(ef, n), key)
-    if len({hashing.digest(d, hash_alg) for d in domains}) < n:
+    chain = build_chain(embed_key_shards(split_ciphertext(ef, n), key))
+    if len({b.current_hash for b in chain.blocks}) < n:
         # content addressing cannot tell identical data domains apart;
         # only degenerate slice sizes (a few bytes) can collide
         raise UsageError(
             f"block count {n} produces duplicate block contents for this file; "
             "choose a smaller block count"
         )
-    chain = build_chain(domains, hash_alg)
-    locked = lock_chain(chain, mask)
+    blocks = lock_chain(chain, mask).blocks
     chain_ms = (time.perf_counter() - t0) * 1000.0
 
-    blocks = locked.blocks
     sizes = [len(serialize_block(b)) for b in blocks]
+    # SimNet never encodes frames, so check the TCP frame cap before any
+    # block is placed: a block travels out in STORE_READY and back in BLOCK_DATA
+    for i, block in enumerate(blocks):
+        for header in (_store_header(sizes[(i + 1) % n], i < n - 1), {"address": block.current_hash.hex()}):
+            total = frames.frame_size(header, sizes[i])
+            if total > frames.MAX_FRAME:
+                raise UsageError(
+                    f"block {i + 1} needs a {total}-byte frame, over the {frames.MAX_FRAME}-byte cap; "
+                    "choose a larger block count"
+                )
     records = ProvisionalRecords(total_blocks=n)
     placements = [None] * n
     decision_ms = [0.0] * n
@@ -185,7 +181,7 @@ def upload(
                 transport, current, block, next_size, elect, cfg
             )
             records.record(current)
-            if check_store(transport, USER_ADDRESS, current, content_address(block, hash_alg), cfg.timeout_ms):
+            if check_store(transport, USER_ADDRESS, current, block.current_hash, cfg.timeout_ms):
                 break
             records.unrecord(current)
             failed.add(current)
@@ -212,12 +208,11 @@ def upload(
 
     meta = build_meta_file(
         first_beginner=first_beginner,
-        header_digest=content_address(blocks[0], hash_alg),
+        header_digest=blocks[0].current_hash,
         mask=mask,
         block_count=n,
         cipher_cfg=cipher_cfg,
         file_length=len(file),
-        hash_alg=hash_alg,
     )
     return UploadReport(
         meta=meta,
@@ -275,96 +270,64 @@ def _fetch_block(transport, address, nf, timeout_ms, direct_node=None):
     return deserialize_block(reply.body), elapsed
 
 
-def _advance(plan: FetchPlan, address: bytes, block: Block):
-    unlocked = unlock_block(block, plan.mask)
-    plan.fetched[address] = unlocked
-    return unlocked
-
-
-def _fetch_rounds(plan: FetchPlan, fetcher, bidirectional: bool) -> FetchResult:
-    """Advance the cursor(s) round by round until the chain is held.
+def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors: int) -> FetchResult:
+    """Walk the chain from the header with 1 (forward) or 2 (forward and backward) cursors.
 
     Both cursors run concurrently in a round; the round costs the
     slower of the two fetches.  A cursor stops at an already-fetched
     address (the circle has closed) or at an unresolvable one.
     """
+    header = unlock_block(header_block, meta.mask)
+    fetched = {meta.header_digest: header}  # address -> unlocked Block
+    # the pointer each cursor follows -> the address it wants next
+    wants = {p: getattr(header, p) for p in ("next_hash", "previous_hash")[:cursors]}
     elapsed = 0.0
     rounds = 0
     missing = []
-    while len(plan.fetched) < plan.n:
+    while len(fetched) < meta.block_count:
         targets = []
-        if plan.forward_alive and plan.forward not in plan.fetched:
-            targets.append(("forward", plan.forward))
-        if (
-            bidirectional
-            and plan.backward_alive
-            and plan.backward not in plan.fetched
-            and all(t[1] != plan.backward for t in targets)
-        ):
-            targets.append(("backward", plan.backward))
+        for pointer, address in wants.items():
+            if address not in fetched and all(address != t[1] for t in targets):
+                targets.append((pointer, address))
         if not targets:
             break
         round_ms = 0.0
-        for direction, address in targets:
+        for pointer, address in targets:
             try:
                 block, ms = fetcher(address)
             except (IncompleteChainError, NetworkError):
                 if address not in missing:
                     missing.append(address)
-                if direction == "forward":
-                    plan.forward_alive = False
-                else:
-                    plan.backward_alive = False
+                del wants[pointer]
                 continue
             round_ms = max(round_ms, ms)
-            unlocked = _advance(plan, address, block)
-            if direction == "forward":
-                plan.forward = unlocked.next_hash
-            else:
-                plan.backward = unlocked.previous_hash
+            unlocked = fetched[address] = unlock_block(block, meta.mask)
+            wants[pointer] = getattr(unlocked, pointer)
         elapsed += round_ms
         rounds += 1
-    blocks, order_missing = _chain_order(plan)
-    missing.extend(a for a in order_missing if a not in missing)
-    return FetchResult(blocks=blocks, elapsed_ms=elapsed, rounds=rounds, missing=missing)
 
-
-def _chain_order(plan: FetchPlan):
-    """Order fetched blocks by walking next pointers from the header."""
+    # chain order: follow next pointers from the header
     blocks = []
-    missing = []
-    address = plan.header_address
-    for _ in range(plan.n):
-        block = plan.fetched.get(address)
+    address = meta.header_digest
+    for _ in range(meta.block_count):
+        block = fetched.get(address)
         if block is None:
-            missing.append(address)
+            if address not in missing:
+                missing.append(address)
             break
         blocks.append(block)
         address = block.next_hash
-    return blocks, missing
+    return FetchResult(blocks=blocks, elapsed_ms=elapsed, rounds=rounds, missing=missing)
 
 
-def _make_plan(meta: MetaFile, header_block: Block) -> FetchPlan:
-    unlocked = unlock_block(header_block, meta.mask)
-    plan = FetchPlan(
-        header_address=meta.header_digest,
-        mask=meta.mask,
-        n=meta.block_count,
-        forward=unlocked.next_hash,
-        backward=unlocked.previous_hash,
-    )
-    plan.fetched[meta.header_digest] = unlocked
-    return plan
-
-
-def bdam_fetch(plan: FetchPlan, fetcher) -> FetchResult:
+def bdam_fetch(meta: MetaFile, header_block, fetcher) -> FetchResult:
     """Concurrent forward and backward cursor fetch of the full chain."""
-    return _fetch_rounds(plan, fetcher, bidirectional=True)
+    return _fetch_chain(meta, header_block, fetcher, cursors=2)
 
 
-def unidirectional_fetch(plan: FetchPlan, fetcher) -> FetchResult:
+def unidirectional_fetch(meta: MetaFile, header_block, fetcher) -> FetchResult:
     """Baseline: forward cursor only."""
-    return _fetch_rounds(plan, fetcher, bidirectional=False)
+    return _fetch_chain(meta, header_block, fetcher, cursors=1)
 
 
 def download(
@@ -391,16 +354,12 @@ def download(
     except (NetworkError, IncompleteChainError):
         header_block, header_ms = _fetch_block(transport, meta.header_digest, nf, timeout_ms)
 
-    plan = _make_plan(meta, header_block)
-
     def fetcher(address):
         return _fetch_block(transport, address, nf, timeout_ms)
 
     t0 = time.perf_counter()
-    if mode == "bi":
-        result = bdam_fetch(plan, fetcher)
-    else:
-        result = unidirectional_fetch(plan, fetcher)
+    fetch = bdam_fetch if mode == "bi" else unidirectional_fetch
+    result = fetch(meta, header_block, fetcher)
     if len(result.blocks) < meta.block_count:
         raise IncompleteChainError(result.missing or [meta.header_digest])
 

@@ -42,7 +42,7 @@ class CipherConfig:
             raise UsageError(f"iv must be {CIPHER_BLOCK} bytes, got {len(self.iv)}")
 
 
-def generate_key(file: bytes, timestamp_ns: int, hash_alg: str = hashing.DEFAULT_ALGORITHM) -> bytes:
+def generate_key(file: bytes, timestamp_ns: int) -> bytes:
     """Derive the 32-byte file key: H(timestamp || H(file)).
 
     The timestamp is encoded as 8-byte big-endian unsigned nanoseconds,
@@ -52,8 +52,8 @@ def generate_key(file: bytes, timestamp_ns: int, hash_alg: str = hashing.DEFAULT
         raise UsageError("cannot derive a key for an empty file")
     if not 0 <= timestamp_ns < 1 << 64:
         raise UsageError("timestamp must fit an unsigned 64-bit value")
-    inner = hashing.digest(file, hash_alg)
-    return hashing.digest(struct.pack(">Q", timestamp_ns) + inner, hash_alg)
+    inner = hashing.digest(file)
+    return hashing.digest(struct.pack(">Q", timestamp_ns) + inner)
 
 
 def generate_mask(rng=None) -> bytes:

@@ -19,9 +19,6 @@ from .nodefile import make_node_file, node_index
 from .por import PorConfig
 from .simnet import LinkModel, SimNet
 
-EXPERIMENTS = ("fairness", "decision_time", "bdam_speedup", "capacity")
-
-
 @dataclass
 class ClusterSpec:
     nodes: int = 5
@@ -98,23 +95,16 @@ def build_cluster(spec: ClusterSpec, por_cfg: PorConfig = None):
     return net, nf, services, cfg
 
 
-def _random_file(rng: random.Random, size: int) -> bytes:
-    return rng.randbytes(size)
-
-
 def run_experiment(spec: ClusterSpec, name: str):
-    if name not in EXPERIMENTS:
-        raise UsageError(f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
-    return {
-        "fairness": _run_fairness,
-        "decision_time": _run_decision_time,
-        "bdam_speedup": _run_bdam_speedup,
-        "capacity": _run_capacity,
-    }[name](spec)
+    try:
+        runner = EXPERIMENTS[name]
+    except KeyError:
+        raise UsageError(f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}") from None
+    return runner(spec)
 
 
-def _upload_once(spec, net, nf, cfg, rng, event):
-    file = _random_file(rng, spec.file_bytes)
+def _upload_once(spec, net, nf, cfg, rng):
+    file = rng.randbytes(spec.file_bytes)
     return upload(file, spec.blocks, cfg, nf, net, rng=rng), file
 
 
@@ -124,7 +114,7 @@ def _run_fairness(spec: ClusterSpec):
     rng = random.Random(spec.seed)
     rows = []
     for event in range(spec.events):
-        report, _ = _upload_once(spec, net, nf, cfg, rng, event)
+        report, _ = _upload_once(spec, net, nf, cfg, rng)
         counts = {}
         for addr in report.placements:
             counts[addr] = counts.get(addr, 0) + 1
@@ -155,7 +145,7 @@ def _run_decision_time(spec: ClusterSpec):
     rng = random.Random(spec.seed)
     rows = []
     for event in range(spec.events):
-        report, _ = _upload_once(spec, net, nf, cfg, rng, event)
+        report, _ = _upload_once(spec, net, nf, cfg, rng)
         for i, ms in enumerate(report.decision_ms):
             if i == len(report.decision_ms) - 1:
                 continue  # the tail block triggers no election
@@ -176,7 +166,7 @@ def _run_bdam_speedup(spec: ClusterSpec):
     rng = random.Random(spec.seed)
     rows = []
     for event in range(spec.events):
-        report, file = _upload_once(spec, net, nf, cfg, rng, event)
+        report, file = _upload_once(spec, net, nf, cfg, rng)
         bi = download(report.meta, nf, net, mode="bi", timeout_ms=cfg.timeout_ms)
         uni = download(report.meta, nf, net, mode="uni", timeout_ms=cfg.timeout_ms)
         if bi.data != file or uni.data != file:
@@ -202,7 +192,7 @@ def _run_capacity(spec: ClusterSpec):
     rows = []
     total_chain = 0
     for event in range(spec.events):
-        report, _ = _upload_once(spec, net, nf, cfg, rng, event)
+        report, _ = _upload_once(spec, net, nf, cfg, rng)
         total_chain += sum(report.block_sizes)
     total_stored = 0
     for addr in nf.addresses:
@@ -212,3 +202,11 @@ def _run_capacity(spec: ClusterSpec):
     rows.append(MetricsRow("cluster", "stage_ms", float(total_stored), {"stage": "total_stored_bytes"}))
     rows.append(MetricsRow("cluster", "stage_ms", float(total_chain), {"stage": "total_chain_bytes"}))
     return rows
+
+
+EXPERIMENTS = {
+    "fairness": _run_fairness,
+    "decision_time": _run_decision_time,
+    "bdam_speedup": _run_bdam_speedup,
+    "capacity": _run_capacity,
+}

@@ -28,8 +28,7 @@ class MsgType(IntEnum):
     ELECTION = 7
     TAKEPART = 8
     REFUSE = 9
-    SORTED_RESULT = 10
-    NEW_BEGINNER = 11
+    # tags 10 and 11 are reserved: never reuse them
     CHECK_STORE = 12
     CHECK_STORE_REPLY = 13
     GET_BLOCK = 14
@@ -73,6 +72,11 @@ def _decode_header(raw) -> dict:
             raise ParseError("header", f"malformed header line {line!r}")
         header[key] = value
     return header
+
+
+def frame_size(header: dict, body_len: int) -> int:
+    """Encoded length of a frame with this header and a body of `body_len` bytes."""
+    return FRAME_OVERHEAD + len(_encode_header(header)) + body_len
 
 
 def encode_frame(frame: Frame) -> bytes:

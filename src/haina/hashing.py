@@ -1,7 +1,8 @@
-"""256-bit digest helpers and the deployment hash-algorithm registry.
+"""SHA-256 digest helpers.
 
-Every digest in one chain uses the same algorithm; the choice is recorded
-in the meta file so recovery uses the matching function.
+Every digest in haina is SHA-256: a block's content address, the chain
+pointers, the file key and the roster digest.  The meta file records
+the algorithm as "sha256" and no other value is accepted.
 """
 
 import hashlib
@@ -9,39 +10,18 @@ import hashlib
 from .errors import ParseError
 
 DIGEST_SIZE = 32
-
-# algorithm id -> constructor; all produce 32-byte digests
-_ALGORITHMS = {
-    "sha256": hashlib.sha256,
-    "sha3_256": hashlib.sha3_256,
-    "blake2s": hashlib.blake2s,
-}
-
-DEFAULT_ALGORITHM = "sha256"
+ALGORITHM = "sha256"  # the name the meta file records
 
 
-def hasher(alg: str = DEFAULT_ALGORITHM):
-    """Return the digest constructor for a registered algorithm id."""
-    try:
-        return _ALGORITHMS[alg]
-    except KeyError:
-        raise ParseError("hash_alg", f"unknown hash algorithm {alg!r}") from None
-
-
-def digest(data: bytes, alg: str = DEFAULT_ALGORITHM) -> bytes:
-    """256-bit digest of `data` under the named algorithm."""
-    return hasher(alg)(data).digest()
+def digest(data: bytes) -> bytes:
+    """SHA-256 digest of `data`."""
+    return hashlib.sha256(data).digest()
 
 
 def check_digest(value: bytes) -> bytes:
     if not isinstance(value, (bytes, bytearray)) or len(value) != DIGEST_SIZE:
         raise ValueError(f"digest must be exactly {DIGEST_SIZE} bytes, got {len(value)}")
     return bytes(value)
-
-
-def hex_digest(value: bytes) -> str:
-    """Canonical lowercase-hex rendering (64 chars)."""
-    return check_digest(value).hex()
 
 
 def parse_hex_digest(text: str, field: str = "digest") -> bytes:

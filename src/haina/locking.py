@@ -25,40 +25,32 @@ def check_mask(mask: bytes) -> bytes:
     return bytes(mask)
 
 
+def _toggle(block: Block, mask: bytes, state: LockState) -> Block:
+    previous, nxt = unlock_pointers(block, mask)
+    return Block(
+        previous_hash=previous,
+        current_hash=block.current_hash,
+        next_hash=nxt,
+        data=block.data,
+        state=state,
+    )
+
+
+def _toggle_chain(chain: Chain, mask: bytes, state: LockState) -> Chain:
+    check_mask(mask)
+    if chain.state is state:
+        raise StateError(f"chain is already {state.value}")
+    return Chain(blocks=tuple(_toggle(b, mask, state) for b in chain.blocks), state=state)
+
+
 def lock_chain(chain: Chain, mask: bytes) -> Chain:
     """Return a LOCKED copy of the chain with masked neighbor pointers."""
-    check_mask(mask)
-    if chain.state is not LockState.UNLOCKED:
-        raise StateError("chain is already locked")
-    blocks = tuple(
-        Block(
-            previous_hash=_xor(b.previous_hash, mask),
-            current_hash=b.current_hash,
-            next_hash=_xor(b.next_hash, mask),
-            data=b.data,
-            state=LockState.LOCKED,
-        )
-        for b in chain.blocks
-    )
-    return Chain(blocks=blocks, state=LockState.LOCKED, hash_alg=chain.hash_alg)
+    return _toggle_chain(chain, mask, LockState.LOCKED)
 
 
 def unlock_chain(chain: Chain, mask: bytes) -> Chain:
     """Inverse of lock_chain (same XOR, flipped state)."""
-    check_mask(mask)
-    if chain.state is not LockState.LOCKED:
-        raise StateError("chain is not locked")
-    blocks = tuple(
-        Block(
-            previous_hash=_xor(b.previous_hash, mask),
-            current_hash=b.current_hash,
-            next_hash=_xor(b.next_hash, mask),
-            data=b.data,
-            state=LockState.UNLOCKED,
-        )
-        for b in chain.blocks
-    )
-    return Chain(blocks=blocks, state=LockState.UNLOCKED, hash_alg=chain.hash_alg)
+    return _toggle_chain(chain, mask, LockState.UNLOCKED)
 
 
 def unlock_pointers(block: Block, mask: bytes):
@@ -73,11 +65,4 @@ def unlock_pointers(block: Block, mask: bytes):
 
 
 def unlock_block(block: Block, mask: bytes) -> Block:
-    previous, nxt = unlock_pointers(block, mask)
-    return Block(
-        previous_hash=previous,
-        current_hash=block.current_hash,
-        next_hash=nxt,
-        data=block.data,
-        state=LockState.UNLOCKED,
-    )
+    return _toggle(block, mask, LockState.UNLOCKED)

@@ -2,8 +2,9 @@
 
 A UTF-8 JSON document carrying everything needed to recover one file:
 the first head node's address, the header block's content address, the
-pointer mask, plus block count, cipher parameters, hash algorithm and
-the original file length.  The document never leaves the user's hands.
+pointer mask, plus block count, cipher parameters and the original file
+length.  Its "hash_alg" field is always "sha256", the only digest haina
+uses.  The document never leaves the user's hands.
 """
 
 import json
@@ -38,7 +39,6 @@ class MetaFile:
     mask: bytes
     block_count: int
     cipher_cfg: CipherConfig
-    hash_alg: str
     file_length: int
     version: int = META_VERSION
 
@@ -50,7 +50,6 @@ def build_meta_file(
     block_count: int,
     cipher_cfg: CipherConfig,
     file_length: int,
-    hash_alg: str = hashing.DEFAULT_ALGORITHM,
 ) -> MetaFile:
     if block_count < 1:
         raise ParseError("block_count", "must be at least 1")
@@ -62,7 +61,6 @@ def build_meta_file(
         mask=bytes(mask),
         block_count=block_count,
         cipher_cfg=cipher_cfg,
-        hash_alg=hash_alg,
         file_length=file_length,
     )
 
@@ -77,7 +75,7 @@ def serialize_meta_file(meta: MetaFile) -> bytes:
         "cipher": meta.cipher_cfg.cipher,
         "mode": meta.cipher_cfg.mode,
         "iv": meta.cipher_cfg.iv.hex(),
-        "hash_alg": meta.hash_alg,
+        "hash_alg": hashing.ALGORITHM,
         "file_length": meta.file_length,
     }
     return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8") + b"\n"
@@ -121,7 +119,8 @@ def parse_meta_file(text: bytes) -> MetaFile:
         cfg = CipherConfig(cipher=doc["cipher"], mode=doc["mode"], iv=iv)
     except Exception as exc:
         raise ParseError("cipher", str(exc)) from None
-    hashing.hasher(doc["hash_alg"])  # validates the id
+    if doc["hash_alg"] != hashing.ALGORITHM:
+        raise ParseError("hash_alg", f"unsupported hash algorithm {doc['hash_alg']!r}")
 
     return MetaFile(
         first_beginner=doc["first_beginner"],
@@ -129,6 +128,5 @@ def parse_meta_file(text: bytes) -> MetaFile:
         mask=mask,
         block_count=doc["block_count"],
         cipher_cfg=cfg,
-        hash_alg=doc["hash_alg"],
         file_length=doc["file_length"],
     )

@@ -8,7 +8,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-KINDS = ("decision_ms", "block_node", "stage_ms", "processing_rate_kbps", "speedup_pct")
+KINDS = ("decision_ms", "block_node", "stage_ms", "speedup_pct")
 
 COLUMNS = ("event_id", "kind", "value", "context")
 

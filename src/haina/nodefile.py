@@ -14,7 +14,6 @@ from .errors import IntegrityError, ParseError, UsageError
 @dataclass(frozen=True)
 class NodeFile:
     addresses: tuple
-    hash_alg: str = hashing.DEFAULT_ALGORITHM
 
     def __len__(self):
         return len(self.addresses)
@@ -24,24 +23,24 @@ class NodeFile:
 
     @property
     def digest(self) -> bytes:
-        return hashing.digest(self.canonical_bytes(), self.hash_alg)
+        return hashing.digest(self.canonical_bytes())
 
 
-def make_node_file(addresses, hash_alg: str = hashing.DEFAULT_ALGORITHM) -> NodeFile:
+def make_node_file(addresses) -> NodeFile:
     addrs = sorted(set(addresses))
     for a in addrs:
         if not isinstance(a, str) or ":" not in a:
             raise ParseError("node_file", f"address {a!r} is not host:port")
-    return NodeFile(addresses=tuple(addrs), hash_alg=hash_alg)
+    return NodeFile(addresses=tuple(addrs))
 
 
-def parse_node_file(raw: bytes, hash_alg: str = hashing.DEFAULT_ALGORITHM) -> NodeFile:
+def parse_node_file(raw: bytes) -> NodeFile:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise ParseError("node_file", "not valid UTF-8") from None
     lines = [line for line in text.split("\n") if line]
-    return make_node_file(lines, hash_alg)
+    return make_node_file(lines)
 
 
 def update_node_file(local: NodeFile, remote_digest: bytes, fetch_remote) -> NodeFile:
@@ -54,9 +53,9 @@ def update_node_file(local: NodeFile, remote_digest: bytes, fetch_remote) -> Nod
     if local.digest == remote_digest:
         return local
     raw = fetch_remote()
-    if hashing.digest(raw, local.hash_alg) != remote_digest:
+    if hashing.digest(raw) != remote_digest:
         raise IntegrityError("remote node file does not match its claimed digest")
-    replacement = parse_node_file(raw, local.hash_alg)
+    replacement = parse_node_file(raw)
     if replacement.canonical_bytes() != raw:
         raise IntegrityError("remote node file is not in canonical form")
     return replacement

@@ -29,7 +29,6 @@ class LinkModel:
         self.latency_ms = latency_ms
         self.jitter_ms = jitter_ms
         self.matrix = dict(matrix) if matrix else {}
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def one_way(self, src: str, dst: str) -> float:
@@ -44,9 +43,8 @@ class LinkModel:
 class SimNet:
     """Virtual-time transport connecting in-process node services."""
 
-    def __init__(self, link: LinkModel, processing_ms: float = 0.0):
+    def __init__(self, link: LinkModel):
         self.link = link
-        self.processing_ms = processing_ms
         self.services = {}
         self.clock = 0.0
         self.trace = []  # (virtual time, origin, dst, message type name)
@@ -70,7 +68,6 @@ class SimNet:
         self.trace.append((round(t0, 6), origin, dst, frame.type.name))
         self.clock = t0 + forward
         reply = service.handle(frame)
-        self.clock += self.processing_ms
         backward = self.link.one_way(dst, origin)
         if backward is UNREACHABLE:
             self.clock = t0 + timeout_ms

@@ -280,7 +280,7 @@ def test_unit_property_suite(report):
         blocks[i] = Block(
             blocks[i].previous_hash, blocks[i].current_hash, blocks[i].next_hash, bytes(tampered)
         )
-        violations = verify_chain(Chain(tuple(blocks), hash_alg=chain.hash_alg))
+        violations = verify_chain(Chain(tuple(blocks)))
         touched = {v.block_index for v in violations}
         expected = {(i - 1) % m, i, (i + 1) % m}
         if touched != expected or ("current" not in {v.field for v in violations if v.block_index == i}):

@@ -63,7 +63,7 @@ def _with_data(chain, index, data):
     blocks = list(chain.blocks)
     old = blocks[index]
     blocks[index] = Block(old.previous_hash, old.current_hash, old.next_hash, data, old.state)
-    return type(chain)(blocks=tuple(blocks), state=chain.state, hash_alg=chain.hash_alg)
+    return type(chain)(blocks=tuple(blocks), state=chain.state)
 
 
 def test_tamper_locality_three_blocks():
@@ -91,7 +91,7 @@ def test_single_field_corruption():
     blocks = list(chain.blocks)
     b1 = blocks[0]
     blocks[0] = Block(b1.previous_hash, b1.current_hash, b"\x00" * 32, b1.data)
-    tampered = type(chain)(blocks=tuple(blocks), state=chain.state, hash_alg=chain.hash_alg)
+    tampered = type(chain)(blocks=tuple(blocks), state=chain.state)
     violations = verify_chain(tampered)
     assert len(violations) == 1
     assert (violations[0].block_index, violations[0].field) == (0, "next")

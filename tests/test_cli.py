@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from haina.blockstore import BlockStore
-from haina.cli import main
+from haina.cli import main, sim
+from haina.experiments import EXPERIMENTS
 from haina.metafile import parse_meta_file
 from haina.metrics import rows_from_csv
 from haina.node import NodeServer, NodeService
@@ -54,6 +55,10 @@ class TestSimCommand:
     def test_unknown_experiment_rejected_by_click(self, tmp_path):
         result = _run("sim", "--spec", _spec_file(tmp_path), "--experiment", "nope", "--out", "x.csv")
         assert result.exit_code == 2
+
+    def test_experiment_choices_are_the_experiment_table(self):
+        option = next(p for p in sim.params if p.name == "experiment")
+        assert list(option.type.choices) == list(EXPERIMENTS)
 
 
 class TestUsageErrors:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from haina import frames
 from haina.client import download, speedup, upload
 from haina.errors import IncompleteChainError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
@@ -52,6 +53,21 @@ class TestUploadDownloadRoundTrip:
         net, nf, services, cfg = _cluster()
         with pytest.raises(UsageError, match="block count"):
             upload(b"tiny", 1000, cfg, nf, net, rng=random.Random(4))
+
+    # 4 blocks of 1364 bytes: 1406-byte STORE_READY frames, 1455-byte BLOCK_DATA replies
+    @pytest.mark.parametrize("cap,fits", [(1024, False), (1406, False), (1455, True)])
+    def test_frame_cap_checked_before_any_block_is_placed(self, monkeypatch, cap, fits):
+        net, nf, services, cfg = _cluster()
+        monkeypatch.setattr(frames, "MAX_FRAME", cap)
+        rng = random.Random(6)
+        file = rng.randbytes(5000)
+        if fits:
+            report = upload(file, 4, cfg, nf, net, rng=rng)
+            assert download(report.meta, nf, net).data == file
+            return
+        with pytest.raises(UsageError, match="cap"):
+            upload(file, 4, cfg, nf, net, rng=rng)
+        assert all(s.store.used_bytes == 0 for s in services.values())
 
     def test_header_digest_matches_first_block_address(self):
         net, nf, services, cfg = _cluster()

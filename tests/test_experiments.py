@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,10 @@ class TestMetricsCsv:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             MetricsRow("e", "nope", 1.0)
+
+    def test_processing_rate_kind_rejected(self):
+        with pytest.raises(ValueError):
+            MetricsRow("e", "processing_rate_kbps", 1.0)
 
 
 def _spec(**kw):
@@ -103,3 +108,23 @@ class TestExperiments:
         a = rows_to_csv(run_experiment(_spec(jitter_ms=2.0), "decision_time"))
         b = rows_to_csv(run_experiment(_spec(jitter_ms=2.0, seed=43), "decision_time"))
         assert a != b
+
+
+# the spec.json of the README; these digests pin its CSVs byte for byte
+README_SPEC = {"nodes": 47, "blocks": 20, "events": 10, "file_bytes": 65536,
+               "latency_ms": 25.0, "jitter_ms": 0.0, "rate": 0.1, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "name,sha256",
+    [
+        ("fairness", "3dcf27436edf6a22babbdc42ae7027dbbf4dabe474e6b44a5692cec4d9dd895f"),
+        ("decision_time", "ea81f47f72390a6ef833f10872f11dfb4b612422533553aa1758a49edc133fc1"),
+        ("bdam_speedup", "6e6a37709df5f6fad904dd643679cccb33d077b9b8c8368dfa56a63e7b2bb8da"),
+        ("capacity", "fe2aba2ac45c85eb06fc270127bf599e68fd5296186d1ce469f8a3ed34fa5b38"),
+    ],
+)
+def test_readme_spec_csv_is_byte_identical(name, sha256):
+    spec = parse_cluster_spec(json.dumps(README_SPEC))
+    csv = rows_to_csv(run_experiment(spec, name))
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == sha256

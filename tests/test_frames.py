@@ -48,6 +48,14 @@ def test_unknown_type_tag_rejected():
         decode_frame(bytes(raw))
 
 
+@pytest.mark.parametrize("tag", [10, 11])
+def test_reserved_type_tags_rejected(tag):
+    raw = bytearray(encode_frame(Frame(MsgType.PING)))
+    raw[4] = tag
+    with pytest.raises(ParseError, match="type tag"):
+        decode_frame(bytes(raw))
+
+
 def test_truncated_frame_rejected():
     raw = encode_frame(Frame(MsgType.BLOCK_DATA, {"a": "b"}, b"payload"))
     with pytest.raises(ParseError):

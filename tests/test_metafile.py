@@ -66,6 +66,13 @@ def test_malformed_hex_rejected():
         parse_meta_file(json.dumps(doc).encode())
 
 
+def test_other_hash_algorithm_rejected():
+    doc = json.loads(serialize_meta_file(_meta()).decode())
+    doc["hash_alg"] = "sha3_256"
+    with pytest.raises(ParseError, match="hash_alg"):
+        parse_meta_file(json.dumps(doc).encode())
+
+
 def test_unsupported_version_rejected():
     doc = json.loads(serialize_meta_file(_meta()).decode())
     doc["version"] = 99
