@@ -115,6 +115,12 @@ def verify_chain(chain: Chain) -> list:
 
 
 _LEN = struct.Struct(">Q")
+BLOCK_OVERHEAD = 3 * hashing.DIGEST_SIZE + _LEN.size  # pointer domain + length field: 104 bytes
+
+
+def serialized_size(block: Block) -> int:
+    """Length of `serialize_block(block)`, without building it."""
+    return BLOCK_OVERHEAD + len(block.data)
 
 
 def serialize_block(block: Block) -> bytes:
@@ -131,15 +137,15 @@ def serialize_block(block: Block) -> bytes:
 
 
 def deserialize_block(raw: bytes, state: LockState = LockState.LOCKED) -> Block:
-    if len(raw) < 104:
+    if len(raw) < BLOCK_OVERHEAD:
         raise UsageError(f"serialized block too short: {len(raw)} bytes")
     (length,) = _LEN.unpack_from(raw, 96)
-    if len(raw) != 104 + length:
+    if len(raw) != BLOCK_OVERHEAD + length:
         raise UsageError(f"serialized block length mismatch: header says {length}")
     return Block(
         previous_hash=raw[0:32],
         current_hash=raw[32:64],
         next_hash=raw[64:96],
-        data=raw[104:],
+        data=raw[BLOCK_OVERHEAD:],
         state=state,
     )

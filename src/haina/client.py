@@ -12,8 +12,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import frames
-from .chain import build_chain, deserialize_block, serialize_block
+from . import frames, hashing
+from .chain import build_chain, deserialize_block, serialize_block, serialized_size
 from .crypto import (
     CipherConfig,
     decrypt_file,
@@ -147,7 +147,7 @@ def upload(
     blocks = lock_chain(chain, mask).blocks
     chain_ms = (time.perf_counter() - t0) * 1000.0
 
-    sizes = [len(serialize_block(b)) for b in blocks]
+    sizes = [serialized_size(b) for b in blocks]
     # SimNet never encodes frames, so check the TCP frame cap before any
     # block is placed: a block travels out in STORE_READY and back in BLOCK_DATA
     for i, block in enumerate(blocks):
@@ -251,31 +251,42 @@ def _next_replacement(transport, nf, rng, cfg, records, rate, prev_candidates, f
     return chosen
 
 
-def _fetch_block(transport, address, nf, timeout_ms, direct_node=None):
-    """Fetch one serialized block, resolving the holder first if needed.
+def _fetch_from(transport, address, holders, timeout_ms):
+    """Fetch one block from its (node, reply ms) holders, in order.
 
-    Returns (locked Block, modeled fetch time in ms).
+    A reply counts only if its data domain hashes to `address`; anything
+    else is a miss and the next holder is asked.  Returns (locked Block
+    or None, modeled ms): a GET_BLOCK starts once its holder's reply is
+    in and the previous attempt has failed.
     """
+    query = Frame(MsgType.GET_BLOCK, {"address": address.hex()})
     elapsed = 0.0
-    node = direct_node
-    if node is None:
-        node, resolve_ms = resolve(transport, USER_ADDRESS, address, nf, timeout_ms)
-        elapsed += resolve_ms
-    reply, rtt = transport.request(
-        USER_ADDRESS, node, Frame(MsgType.GET_BLOCK, {"address": address.hex()}), timeout_ms
-    )
-    elapsed += rtt
-    if reply.type is not MsgType.BLOCK_DATA:
-        raise IncompleteChainError([address])
-    return deserialize_block(reply.body), elapsed
+    for node, reply_ms in holders:
+        elapsed = max(elapsed, reply_ms)
+        try:
+            reply, rtt = transport.request(USER_ADDRESS, node, query, timeout_ms)
+        except NetworkError:
+            elapsed += timeout_ms
+            continue
+        elapsed += rtt
+        if reply.type is not MsgType.BLOCK_DATA:
+            continue
+        try:
+            block = deserialize_block(reply.body)
+        except UsageError:
+            continue
+        if hashing.digest(block.data) == address:
+            return block, elapsed
+    return None, elapsed
 
 
 def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors: int) -> FetchResult:
     """Walk the chain from the header with 1 (forward) or 2 (forward and backward) cursors.
 
-    Both cursors run concurrently in a round; the round costs the
-    slower of the two fetches.  A cursor stops at an already-fetched
-    address (the circle has closed) or at an unresolvable one.
+    Each round hands the cursors' distinct target addresses to
+    `fetcher`, which returns ({address: locked Block} for those it
+    fetched, the round's ms).  A cursor stops at an already-fetched
+    address (the circle has closed) or at one that was not fetched.
     """
     header = unlock_block(header_block, meta.mask)
     fetched = {meta.header_digest: header}  # address -> unlocked Block
@@ -285,24 +296,24 @@ def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors: int) -> FetchRe
     rounds = 0
     missing = []
     while len(fetched) < meta.block_count:
-        targets = []
-        for pointer, address in wants.items():
-            if address not in fetched and all(address != t[1] for t in targets):
-                targets.append((pointer, address))
+        targets = list(dict.fromkeys(a for a in wants.values() if a not in fetched))
         if not targets:
             break
-        round_ms = 0.0
-        for pointer, address in targets:
-            try:
-                block, ms = fetcher(address)
-            except (IncompleteChainError, NetworkError):
+        try:
+            blocks, round_ms = fetcher(targets)
+        except IncompleteChainError:
+            blocks, round_ms = {}, 0.0
+        for pointer, address in list(wants.items()):
+            if address not in targets:
+                continue
+            if address not in blocks:
                 if address not in missing:
                     missing.append(address)
                 del wants[pointer]
                 continue
-            round_ms = max(round_ms, ms)
-            unlocked = fetched[address] = unlock_block(block, meta.mask)
-            wants[pointer] = getattr(unlocked, pointer)
+            if address not in fetched:
+                fetched[address] = unlock_block(blocks[address], meta.mask)
+            wants[pointer] = getattr(fetched[address], pointer)
         elapsed += round_ms
         rounds += 1
 
@@ -346,16 +357,24 @@ def download(
         raise UsageError(f"mode must be 'bi' or 'uni', not {mode!r}")
 
     # header block: ask the recorded first beginner, fall back to resolution
-    header_ms = 0.0
-    try:
-        header_block, header_ms = _fetch_block(
-            transport, meta.header_digest, nf, timeout_ms, direct_node=meta.first_beginner
-        )
-    except (NetworkError, IncompleteChainError):
-        header_block, header_ms = _fetch_block(transport, meta.header_digest, nf, timeout_ms)
+    header_digest = meta.header_digest
+    header_block, header_ms = _fetch_from(transport, header_digest, [(meta.first_beginner, 0.0)], timeout_ms)
+    if header_block is None:
+        (holders,) = resolve(transport, USER_ADDRESS, [header_digest], nf, timeout_ms)
+        header_block, header_ms = _fetch_from(transport, header_digest, holders, timeout_ms)
+        if header_block is None:
+            raise IncompleteChainError([header_digest])
 
-    def fetcher(address):
-        return _fetch_block(transport, address, nf, timeout_ms)
+    def fetcher(addresses):
+        # one HAS_BLOCK broadcast for the whole round; the round lasts as
+        # long as its slowest target's holder reply and GET_BLOCK
+        blocks, round_ms = {}, 0.0
+        for address, holders in zip(addresses, resolve(transport, USER_ADDRESS, addresses, nf, timeout_ms)):
+            block, ms = _fetch_from(transport, address, holders, timeout_ms)
+            if block is not None:
+                blocks[address] = block
+                round_ms = max(round_ms, ms)
+        return blocks, round_ms
 
     t0 = time.perf_counter()
     fetch = bdam_fetch if mode == "bi" else unidirectional_fetch

@@ -14,7 +14,7 @@ MASK_SIZE = 32
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(MASK_SIZE, "big")
 
 
 def check_mask(mask: bytes) -> bytes:

@@ -13,6 +13,7 @@ import threading
 
 from . import hashing
 from .blockstore import BlockStore
+from .chain import BLOCK_OVERHEAD
 from .errors import CampaignError, HainaError, ParseError
 from .frames import Frame, MsgType, error_frame
 from .nodefile import NodeFile
@@ -91,7 +92,7 @@ class NodeService:
     def _on_store_ready(self, frame):
         next_size = _int_field(frame, "next_size")
         raw = frame.body
-        if self.corrupt_storage and len(raw) > 104:
+        if self.corrupt_storage and len(raw) > BLOCK_OVERHEAD:
             # flip one data-domain byte; the claimed store is fake
             raw = raw[:-1] + bytes([raw[-1] ^ 0xFF])
         address = self.store.put(raw)
@@ -126,8 +127,13 @@ class NodeService:
         return Frame(MsgType.BLOCK_DATA, {"address": address.hex()}, self.store.get(address))
 
     def _on_has_block(self, frame):
+        # one "0"/"1" per address asked: `address`, then the optional `address2`
         address = hashing.parse_hex_digest(frame.header.get("address"), "address")
-        return Frame(MsgType.HAS_BLOCK_REPLY, {"has": "1" if self.store.has(address) else "0"})
+        has = "1" if self.store.has(address) else "0"
+        second = frame.header.get("address2")
+        if second is not None:
+            has += "1" if self.store.has(hashing.parse_hex_digest(second, "address2")) else "0"
+        return Frame(MsgType.HAS_BLOCK_REPLY, {"has": has})
 
 
 class _FrameRequestHandler(socketserver.BaseRequestHandler):

@@ -9,11 +9,16 @@ fixed seed reproduces every trace and timing bit-for-bit.
 
 import math
 import random
+from collections import deque
 
 from .errors import NetworkError, UsageError
 from .frames import Frame
 
 UNREACHABLE = math.inf
+# SimNet.trace keeps only the most recent messages: uploading 64 blocks to
+# 47 nodes alone sends ~6,000, and an unbounded trace grows for the life of
+# the net
+TRACE_LIMIT = 10_000
 
 
 class LinkModel:
@@ -47,7 +52,7 @@ class SimNet:
         self.link = link
         self.services = {}
         self.clock = 0.0
-        self.trace = []  # (virtual time, origin, dst, message type name)
+        self.trace = deque(maxlen=TRACE_LIMIT)  # (virtual time, origin, dst, message type name)
 
     def add_node(self, address: str, service):
         self.services[address] = service

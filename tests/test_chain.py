@@ -11,6 +11,7 @@ from haina.chain import (
     content_address,
     deserialize_block,
     serialize_block,
+    serialized_size,
     verify_chain,
 )
 from haina.errors import StateError, UsageError
@@ -130,6 +131,7 @@ def test_block_serialization_roundtrip():
     chain = build_chain([b"hello", b"world"])
     block = chain.blocks[1]
     raw = serialize_block(block)
+    assert len(raw) == serialized_size(block)
     assert raw[:32] == block.previous_hash
     assert raw[96:104] == len(block.data).to_bytes(8, "big")
     back = deserialize_block(raw, state=LockState.UNLOCKED)

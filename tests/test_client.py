@@ -6,6 +6,7 @@ from haina import frames
 from haina.client import download, speedup, upload
 from haina.errors import IncompleteChainError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
+from haina.frames import Frame, MsgType
 from haina.metafile import parse_meta_file, serialize_meta_file
 
 
@@ -138,6 +139,68 @@ class TestFaultInjection:
             download(bad_meta, nf, net)
 
 
+class _FlipsServedBytes:
+    """Byzantine node: serves every block with its last byte flipped."""
+
+    def __init__(self, service):
+        self.service = service
+
+    def handle(self, frame):
+        reply = self.service.handle(frame)
+        if reply.type is MsgType.BLOCK_DATA:
+            body = bytearray(reply.body)
+            body[-1] ^= 0x01
+            reply = Frame(reply.type, reply.header, bytes(body))
+        return reply
+
+
+class _ClaimsEveryBlock:
+    """Byzantine node: answers every HAS_BLOCK address with has = 1."""
+
+    def __init__(self, service):
+        self.service = service
+
+    def handle(self, frame):
+        if frame.type is MsgType.HAS_BLOCK:
+            return Frame(MsgType.HAS_BLOCK_REPLY, {"has": "1" * (1 + ("address2" in frame.header))})
+        return self.service.handle(frame)
+
+
+class TestByzantineHolders:
+    """A node that lies costs time, never wrong bytes."""
+
+    def _upload_then_turn(self, honest_copy):
+        net, nf, services, cfg = _cluster(nodes=5, seed=41)
+        rng = random.Random(41)
+        file = rng.randbytes(3000)
+        report = upload(file, 9, cfg, nf, net, rng=rng)
+        flipper = report.placements[0]  # holds the header, so both fetch paths meet it
+        liar = next(a for a in nf.addresses if a != flipper)
+        copy_to = next(a for a in nf.addresses if a not in (flipper, liar))
+        stolen = services[flipper].store.addresses()
+        if honest_copy:
+            for address in stolen:
+                services[copy_to].store.put(services[flipper].store.get(address))
+        # both liars answer first: the resolver tries the fastest holder first
+        for node in (flipper, liar):
+            net.link.matrix[("user:0", node)] = net.link.matrix[(node, "user:0")] = 1.0
+        net.add_node(flipper, _FlipsServedBytes(services[flipper]))
+        net.add_node(liar, _ClaimsEveryBlock(services[liar]))
+        return net, nf, report, file, stolen
+
+    @pytest.mark.parametrize("mode", ["bi", "uni"])
+    def test_second_honest_holder_serves_the_right_bytes(self, mode):
+        net, nf, report, file, _ = self._upload_then_turn(honest_copy=True)
+        assert download(report.meta, nf, net, mode=mode).data == file
+
+    @pytest.mark.parametrize("mode", ["bi", "uni"])
+    def test_without_an_honest_holder_download_raises(self, mode):
+        net, nf, report, file, stolen = self._upload_then_turn(honest_copy=False)
+        with pytest.raises(IncompleteChainError) as err:
+            download(report.meta, nf, net, mode=mode)
+        assert set(err.value.missing) <= stolen
+
+
 class TestBidirectionalFetch:
     def test_bi_and_uni_identical_output(self):
         net, nf, services, cfg = _cluster(seed=23)
@@ -156,6 +219,17 @@ class TestBidirectionalFetch:
         uni = download(report.meta, nf, net, mode="uni")
         assert bi.rounds == 10  # ceil((21-1)/2)
         assert uni.rounds == 20
+
+    @pytest.mark.parametrize("n", [2, 20, 21])
+    def test_one_has_block_broadcast_per_round(self, n):
+        net, nf, services, cfg = _cluster(nodes=7, seed=29)
+        rng = random.Random(29)
+        report = upload(rng.randbytes(4200), n, cfg, nf, net, rng=rng)
+        for mode, broadcasts in (("bi", -(-(n - 1) // 2)), ("uni", n - 1)):
+            net.trace.clear()
+            assert download(report.meta, nf, net, mode=mode).rounds == broadcasts
+            queries = [entry for entry in net.trace if entry[3] == "HAS_BLOCK"]
+            assert len(queries) == broadcasts * len(nf)
 
     def test_two_block_chain_meets_immediately(self):
         net, nf, services, cfg = _cluster(nodes=3, seed=31)

@@ -9,7 +9,7 @@ import pytest
 from haina.blockstore import BlockStore
 from haina.chain import build_chain, content_address, serialize_block
 from haina.errors import IncompleteChainError, NetworkError, UsageError
-from haina.frames import Frame, MsgType
+from haina.frames import Frame, MsgType, encode_frame
 from haina.node import NodeServer, NodeService
 from haina.nodefile import make_node_file, parse_node_file
 from haina.realnet import RealNet
@@ -154,6 +154,7 @@ class TestNodeService:
             Frame(MsgType.GET_BLOCK, {"address": "zz" * 32}),
             Frame(MsgType.CHECK_STORE, {"address": "00" * 31}),
             Frame(MsgType.HAS_BLOCK, {"address": ""}),
+            Frame(MsgType.HAS_BLOCK, {"address": "00" * 32, "address2": "00" * 31}),
             Frame(MsgType.ELECTION, {"size": "1.5"}),
             Frame(MsgType.STORE_READY, {"next_size": "ten", "elect": "1"}, serialize_block(_block())),
         ],
@@ -164,13 +165,60 @@ class TestNodeService:
         assert reply.type is MsgType.ERROR
         assert services["a:1"].store.used_bytes == 0
 
+    @pytest.mark.parametrize("stored,has", [((0,), "10"), ((1,), "01"), ((0, 1), "11"), ((), "00")])
+    def test_two_address_has_block_answers_each_address(self, stored, has):
+        net, _, services = _sim_pair()
+        raws = [serialize_block(_block(data)) for data in (b"first", b"second")]
+        addresses = [content_address(_block(data)).hex() for data in (b"first", b"second")]
+        for i in stored:
+            services["a:1"].store.put(raws[i])
+        frame = Frame(MsgType.HAS_BLOCK, {"address": addresses[0], "address2": addresses[1]})
+        reply, _ = net.request("u:0", "a:1", frame)
+        assert reply.type is MsgType.HAS_BLOCK_REPLY
+        assert reply.header == {"has": has}
+
+
+class _Recorder:
+    """A transport that records every broadcast frame and passes it on."""
+
+    def __init__(self, net):
+        self.net = net
+        self.frames = []
+
+    def broadcast(self, origin, dsts, frame, timeout_ms=1000.0):
+        self.frames.append(frame)
+        return self.net.broadcast(origin, dsts, frame, timeout_ms)
+
 
 class TestResolve:
+    def test_one_address_frames_are_unchanged_on_the_wire(self):
+        net, nf, services = _sim_pair()
+        address = services["b:1"].store.put(serialize_block(_block()))
+        recorder = _Recorder(net)
+        resolve(recorder, "u:0", [address], nf)
+        (query,) = recorder.frames
+        # magic, type 16, header length 74, body length 0, header
+        assert encode_frame(query) == (
+            b"HAIN\x10\x00\x00\x00\x4a" + bytes(8) + b"address: " + address.hex().encode() + b"\n"
+        )
+        reply = services["b:1"].handle(query)
+        assert encode_frame(reply) == b"HAIN\x11\x00\x00\x00\x07" + bytes(8) + b"has: 1\n"
+
+    def test_two_addresses_one_broadcast(self):
+        net, nf, services = _sim_pair()
+        first = services["a:1"].store.put(serialize_block(_block(b"first")))
+        second = services["b:1"].store.put(serialize_block(_block(b"second")))
+        services["a:1"].store.put(serialize_block(_block(b"second")))
+        recorder = _Recorder(net)
+        holders = resolve(recorder, "u:0", [first, second], nf)
+        assert len(recorder.frames) == 1
+        assert [[node for node, _ in found] for found in holders] == [["a:1"], ["a:1", "b:1"]]
+
     def test_unique_holder_found(self):
         net, nf, services = _sim_pair()
         raw = serialize_block(_block())
         address = services["b:1"].store.put(raw)
-        node, _ = resolve(net, "u:0", address, nf)
+        ((node, _),) = resolve(net, "u:0", [address], nf)[0]
         assert node == "b:1"
 
     def test_lowest_latency_holder_wins(self):
@@ -188,14 +236,14 @@ class TestResolve:
         raw = serialize_block(_block())
         address = services["a:1"].store.put(raw)
         services["b:1"].store.put(raw)
-        node, elapsed = resolve(net, "u:0", address, nf)
+        (node, elapsed), _ = resolve(net, "u:0", [address], nf)[0]
         assert node == "b:1"
         assert elapsed == 5.0
 
     def test_unknown_address_not_found(self):
         net, nf, _ = _sim_pair()
         with pytest.raises(IncompleteChainError):
-            resolve(net, "u:0", bytes(32), nf)
+            resolve(net, "u:0", [bytes(32)], nf)
 
 
 class _SlowEcho:

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
+from haina import simnet
 from haina.blockstore import BlockStore
+from haina.client import upload
 from haina.errors import NetworkError
+from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType
 from haina.node import NodeService
 from haina.nodefile import make_node_file
@@ -71,3 +76,16 @@ def test_seeded_run_replays_identical_trace():
         net.request("b:1", "a:1", Frame(MsgType.GET_NF))
         traces.append(list(net.trace))
     assert traces[0] == traces[1]
+
+
+def test_trace_keeps_only_the_latest_messages(monkeypatch):
+    monkeypatch.setattr(simnet, "TRACE_LIMIT", 200)
+    net, nf, _, cfg = build_cluster(ClusterSpec(nodes=5, latency_ms=5.0, seed=5))
+    rng = random.Random(5)
+    for _ in range(4):
+        upload(rng.randbytes(1000), 8, cfg, nf, net, rng=rng)
+        assert len(net.trace) <= 200
+    node = nf.addresses[0]
+    net.request("u:0", node, Frame(MsgType.PING))
+    assert len(net.trace) == 200  # the uploads sent more than the bound
+    assert [entry[1:] for entry in list(net.trace)[-2:]] == [("u:0", node, "PING"), (node, "u:0", "PONG")]
