@@ -8,7 +8,7 @@ walks the chain from the header block with two concurrent cursors.
 
 from .chain import Block, Chain, LockState, build_chain, content_address, verify_chain
 from .client import bdam_fetch, download, speedup, unidirectional_fetch, upload
-from .crypto import CipherConfig, decrypt_file, encrypt_file, generate_key, generate_mask
+from .crypto import decrypt_file, encrypt_file, generate_key, generate_mask
 from .errors import (
     CampaignError,
     HainaError,
@@ -38,7 +38,6 @@ __all__ = [
     "speedup",
     "unidirectional_fetch",
     "upload",
-    "CipherConfig",
     "decrypt_file",
     "encrypt_file",
     "generate_key",

@@ -2,7 +2,9 @@
 
 Blocks are keyed by content address (the data-domain hash).  With a
 data directory configured, each block lives in one file named by its
-64-hex-char address, so a restarted node finds its blocks again.
+64-hex-char address, so a restarted node finds its blocks again.  A file
+is written whole or not at all (temp file, then rename), and on restart
+only files whose data domain hashes to their name count as stored.
 """
 
 import os
@@ -36,6 +38,11 @@ class BlockStore:
                 continue
             with open(os.path.join(self.data_dir, name), "rb") as fh:
                 raw = fh.read()
+            try:
+                if hashing.digest(deserialize_block(raw).data) != address:
+                    continue  # another block's bytes under this name
+            except UsageError:
+                continue  # truncated, or not a block at all
             self._blocks[address] = raw
             self._used += len(raw)
 
@@ -63,8 +70,9 @@ class BlockStore:
             self._used += len(raw)
             if self.data_dir is not None:
                 path = os.path.join(self.data_dir, address.hex())
-                with open(path, "wb") as fh:
+                with open(path + ".tmp", "wb") as fh:
                     fh.write(raw)
+                os.replace(path + ".tmp", path)
         return address
 
     def has(self, address: bytes) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import frames, hashing
 from .chain import build_chain, deserialize_block, serialize_block, serialized_size
 from .crypto import (
-    CipherConfig,
+    CIPHER_BLOCK,
     decrypt_file,
     embed_key_shards,
     encrypt_file,
@@ -40,6 +40,7 @@ from .por import PorConfig, ProvisionalRecords, check_rate, check_store, pick_fi
 from .resolve import resolve
 
 USER_ADDRESS = "user:0"
+MAX_STORE_RETRIES = 3  # storage-check failures tolerated per block
 
 
 @dataclass
@@ -105,30 +106,26 @@ def upload(
     transport,
     rng=None,
     seed: int = None,
-    timestamp_ns: int = None,
 ) -> UploadReport:
     """Encrypt, shard, chain, lock, and place a file on the cluster.
 
     With `seed` (or an explicit `rng`) the whole run is reproducible:
     key timestamp, mask, IV, and first-beginner draws all come from the
-    injected randomness.
+    injected randomness, in that order.  Without either, every draw
+    comes from the OS entropy source.
     """
     if not file:
         raise UsageError("cannot upload an empty file")
     if len(nf) < 2:
         raise UsageError("storage needs at least 2 nodes in the roster")
     if rng is None:
-        rng = random.Random(seed)
-        if seed is None:
-            rng.seed(time.time_ns())
-    if timestamp_ns is None:
-        timestamp_ns = rng.getrandbits(64)
+        rng = random.SystemRandom() if seed is None else random.Random(seed)
 
     t0 = time.perf_counter()
-    key = generate_key(file, timestamp_ns)
+    key = generate_key(file, rng.getrandbits(64))
     mask = generate_mask(rng)
-    cipher_cfg = CipherConfig(iv=rng.randbytes(16))
-    ef = encrypt_file(file, key, cipher_cfg)
+    iv = rng.randbytes(CIPHER_BLOCK)
+    ef = encrypt_file(file, key, iv)
     if n > len(ef):
         raise UsageError(
             f"block count {n} exceeds ciphertext length {len(ef)}; choose a smaller block count"
@@ -186,7 +183,7 @@ def upload(
             records.unrecord(current)
             failed.add(current)
             retries += 1
-            if retries > cfg.max_store_retries:
+            if retries > MAX_STORE_RETRIES:
                 raise IntegrityError(
                     f"block {i + 1} failed storage verification on {current} after {retries} attempts"
                 )
@@ -199,7 +196,11 @@ def upload(
         decision_ms[i] = campaign_ms
         transfer_ms[i] = rtt - campaign_ms
         if elect:
-            chosen, rate, escalated = check_rate(candidates, records, rate, cfg.rate_increment)
+            if i == n - 2 and len(candidates) > 1:
+                # the last block neighbours block 0 on the circle: a node holding
+                # both would hold H(last) and H(last) xor mask, and so the mask
+                candidates = [c for c in candidates if c.address != first_beginner]
+            chosen, rate, escalated = check_rate(candidates, records, rate, cfg.rate)
             if escalated:
                 escalations.append((i + 1, rate))
             prev_candidates = candidates
@@ -211,7 +212,7 @@ def upload(
         header_digest=blocks[0].current_hash,
         mask=mask,
         block_count=n,
-        cipher_cfg=cipher_cfg,
+        iv=iv,
         file_length=len(file),
     )
     return UploadReport(
@@ -227,7 +228,7 @@ def upload(
 
 def _pick_reachable_beginner(transport, nf, rng, cfg, excluded=()):
     last_error = None
-    for _ in range((cfg.max_store_retries + 1) * max(len(nf), 1)):
+    for _ in range((MAX_STORE_RETRIES + 1) * max(len(nf), 1)):
         candidate = pick_first_beginner(nf, rng.getrandbits(32))
         if candidate in excluded:
             continue
@@ -247,7 +248,7 @@ def _next_replacement(transport, nf, rng, cfg, records, rate, prev_candidates, f
     remaining = [c for c in prev_candidates if c.address not in failed]
     if not remaining:
         raise CampaignError(f"no remaining candidate for block {block_index + 1}")
-    chosen, _, _ = check_rate(remaining, records, rate, cfg.rate_increment)
+    chosen, _, _ = check_rate(remaining, records, rate, cfg.rate)
     return chosen
 
 
@@ -384,7 +385,7 @@ def download(
 
     key, slices = extract_key_shards([b.data for b in result.blocks])
     ef = b"".join(slices)
-    plaintext = decrypt_file(ef, key, meta.cipher_cfg)
+    plaintext = decrypt_file(ef, key, meta.iv)
     if len(plaintext) < meta.file_length:
         raise IntegrityError(
             f"recovered {len(plaintext)} bytes but the meta file records {meta.file_length}"

@@ -8,7 +8,6 @@ shard prepended to its block's data domain.
 
 import secrets
 import struct
-from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidKey
 from cryptography.hazmat.primitives import padding
@@ -21,39 +20,19 @@ KEY_SIZE = 32  # sharded key bytes
 CIPHER_KEY_SIZE = 16
 CIPHER_BLOCK = 16
 
-_CIPHERS = {"sm4": algorithms.SM4, "aes128": algorithms.AES128}
-
-
-@dataclass(frozen=True)
-class CipherConfig:
-    cipher: str = "sm4"
-    mode: str = "cbc"
-    iv: bytes = field(default_factory=lambda: secrets.token_bytes(CIPHER_BLOCK))
-    padding: str = "pkcs7"
-
-    def __post_init__(self):
-        if self.cipher not in _CIPHERS:
-            raise UsageError(f"unsupported cipher {self.cipher!r}")
-        if self.mode != "cbc":
-            raise UsageError(f"unsupported cipher mode {self.mode!r}")
-        if self.padding != "pkcs7":
-            raise UsageError(f"unsupported padding scheme {self.padding!r}")
-        if len(self.iv) != CIPHER_BLOCK:
-            raise UsageError(f"iv must be {CIPHER_BLOCK} bytes, got {len(self.iv)}")
-
-
-def generate_key(file: bytes, timestamp_ns: int) -> bytes:
+def generate_key(file: bytes, timestamp: int) -> bytes:
     """Derive the 32-byte file key: H(timestamp || H(file)).
 
-    The timestamp is encoded as 8-byte big-endian unsigned nanoseconds,
-    so repeated uploads of the same file get distinct keys.
+    The timestamp, any unsigned 64-bit value (`upload` draws it at
+    random), is encoded as 8 big-endian bytes, so repeated uploads of the
+    same file get distinct keys.
     """
     if not file:
         raise UsageError("cannot derive a key for an empty file")
-    if not 0 <= timestamp_ns < 1 << 64:
+    if not 0 <= timestamp < 1 << 64:
         raise UsageError("timestamp must fit an unsigned 64-bit value")
     inner = hashing.digest(file)
-    return hashing.digest(struct.pack(">Q", timestamp_ns) + inner)
+    return hashing.digest(struct.pack(">Q", timestamp) + inner)
 
 
 def generate_mask(rng=None) -> bytes:
@@ -69,28 +48,30 @@ def generate_mask(rng=None) -> bytes:
             return mask
 
 
-def _cipher(key: bytes, cfg: CipherConfig) -> Cipher:
-    algo = _CIPHERS[cfg.cipher](key[:CIPHER_KEY_SIZE])
-    return Cipher(algo, modes.CBC(cfg.iv))
+def _cipher(key: bytes, iv: bytes) -> Cipher:
+    """SM4-CBC under the key's first 16 bytes; the only cipher haina uses."""
+    if len(iv) != CIPHER_BLOCK:
+        raise UsageError(f"iv must be {CIPHER_BLOCK} bytes, got {len(iv)}")
+    return Cipher(algorithms.SM4(key[:CIPHER_KEY_SIZE]), modes.CBC(iv))
 
 
-def encrypt_file(file: bytes, key: bytes, cfg: CipherConfig) -> bytes:
+def encrypt_file(file: bytes, key: bytes, iv: bytes) -> bytes:
     if not file:
         raise UsageError("cannot encrypt an empty file")
     if len(key) != KEY_SIZE:
         raise UsageError(f"file key must be {KEY_SIZE} bytes")
     padder = padding.PKCS7(CIPHER_BLOCK * 8).padder()
     padded = padder.update(file) + padder.finalize()
-    enc = _cipher(key, cfg).encryptor()
+    enc = _cipher(key, iv).encryptor()
     return enc.update(padded) + enc.finalize()
 
 
-def decrypt_file(ef: bytes, key: bytes, cfg: CipherConfig) -> bytes:
+def decrypt_file(ef: bytes, key: bytes, iv: bytes) -> bytes:
     if not ef or len(ef) % CIPHER_BLOCK:
         raise UsageError(f"ciphertext length must be a positive multiple of {CIPHER_BLOCK}")
     if len(key) != KEY_SIZE:
         raise UsageError(f"file key must be {KEY_SIZE} bytes")
-    dec = _cipher(key, cfg).decryptor()
+    dec = _cipher(key, iv).decryptor()
     padded = dec.update(ef) + dec.finalize()
     unpadder = padding.PKCS7(CIPHER_BLOCK * 8).unpadder()
     try:

@@ -2,21 +2,24 @@
 
 A UTF-8 JSON document carrying everything needed to recover one file:
 the first head node's address, the header block's content address, the
-pointer mask, plus block count, cipher parameters and the original file
-length.  Its "hash_alg" field is always "sha256", the only digest haina
-uses.  The document never leaves the user's hands.
+pointer mask, plus block count, the cipher's IV and the original file
+length.  Its "cipher", "mode" and "hash_alg" fields are always "sm4",
+"cbc" and "sha256", the only cipher and digest haina uses.  The document
+never leaves the user's hands.
 """
 
 import json
 from dataclasses import dataclass
 
 from . import hashing
-from .crypto import CipherConfig
+from .crypto import CIPHER_BLOCK
 from .errors import ParseError
 from .locking import MASK_SIZE
 
 META_VERSION = 1
 META_SUFFIX = ".haina.meta"
+# fields with one accepted value, written and checked byte for byte
+_FIXED = {"cipher": "sm4", "mode": "cbc", "hash_alg": hashing.ALGORITHM}
 
 _REQUIRED = (
     "version",
@@ -38,7 +41,7 @@ class MetaFile:
     header_digest: bytes
     mask: bytes
     block_count: int
-    cipher_cfg: CipherConfig
+    iv: bytes
     file_length: int
     version: int = META_VERSION
 
@@ -48,19 +51,21 @@ def build_meta_file(
     header_digest: bytes,
     mask: bytes,
     block_count: int,
-    cipher_cfg: CipherConfig,
+    iv: bytes,
     file_length: int,
 ) -> MetaFile:
     if block_count < 1:
         raise ParseError("block_count", "must be at least 1")
     if not any(mask):
         raise ParseError("mask", "must be nonzero")
+    if len(iv) != CIPHER_BLOCK:
+        raise ParseError("iv", f"must be {CIPHER_BLOCK} bytes")
     return MetaFile(
         first_beginner=first_beginner,
         header_digest=hashing.check_digest(header_digest),
         mask=bytes(mask),
         block_count=block_count,
-        cipher_cfg=cipher_cfg,
+        iv=bytes(iv),
         file_length=file_length,
     )
 
@@ -72,11 +77,9 @@ def serialize_meta_file(meta: MetaFile) -> bytes:
         "header_digest": meta.header_digest.hex(),
         "mask": meta.mask.hex(),
         "block_count": meta.block_count,
-        "cipher": meta.cipher_cfg.cipher,
-        "mode": meta.cipher_cfg.mode,
-        "iv": meta.cipher_cfg.iv.hex(),
-        "hash_alg": hashing.ALGORITHM,
+        "iv": meta.iv.hex(),
         "file_length": meta.file_length,
+        **_FIXED,
     }
     return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8") + b"\n"
 
@@ -106,8 +109,6 @@ def parse_meta_file(text: bytes) -> MetaFile:
 
     header_digest = hashing.parse_hex_digest(doc["header_digest"], "header_digest")
     mask = hashing.parse_hex_digest(doc["mask"], "mask")
-    if not any(mask):
-        raise ParseError("mask", "must be nonzero")
     if len(mask) != MASK_SIZE:
         raise ParseError("mask", f"must be {MASK_SIZE} bytes")
 
@@ -115,18 +116,15 @@ def parse_meta_file(text: bytes) -> MetaFile:
         iv = bytes.fromhex(doc["iv"])
     except (ValueError, TypeError):
         raise ParseError("iv", "not valid hex") from None
-    try:
-        cfg = CipherConfig(cipher=doc["cipher"], mode=doc["mode"], iv=iv)
-    except Exception as exc:
-        raise ParseError("cipher", str(exc)) from None
-    if doc["hash_alg"] != hashing.ALGORITHM:
-        raise ParseError("hash_alg", f"unsupported hash algorithm {doc['hash_alg']!r}")
+    for key, value in _FIXED.items():
+        if doc[key] != value:
+            raise ParseError(key, f"unsupported value {doc[key]!r}, expected {value!r}")
 
-    return MetaFile(
+    return build_meta_file(
         first_beginner=doc["first_beginner"],
         header_digest=header_digest,
         mask=mask,
         block_count=doc["block_count"],
-        cipher_cfg=cfg,
+        iv=iv,
         file_length=doc["file_length"],
     )

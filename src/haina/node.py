@@ -13,7 +13,6 @@ import threading
 
 from . import hashing
 from .blockstore import BlockStore
-from .chain import BLOCK_OVERHEAD
 from .errors import CampaignError, HainaError, ParseError
 from .frames import Frame, MsgType, error_frame
 from .nodefile import NodeFile
@@ -48,27 +47,14 @@ def _int_field(frame, key: str) -> int:
 
 
 class NodeService:
-    """Protocol handler for one storage node.
+    """Protocol handler for one storage node."""
 
-    `corrupt_storage` makes the node byzantine for fault-injection
-    tests: it acknowledges stores but keeps altered bytes.
-    """
-
-    def __init__(
-        self,
-        address: str,
-        store: BlockStore,
-        nf: NodeFile,
-        por_cfg: PorConfig = None,
-        transport=None,
-        corrupt_storage: bool = False,
-    ):
+    def __init__(self, address: str, store: BlockStore, nf: NodeFile, por_cfg: PorConfig = None, transport=None):
         self.address = address
         self.store = store
         self.nf = nf
         self.por_cfg = por_cfg or PorConfig()
         self.transport = transport
-        self.corrupt_storage = corrupt_storage
 
     def handle(self, frame: Frame) -> Frame:
         try:
@@ -91,11 +77,7 @@ class NodeService:
 
     def _on_store_ready(self, frame):
         next_size = _int_field(frame, "next_size")
-        raw = frame.body
-        if self.corrupt_storage and len(raw) > BLOCK_OVERHEAD:
-            # flip one data-domain byte; the claimed store is fake
-            raw = raw[:-1] + bytes([raw[-1] ^ 0xFF])
-        address = self.store.put(raw)
+        address = self.store.put(frame.body)
         header = {"stored": address.hex()}
         elect = frame.header.get("elect", "0") == "1"
         if elect:

@@ -18,18 +18,14 @@ from .nodefile import NodeFile, node_index
 @dataclass
 class PorConfig:
     k: float = 1.0  # value compression factor, 0 < k <= 1
-    rate: float = 0.1  # per-event fairness threshold, fraction of blocks
-    rate_increment: float = None  # escalation step; defaults to the initial rate
+    rate: float = 0.1  # per-event fairness threshold and its escalation step, fraction of blocks
     timeout_ms: float = 1000.0
-    max_store_retries: int = 3
 
     def __post_init__(self):
         if not 0 < self.k <= 1:
             raise UsageError("k must satisfy 0 < k <= 1")
         if not 0 < self.rate <= 1:
             raise UsageError("rate must satisfy 0 < rate <= 1")
-        if self.rate_increment is None:
-            self.rate_increment = self.rate
 
 
 @dataclass(frozen=True)
@@ -135,12 +131,12 @@ def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, c
     return CampaignResult(candidates=tuple(candidates), elapsed_ms=elapsed)
 
 
-def check_rate(candidates, records: ProvisionalRecords, rate: float, rate_increment: float):
+def check_rate(candidates, records: ProvisionalRecords, rate: float, step: float):
     """Fairness check over a value-sorted candidate list.
 
     Preference order: (a) best candidate holding nothing yet; (b) best
     candidate whose post-store share stays within `rate`; (c) fall back
-    to the top candidate and escalate the threshold.
+    to the top candidate and raise the threshold by `step`.
 
     Returns (chosen address, new rate, escalated flag).
     """
@@ -153,7 +149,7 @@ def check_rate(candidates, records: ProvisionalRecords, rate: float, rate_increm
     for cand in candidates:
         if (records.count(cand.address) + 1) / m <= rate:
             return cand.address, rate, False
-    return candidates[0].address, rate + rate_increment, True
+    return candidates[0].address, rate + step, True
 
 
 def check_store(transport, origin: str, node: str, expected: bytes, timeout_ms: float = 1000.0) -> bool:

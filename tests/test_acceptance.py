@@ -16,7 +16,6 @@ from haina.chain import Block, Chain, build_chain, content_address, verify_chain
 from haina.client import download, upload
 from haina.crypto import (
     KEY_SIZE,
-    CipherConfig,
     embed_key_shards,
     extract_key_shards,
     generate_mask,
@@ -263,7 +262,7 @@ def test_unit_property_suite(report):
             rng.randbytes(32),
             generate_mask(rng),
             rng.randint(1, 64),
-            CipherConfig(iv=rng.randbytes(16)),
+            rng.randbytes(16),
             file_length=rng.randint(1, 10**9),
         )
         if parse_meta_file(serialize_meta_file(meta)) != meta:

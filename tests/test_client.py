@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -77,6 +79,31 @@ class TestUploadDownloadRoundTrip:
         holder = services[report.placements[0]]
         assert holder.store.has(report.meta.header_digest)
 
+    def test_seeded_meta_file_is_byte_identical(self):
+        # SHA-256 of the meta file this seeded upload wrote before the cipher
+        # settings became constants; the format must not drift
+        net, nf, services, cfg = _cluster(seed=7)
+        report = upload(random.Random(7).randbytes(1000), 8, cfg, nf, net, seed=123)
+        digest = hashlib.sha256(serialize_meta_file(report.meta)).hexdigest()
+        assert digest == "aa190095f11423059d54441867755b06f405874390a7e21420f19c975bdc3c96"
+
+    def test_unseeded_uploads_do_not_depend_on_the_clock(self, monkeypatch):
+        monkeypatch.setattr(time, "time_ns", lambda: 1_700_000_000_000_000_000)
+        masks = set()
+        for _ in range(2):
+            net, nf, services, cfg = _cluster()
+            masks.add(upload(b"same file" * 10, 4, cfg, nf, net).meta.mask)
+        assert len(masks) == 2
+
+    @pytest.mark.parametrize("nodes", [3, 5, 7])
+    def test_last_block_never_lands_on_the_header_node(self, nodes):
+        # block 0's holder would see H(last) and H(last) xor mask, and so the mask
+        net, nf, services, cfg = _cluster(nodes=nodes, seed=nodes)
+        rng = random.Random(nodes)
+        for _ in range(40):
+            report = upload(rng.randbytes(2000), 20, cfg, nf, net, rng=rng)
+            assert report.placements[-1] != report.placements[0]
+
     def test_seeded_upload_is_reproducible(self):
         outcomes = []
         for _ in range(2):
@@ -106,7 +133,7 @@ class TestFaultInjection:
     def test_byzantine_node_skipped_via_retry(self):
         net, nf, services, cfg = _cluster(nodes=5, seed=13)
         bad = nf.addresses[0]
-        services[bad].corrupt_storage = True
+        net.add_node(bad, _CorruptsStoredBytes(services[bad]))
         rng = random.Random(13)
         file = rng.randbytes(500)
         report = upload(file, 4, cfg, nf, net, rng=rng)
@@ -137,6 +164,20 @@ class TestFaultInjection:
         )
         with pytest.raises(IncompleteChainError):
             download(bad_meta, nf, net)
+
+
+class _CorruptsStoredBytes:
+    """Byzantine node: acknowledges every store but keeps the block with its last byte flipped."""
+
+    def __init__(self, service):
+        self.service = service
+
+    def handle(self, frame):
+        if frame.type is MsgType.STORE_READY:
+            body = bytearray(frame.body)
+            body[-1] ^= 0xFF
+            frame = Frame(frame.type, frame.header, bytes(body))
+        return self.service.handle(frame)
 
 
 class _FlipsServedBytes:

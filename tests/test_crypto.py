@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haina.crypto import (
-    CipherConfig,
     decrypt_file,
     embed_key_shards,
     encrypt_file,
@@ -75,30 +74,33 @@ class TestCipher:
         rng = random.Random(size)
         file = rng.randbytes(size)
         key = generate_key(file, 123)
-        cfg = CipherConfig(iv=rng.randbytes(16))
-        assert decrypt_file(encrypt_file(file, key, cfg), key, cfg) == file
+        iv = rng.randbytes(16)
+        assert decrypt_file(encrypt_file(file, key, iv), key, iv) == file
 
     def test_padding_arithmetic(self):
-        cfg = CipherConfig(iv=b"\x01" * 16)
+        iv = b"\x01" * 16
         key = generate_key(b"a", 0)
-        assert len(encrypt_file(b"a", key, cfg)) == 16
-        assert len(encrypt_file(b"a" * 16, key, cfg)) == 32
+        assert len(encrypt_file(b"a", key, iv)) == 16
+        assert len(encrypt_file(b"a" * 16, key, iv)) == 32
 
     def test_wrong_key_raises_integrity_error(self):
-        cfg = CipherConfig(iv=b"\x02" * 16)
-        ct = encrypt_file(b"secret payload", generate_key(b"f", 1), cfg)
+        iv = b"\x02" * 16
+        ct = encrypt_file(b"secret payload", generate_key(b"f", 1), iv)
         with pytest.raises(IntegrityError):
-            decrypt_file(ct, generate_key(b"f", 2), cfg)
+            decrypt_file(ct, generate_key(b"f", 2), iv)
 
     def test_same_file_distinct_ivs_distinct_ciphertexts(self):
         key = generate_key(b"f", 1)
-        a = encrypt_file(b"f" * 100, key, CipherConfig(iv=b"\x01" * 16))
-        b = encrypt_file(b"f" * 100, key, CipherConfig(iv=b"\x02" * 16))
+        a = encrypt_file(b"f" * 100, key, b"\x01" * 16)
+        b = encrypt_file(b"f" * 100, key, b"\x02" * 16)
         assert a != b
 
     def test_bad_iv_length_rejected(self):
+        key = generate_key(b"f", 1)
         with pytest.raises(UsageError):
-            CipherConfig(iv=b"\x00" * 8)
+            encrypt_file(b"f", key, b"\x00" * 8)
+        with pytest.raises(UsageError):
+            decrypt_file(bytes(16), key, b"\x00" * 8)
 
 
 class TestSplit:

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from haina.crypto import CipherConfig
 from haina.errors import ParseError
 from haina.metafile import build_meta_file, parse_meta_file, serialize_meta_file
 
@@ -15,7 +14,7 @@ def _meta(**overrides):
         header_digest=rng.randbytes(32),
         mask=rng.randbytes(32),
         block_count=20,
-        cipher_cfg=CipherConfig(iv=rng.randbytes(16)),
+        iv=rng.randbytes(16),
         file_length=1234,
     )
     fields.update(overrides)
@@ -44,6 +43,15 @@ def test_zero_mask_rejected_on_build_and_parse():
         parse_meta_file(json.dumps(doc).encode())
 
 
+def test_bad_iv_length_rejected_on_build_and_parse():
+    with pytest.raises(ParseError, match="iv"):
+        _meta(iv=b"\x00" * 8)
+    doc = json.loads(serialize_meta_file(_meta()).decode())
+    doc["iv"] = "00" * 8
+    with pytest.raises(ParseError, match="iv"):
+        parse_meta_file(json.dumps(doc).encode())
+
+
 @pytest.mark.parametrize("field", ["header_digest", "mask", "first_beginner", "block_count", "iv"])
 def test_missing_field_named(field):
     doc = json.loads(serialize_meta_file(_meta()).decode())
@@ -66,10 +74,13 @@ def test_malformed_hex_rejected():
         parse_meta_file(json.dumps(doc).encode())
 
 
-def test_other_hash_algorithm_rejected():
+@pytest.mark.parametrize(
+    "field,value", [("hash_alg", "sha3_256"), ("cipher", "aes128"), ("mode", "ctr")]
+)
+def test_other_fixed_value_rejected(field, value):
     doc = json.loads(serialize_meta_file(_meta()).decode())
-    doc["hash_alg"] = "sha3_256"
-    with pytest.raises(ParseError, match="hash_alg"):
+    doc[field] = value
+    with pytest.raises(ParseError, match=field):
         parse_meta_file(json.dumps(doc).encode())
 
 

@@ -90,6 +90,32 @@ class TestBlockStore:
         assert reopened.get(address) == raw
         assert reopened.used_bytes == len(raw)
 
+    def test_truncated_block_file_is_not_stored(self, tmp_path):
+        raw = serialize_block(_block())
+        store = BlockStore(10**6, data_dir=str(tmp_path))
+        address = store.put(raw)
+        path = tmp_path / address.hex()
+        path.write_bytes(raw[:-1])
+        reopened = BlockStore(10**6, data_dir=str(tmp_path))
+        assert not reopened.has(address)
+        assert reopened.used_bytes == 0
+        assert reopened.put(raw) == address
+        assert path.read_bytes() == raw
+        assert BlockStore(10**6, data_dir=str(tmp_path)).has(address)
+
+    def test_block_file_under_another_name_is_not_stored(self, tmp_path):
+        store = BlockStore(10**6, data_dir=str(tmp_path))
+        address = store.put(serialize_block(_block()))
+        other = serialize_block(_block(b"other"))
+        (tmp_path / address.hex()).write_bytes(other)
+        reopened = BlockStore(10**6, data_dir=str(tmp_path))
+        assert not reopened.has(address)
+        assert reopened.used_bytes == 0
+
+    def test_put_leaves_no_temp_file(self, tmp_path):
+        address = BlockStore(10**6, data_dir=str(tmp_path)).put(serialize_block(_block()))
+        assert [p.name for p in tmp_path.iterdir()] == [address.hex()]
+
 
 def _sim_pair(quota=10**9):
     nodes = ("a:1", "b:1")
