@@ -64,7 +64,7 @@ class FetchResult:
 
 @dataclass
 class DownloadReport:
-    data: bytes
+    data: bytearray  # the decryption buffer itself; compares equal to bytes
     mode: str
     fetch_ms: float
     rounds: int
@@ -134,6 +134,7 @@ def upload(
 
     t0 = time.perf_counter()
     chain = build_chain(embed_key_shards(split_ciphertext(ef, n), key))
+    del ef  # the data domains are the only copy from here on
     if len({b.current_hash for b in chain.blocks}) < n:
         # content addressing cannot tell identical data domains apart;
         # only degenerate slice sizes (a few bytes) can collide
@@ -384,13 +385,14 @@ def download(
         raise IncompleteChainError(result.missing or [meta.header_digest])
 
     key, slices = extract_key_shards([b.data for b in result.blocks])
-    ef = b"".join(slices)
-    plaintext = decrypt_file(ef, key, meta.iv)
+    plaintext = decrypt_file(slices, key, meta.iv)
+    del slices
+    result.blocks.clear()
     if len(plaintext) < meta.file_length:
         raise IntegrityError(
             f"recovered {len(plaintext)} bytes but the meta file records {meta.file_length}"
         )
-    plaintext = plaintext[: meta.file_length]
+    del plaintext[meta.file_length :]  # in place: a slice would copy
     disassemble_ms = (time.perf_counter() - t0) * 1000.0
 
     return DownloadReport(

@@ -9,8 +9,6 @@ shard prepended to its block's data domain.
 import secrets
 import struct
 
-from cryptography.exceptions import InvalidKey
-from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import hashing
@@ -55,33 +53,58 @@ def _cipher(key: bytes, iv: bytes) -> Cipher:
     return Cipher(algorithms.SM4(key[:CIPHER_KEY_SIZE]), modes.CBC(iv))
 
 
-def encrypt_file(file: bytes, key: bytes, iv: bytes) -> bytes:
+def encrypt_file(file, key: bytes, iv: bytes) -> bytearray:
+    """SM4-CBC encrypt with PKCS#7 padding into one new buffer.
+
+    The whole 16-byte blocks are encrypted straight from `file`; only the
+    last block, with its pad, is built separately.
+    """
     if not file:
         raise UsageError("cannot encrypt an empty file")
     if len(key) != KEY_SIZE:
         raise UsageError(f"file key must be {KEY_SIZE} bytes")
-    padder = padding.PKCS7(CIPHER_BLOCK * 8).padder()
-    padded = padder.update(file) + padder.finalize()
     enc = _cipher(key, iv).encryptor()
-    return enc.update(padded) + enc.finalize()
+    pad = CIPHER_BLOCK - len(file) % CIPHER_BLOCK
+    whole = len(file) + pad - CIPHER_BLOCK  # bytes before the last, padded block
+    out = bytearray(whole + 2 * CIPHER_BLOCK - 1)  # padded length plus update_into's slack
+    with memoryview(file) as src, memoryview(out) as view:
+        done = enc.update_into(src[:whole], view)
+        done += enc.update_into(bytes(src[whole:]) + bytes((pad,)) * pad, view[done:])
+    enc.finalize()
+    del out[done:]
+    return out
 
 
-def decrypt_file(ef: bytes, key: bytes, iv: bytes) -> bytes:
-    if not ef or len(ef) % CIPHER_BLOCK:
-        raise UsageError(f"ciphertext length must be a positive multiple of {CIPHER_BLOCK}")
+def decrypt_file(pieces, key: bytes, iv: bytes) -> bytearray:
+    """SM4-CBC decrypt consecutive ciphertext pieces into one new buffer.
+
+    The pieces may split the ciphertext anywhere; a single buffer must be
+    wrapped in a list.  Bad PKCS#7 padding means a wrong key or corrupt
+    data and raises IntegrityError.
+    """
+    if isinstance(pieces, (bytes, bytearray, memoryview)):
+        raise UsageError("decrypt_file takes a sequence of ciphertext pieces, not one buffer")
     if len(key) != KEY_SIZE:
         raise UsageError(f"file key must be {KEY_SIZE} bytes")
     dec = _cipher(key, iv).decryptor()
-    padded = dec.update(ef) + dec.finalize()
-    unpadder = padding.PKCS7(CIPHER_BLOCK * 8).unpadder()
-    try:
-        return unpadder.update(padded) + unpadder.finalize()
-    except (ValueError, InvalidKey) as exc:
-        raise IntegrityError(f"bad padding on decrypt (wrong key or corrupt data): {exc}") from None
+    total = sum(len(p) for p in pieces)
+    if not total or total % CIPHER_BLOCK:
+        raise UsageError(f"ciphertext length must be a positive multiple of {CIPHER_BLOCK}")
+    out = bytearray(total + CIPHER_BLOCK - 1)  # update_into's slack
+    with memoryview(out) as view:
+        done = 0
+        for piece in pieces:
+            done += dec.update_into(piece, view[done:])
+    dec.finalize()
+    pad = out[total - 1]
+    if not 1 <= pad <= CIPHER_BLOCK or out.count(pad, total - pad, total) != pad:
+        raise IntegrityError("bad padding on decrypt (wrong key or corrupt data)")
+    del out[total - pad :]
+    return out
 
 
 def split_ciphertext(ef: bytes, n: int) -> list:
-    """Divide the ciphertext into n contiguous non-empty slices.
+    """Divide the ciphertext into n contiguous non-empty memoryview slices.
 
     The first len(ef) mod n slices get the extra byte, so sizes differ
     by at most one and concatenation restores the input.
@@ -93,6 +116,7 @@ def split_ciphertext(ef: bytes, n: int) -> list:
             f"block count {n} exceeds ciphertext length {len(ef)}; choose a smaller block count"
         )
     base, extra = divmod(len(ef), n)
+    ef = memoryview(ef)
     slices = []
     pos = 0
     for j in range(n):
@@ -122,11 +146,11 @@ def embed_key_shards(slices, key: bytes) -> list:
     shards = [bytearray() for _ in range(n)]
     for i, byte in enumerate(key):
         shards[i % n].append(byte)
-    return [bytes(shards[j]) + bytes(slices[j]) for j in range(n)]
+    return [b"".join((shards[j], slices[j])) for j in range(n)]
 
 
 def extract_key_shards(domains):
-    """Inverse of embed_key_shards: recover (key, ciphertext slices)."""
+    """Inverse of embed_key_shards: recover (key, memoryview ciphertext slices)."""
     n = len(domains)
     if n < 1:
         raise UsageError("need at least one data domain")
@@ -139,7 +163,7 @@ def extract_key_shards(domains):
                 f"data domain {j + 1} shorter than its {sizes[j]}-byte key shard"
             )
         shards.append(domain[: sizes[j]])
-        slices.append(domain[sizes[j] :])
+        slices.append(memoryview(domain)[sizes[j] :])
     key = bytearray(KEY_SIZE)
     cursors = [0] * n
     for i in range(KEY_SIZE):

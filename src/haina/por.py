@@ -89,8 +89,9 @@ def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, c
     """Poll every roster member except the beginner and rank the replies.
 
     A node appears in the result only if it answered within the timeout
-    with enough free space; refusals and silence drop it for this round.
-    Ties in value keep node-file order.
+    with enough free space; refusals, silence and a `freespace` that is
+    not an integer drop it for this round.  Ties in value keep node-file
+    order.
     """
     followers = [a for a in nf.addresses if a != beginner]
     if not followers:
@@ -110,7 +111,10 @@ def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, c
         elapsed = max(elapsed, rtt)
         if frame.type is not MsgType.TAKEPART:
             continue
-        freespace = int(frame.header.get("freespace", "0"))
+        try:
+            freespace = int(frame.header.get("freespace", "0"))
+        except ValueError:
+            continue
         if freespace < next_block_size:
             continue
         nc_gb = freespace / BYTES_PER_GB

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from haina.errors import IncompleteChainError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType
 from haina.metafile import parse_meta_file, serialize_meta_file
+from haina.por import run_campaign
 
 
 def _cluster(nodes=5, latency=5.0, seed=0, **kw):
@@ -114,6 +116,32 @@ class TestUploadDownloadRoundTrip:
         assert outcomes[0] == outcomes[1]
 
 
+def _traced_peak(op):
+    """(result of op(), peak bytes traced while it ran), counting only its own allocations."""
+    tracemalloc.start()
+    try:
+        return op(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Upload and download each hold about twice the file: ciphertext plus one more copy."""
+
+    @pytest.mark.parametrize("size", [1 << 20, (1 << 20) + 7])
+    def test_peak_is_at_most_two_and_a_half_files(self, size):
+        net, nf, services, cfg = _cluster(nodes=5, seed=47)
+        rng = random.Random(size)
+        upload(rng.randbytes(size), 16, cfg, nf, net, rng=rng)  # warm-up
+        file = rng.randbytes(size)
+        report, peak = _traced_peak(lambda: upload(file, 16, cfg, nf, net, rng=rng))
+        assert peak <= 2.5 * size, f"upload peaked at {peak / size:.2f}x the file"
+        for mode in ("bi", "uni"):
+            got, peak = _traced_peak(lambda: download(report.meta, nf, net, mode=mode).data)
+            assert got == file
+            assert peak <= 2.5 * size, f"{mode} download peaked at {peak / size:.2f}x the file"
+
+
 class TestFaultInjection:
     def test_unreachable_first_beginner_retried(self):
         net, nf, services, cfg = _cluster(nodes=5, seed=11)
@@ -205,6 +233,40 @@ class _ClaimsEveryBlock:
         if frame.type is MsgType.HAS_BLOCK:
             return Frame(MsgType.HAS_BLOCK_REPLY, {"has": "1" * (1 + ("address2" in frame.header))})
         return self.service.handle(frame)
+
+
+class _BragsUnreadableFreespace:
+    """Malformed follower: takes part in every election with freespace "lots"."""
+
+    def __init__(self, service):
+        self.service = service
+
+    def handle(self, frame):
+        if frame.type is MsgType.ELECTION:
+            return Frame(MsgType.TAKEPART, {"freespace": "lots"})
+        return self.service.handle(frame)
+
+
+class TestMalformedElectionReply:
+    def _cluster_with_bragger(self):
+        net, nf, services, cfg = _cluster(nodes=5, seed=43)
+        bragger = nf.addresses[1]
+        net.add_node(bragger, _BragsUnreadableFreespace(services[bragger]))
+        return net, nf, services, cfg, bragger
+
+    def test_campaign_drops_the_follower(self):
+        net, nf, services, cfg, bragger = self._cluster_with_bragger()
+        beginner = nf.addresses[0]
+        result = run_campaign(net, beginner, 100, nf, cfg)
+        assert {c.address for c in result.candidates} == set(nf.addresses) - {beginner, bragger}
+
+    def test_upload_succeeds_without_the_follower(self):
+        net, nf, services, cfg, bragger = self._cluster_with_bragger()
+        rng = random.Random(43)
+        file = rng.randbytes(3000)
+        report = upload(file, 12, cfg, nf, net, rng=rng)
+        assert bragger not in report.placements[1:]  # only the random first pick skips the election
+        assert download(report.meta, nf, net).data == file
 
 
 class TestByzantineHolders:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,7 +76,7 @@ class TestCipher:
         file = rng.randbytes(size)
         key = generate_key(file, 123)
         iv = rng.randbytes(16)
-        assert decrypt_file(encrypt_file(file, key, iv), key, iv) == file
+        assert decrypt_file([encrypt_file(file, key, iv)], key, iv) == file
 
     def test_padding_arithmetic(self):
         iv = b"\x01" * 16
@@ -87,7 +88,7 @@ class TestCipher:
         iv = b"\x02" * 16
         ct = encrypt_file(b"secret payload", generate_key(b"f", 1), iv)
         with pytest.raises(IntegrityError):
-            decrypt_file(ct, generate_key(b"f", 2), iv)
+            decrypt_file([ct], generate_key(b"f", 2), iv)
 
     def test_same_file_distinct_ivs_distinct_ciphertexts(self):
         key = generate_key(b"f", 1)
@@ -100,7 +101,56 @@ class TestCipher:
         with pytest.raises(UsageError):
             encrypt_file(b"f", key, b"\x00" * 8)
         with pytest.raises(UsageError):
-            decrypt_file(bytes(16), key, b"\x00" * 8)
+            decrypt_file([bytes(16)], key, b"\x00" * 8)
+
+
+def _raw_sm4_cbc(plain, key, iv):
+    """Encrypt whole blocks with no padding, to build a ciphertext with any pad bytes."""
+    enc = Cipher(algorithms.SM4(key[:16]), modes.CBC(iv)).encryptor()
+    return enc.update(plain) + enc.finalize()
+
+
+class TestBufferedCipher:
+    """encrypt_file and decrypt_file write one buffer; the bytes stay the reference's."""
+
+    @pytest.mark.parametrize("size", [1, 15, 16, 17, 1000, 4 * 1024 * 1024])
+    def test_ciphertext_matches_reference_padder(self, size):
+        rng = random.Random(size + 1)
+        file = rng.randbytes(size)
+        key = generate_key(file, 99)
+        iv = rng.randbytes(16)
+        padder = padding.PKCS7(128).padder()
+        padded = padder.update(file) + padder.finalize()
+        assert encrypt_file(file, key, iv) == _raw_sm4_cbc(padded, key, iv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(min_size=1, max_size=300), st.lists(st.integers(min_value=0, max_value=320), max_size=8))
+    def test_any_consecutive_split_decrypts_alike(self, file, cuts):
+        key = generate_key(file, 5)
+        iv = bytes(range(16))
+        ct = encrypt_file(file, key, iv)
+        bounds = [0, *sorted(c % (len(ct) + 1) for c in cuts), len(ct)]
+        pieces = [memoryview(ct)[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert decrypt_file(pieces, key, iv) == decrypt_file([bytes(ct)], key, iv) == file
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b"\x00", b"\x11", b"\x02\x03\x03"],
+        ids=["last-byte-0", "last-byte-17", "mismatched-pad-bytes"],
+    )
+    def test_corrupt_padding_raises_integrity_error(self, tail):
+        key = generate_key(b"f", 1)
+        iv = b"\x03" * 16
+        plain = b"p" * (32 - len(tail)) + tail
+        with pytest.raises(IntegrityError):
+            decrypt_file([_raw_sm4_cbc(plain, key, iv)], key, iv)
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_bare_buffer_rejected(self, wrap):
+        key = generate_key(b"f", 1)
+        ct = encrypt_file(b"f", key, b"\x05" * 16)
+        with pytest.raises(UsageError, match="pieces"):
+            decrypt_file(wrap(ct), key, b"\x05" * 16)
 
 
 class TestSplit:
