@@ -83,8 +83,3 @@ class BlockStore:
             return self._blocks[address]
         except KeyError:
             raise IntegrityError(f"no block stored at {address.hex()}") from None
-
-    def stored_digest(self, address: bytes) -> bytes:
-        """Recompute the data-domain hash of the stored bytes (storage proof)."""
-        block = deserialize_block(self.get(address))
-        return hashing.digest(block.data)

@@ -1,11 +1,11 @@
 """User-side orchestration: upload placement and bidirectional recovery.
 
 Upload runs the whole pre-processing pipeline, places block after
-block through the election protocol, verifies each store against the
-block's SHA-256 content address, and emits the meta file.  Download
-walks the stored chain from the header block in one walk with one
-cursor (forward) or two (forward and backward), then reassembles and
-decrypts the file.
+block through the election protocol, checks each store's STORE_ACK
+against the block's SHA-256 content address, and emits the meta file.
+Download walks the stored chain from the header block in one walk with
+one cursor (forward) or two (forward and backward), then reassembles
+and decrypts the file.
 """
 
 import random
@@ -29,6 +29,7 @@ from .errors import (
     IncompleteChainError,
     IntegrityError,
     NetworkError,
+    ParseError,
     UsageError,
 )
 from .frames import Frame, MsgType
@@ -80,22 +81,26 @@ def _store_header(next_size: int, elect: bool) -> dict:
     return {"next_size": str(next_size), "elect": "1" if elect else "0"}
 
 
-def _place_block(transport, node, block, next_size, elect, cfg):
+def _place_block(transport, node, block, next_size, elect, cfg, nf):
+    """Send one STORE_READY; returns (STORE_ACK, candidates or None, campaign ms, rtt)."""
     frame = Frame(MsgType.STORE_READY, _store_header(next_size, elect), serialize_block(block))
-    reply, rtt = transport.request(USER_ADDRESS, node, frame, _store_timeout(cfg))
-    if reply.type is not MsgType.STORE_ACK:
-        reason = reply.header.get("reason", reply.type.name)
+    ack, rtt = transport.request(USER_ADDRESS, node, frame, _store_timeout(cfg))
+    if ack.type is not MsgType.STORE_ACK:
+        reason = ack.header.get("reason", ack.type.name)
         raise NetworkError(f"store on {node} rejected: {reason}")
-    campaign_ms = float(reply.header.get("campaign_ms", "0") or 0)
+    try:
+        campaign_ms = float(ack.header.get("campaign_ms", "0") or 0)
+    except ValueError:
+        raise ParseError("campaign_ms", "not a number") from None
     candidates = None
     if elect:
-        if "candidates" in reply.header:
-            candidates = decode_candidates(reply.header["candidates"])
+        if "candidates" in ack.header:
+            candidates = decode_candidates(ack.header["candidates"], nf, node)
         else:
             raise CampaignError(
-                reply.header.get("campaign_error", f"beginner {node} returned no candidates")
+                ack.header.get("campaign_error", f"beginner {node} returned no candidates")
             )
-    return candidates, campaign_ms, rtt
+    return ack, candidates, campaign_ms, rtt
 
 
 def upload(
@@ -175,13 +180,12 @@ def upload(
         retries = 0
         failed = set()
         while True:
-            candidates, campaign_ms, rtt = _place_block(
-                transport, current, block, next_size, elect, cfg
+            ack, candidates, campaign_ms, rtt = _place_block(
+                transport, current, block, next_size, elect, cfg, nf
             )
-            records.record(current)
-            if check_store(transport, USER_ADDRESS, current, block.current_hash, cfg.timeout_ms):
+            if check_store(ack, block.current_hash):
+                records.record(current)
                 break
-            records.unrecord(current)
             failed.add(current)
             retries += 1
             if retries > MAX_STORE_RETRIES:

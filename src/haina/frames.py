@@ -28,9 +28,7 @@ class MsgType(IntEnum):
     ELECTION = 7
     TAKEPART = 8
     REFUSE = 9
-    # tags 10 and 11 are reserved: never reuse them
-    CHECK_STORE = 12
-    CHECK_STORE_REPLY = 13
+    # tags 10 to 13 are reserved: never reuse them
     GET_BLOCK = 14
     BLOCK_DATA = 15
     HAS_BLOCK = 16

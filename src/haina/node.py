@@ -35,8 +35,19 @@ def encode_candidates(result: CampaignResult) -> str:
     )
 
 
-def decode_candidates(text: str):
-    return tuple(CandidateRecord(**d) for d in json.loads(text))
+def decode_candidates(text: str, nf: NodeFile, beginner: str):
+    """Parse a beginner's STORE_ACK candidate list; every candidate must be another roster member.
+
+    A beginner that named itself would hold two neighbouring blocks, and so the mask.
+    """
+    try:
+        candidates = tuple(CandidateRecord(**d) for d in json.loads(text))
+    except (TypeError, ValueError):
+        raise ParseError("candidates", "not a list of candidate records") from None
+    for c in candidates:
+        if c.address == beginner or c.address not in nf.addresses:
+            raise ParseError("candidates", f"{c.address!r} is not a follower on the roster")
+    return candidates
 
 
 def _int_field(frame, key: str) -> int:
@@ -95,12 +106,6 @@ class NodeService:
         if free >= size and size >= 0:
             return Frame(MsgType.TAKEPART, {"freespace": str(free)})
         return Frame(MsgType.REFUSE, {"freespace": str(free)})
-
-    def _on_check_store(self, frame):
-        address = hashing.parse_hex_digest(frame.header.get("address"), "address")
-        if not self.store.has(address):
-            return error_frame(f"no block stored at {address.hex()}")
-        return Frame(MsgType.CHECK_STORE_REPLY, {"digest": self.store.stored_digest(address).hex()})
 
     def _on_get_block(self, frame):
         address = hashing.parse_hex_digest(frame.header.get("address"), "address")

@@ -1,4 +1,4 @@
-"""Storage-right election: scoring, fairness check, storage verification.
+"""Storage-right election: scoring, fairness check, store acknowledgement check.
 
 A storage event walks the chain block by block.  The node holding the
 current block (the beginner) polls every other roster member for free
@@ -9,8 +9,7 @@ check against its per-event tally and notifies the winner.
 
 from dataclasses import dataclass, field
 
-from . import hashing
-from .errors import CampaignError, IntegrityError, UsageError
+from .errors import CampaignError, UsageError
 from .frames import Frame, MsgType
 from .nodefile import NodeFile, node_index
 
@@ -51,11 +50,6 @@ class ProvisionalRecords:
         if sum(self.counts.values()) >= self.total_blocks:
             raise UsageError("event already holds all its blocks")
         self.counts[address] = self.counts.get(address, 0) + 1
-
-    def unrecord(self, address: str):
-        self.counts[address] -= 1
-        if self.counts[address] <= 0:
-            del self.counts[address]
 
 
 @dataclass(frozen=True)
@@ -156,18 +150,10 @@ def check_rate(candidates, records: ProvisionalRecords, rate: float, step: float
     return candidates[0].address, rate + step, True
 
 
-def check_store(transport, origin: str, node: str, expected: bytes, timeout_ms: float = 1000.0) -> bool:
-    """Ask a node for the digest of a block it claims to hold.
+def check_store(ack: Frame, expected: bytes) -> bool:
+    """True iff a STORE_ACK's `stored` digest is the block's content address.
 
-    True iff the node's recomputed digest matches the locally computed
-    content address.  Unreachable nodes raise, they do not count as a
-    mismatch.
+    `stored` is the node's own hash of the data domain it kept, so a
+    node that kept other bytes, or none, fails the check.
     """
-    expected = hashing.check_digest(expected)
-    frame = Frame(MsgType.CHECK_STORE, {"address": expected.hex()})
-    reply, _ = transport.request(origin, node, frame, timeout_ms)
-    if reply.type is MsgType.ERROR:
-        return False
-    if reply.type is not MsgType.CHECK_STORE_REPLY:
-        raise IntegrityError(f"unexpected reply {reply.type.name} to a storage check")
-    return reply.header.get("digest", "") == expected.hex()
+    return ack.header.get("stored") == expected.hex()

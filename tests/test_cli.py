@@ -136,7 +136,9 @@ class TestLiveRoundTrip:
         for mode in ("bi", "uni"):
             result = _run(
                 "download", "--meta", str(meta_path), "--nf", live_cluster,
-                "--out", str(out), "--mode", mode,
+                "--out", str(out), "--mode", mode, "--csv-out", str(csv_path),
             )
             assert result.exit_code == 0, result.output
             assert out.read_bytes() == payload
+            fetch = [r for r in rows_from_csv(csv_path.read_text()) if r.context.get("stage") == f"fetch_{mode}"]
+            assert [r.context["clock"] for r in fetch] == ["modeled"]

@@ -2,12 +2,13 @@ import hashlib
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from haina import frames
-from haina.client import download, speedup, upload
-from haina.errors import IncompleteChainError, UsageError
+from haina.client import USER_ADDRESS, download, speedup, upload
+from haina.errors import IncompleteChainError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType
 from haina.metafile import parse_meta_file, serialize_meta_file
@@ -53,6 +54,14 @@ class TestUploadDownloadRoundTrip:
         report = upload(file, 1, cfg, nf, net, rng=rng)
         assert len(report.placements) == 1
         assert download(report.meta, nf, net).data == file
+
+    def test_upload_sends_one_request_per_block(self):
+        # the STORE_ACK is the storage check: no second request per block
+        net, nf, services, cfg = _cluster(nodes=5, seed=53)
+        rng = random.Random(53)
+        upload(rng.randbytes(2000), 8, cfg, nf, net, rng=rng)
+        sent = Counter(entry[3] for entry in net.trace if entry[1] == USER_ADDRESS)
+        assert sent == {"STORE_READY": 8, "PING": 1}
 
     def test_oversized_block_count_rejected(self):
         net, nf, services, cfg = _cluster()
@@ -165,6 +174,7 @@ class TestFaultInjection:
         rng = random.Random(13)
         file = rng.randbytes(500)
         report = upload(file, 4, cfg, nf, net, rng=rng)
+        assert any(entry[2] == bad and entry[3] == "STORE_READY" for entry in net.trace)
         assert bad not in report.placements
         assert download(report.meta, nf, net).data == file
 
@@ -267,6 +277,45 @@ class TestMalformedElectionReply:
         report = upload(file, 12, cfg, nf, net, rng=rng)
         assert bragger not in report.placements[1:]  # only the random first pick skips the election
         assert download(report.meta, nf, net).data == file
+
+
+class _RewritesStoreAck:
+    """Malformed beginner: sets one header field of every STORE_ACK it sends ("{self}" names the node)."""
+
+    def __init__(self, service, key, value):
+        self.service = service
+        self.key = key
+        self.value = value.replace("{self}", service.address)
+
+    def handle(self, frame):
+        reply = self.service.handle(frame)
+        if reply.type is MsgType.STORE_ACK:
+            reply = Frame(reply.type, {**reply.header, self.key: self.value}, reply.body)
+        return reply
+
+
+CANDIDATE = '[{"address":"%s","freespace_gb":1.0,"rtt_ms":1.0,"value":1.0,"nf_index":1}]'
+
+
+class TestMalformedStoreAck:
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("candidates", "not json"),
+            ("candidates", '[{"bogus": 1}]'),
+            ("candidates", "[1]"),
+            ("candidates", CANDIDATE % "10.6.6.6:7000"),
+            ("candidates", CANDIDATE % "{self}"),
+            ("campaign_ms", "fast"),
+        ],
+        ids=["not-json", "unknown-key", "not-a-record", "off-roster", "beginner-itself", "campaign-ms-not-a-number"],
+    )
+    def test_upload_raises_parse_error_naming_the_field(self, key, value):
+        net, nf, services, cfg = _cluster(nodes=5, seed=47)
+        for address in nf.addresses:
+            net.add_node(address, _RewritesStoreAck(services[address], key, value))
+        with pytest.raises(ParseError, match=key):
+            upload(random.Random(47).randbytes(500), 4, cfg, nf, net, seed=47)
 
 
 class TestByzantineHolders:

@@ -48,7 +48,7 @@ def test_unknown_type_tag_rejected():
         decode_frame(bytes(raw))
 
 
-@pytest.mark.parametrize("tag", [10, 11])
+@pytest.mark.parametrize("tag", [10, 11, 12, 13])
 def test_reserved_type_tags_rejected(tag):
     raw = bytearray(encode_frame(Frame(MsgType.PING)))
     raw[4] = tag

@@ -142,7 +142,7 @@ class TestNodeService:
         assert reply.header["digest"] == nf.digest.hex()
         assert parse_node_file(reply.body) == nf
 
-    def test_store_then_check_store_matches(self):
+    def test_store_ack_names_the_stored_address(self):
         net, _, _ = _sim_pair()
         block = _block()
         frame = Frame(MsgType.STORE_READY, {"next_size": "0", "elect": "0"}, serialize_block(block))
@@ -150,8 +150,6 @@ class TestNodeService:
         assert reply.type is MsgType.STORE_ACK
         address = content_address(block)
         assert reply.header["stored"] == address.hex()
-        check, _ = net.request("u:0", "a:1", Frame(MsgType.CHECK_STORE, {"address": address.hex()}))
-        assert check.header["digest"] == address.hex()
 
     def test_election_refuses_when_quota_too_small(self):
         net, _, _ = _sim_pair(quota=10 * 1024 * 1024)
@@ -178,7 +176,7 @@ class TestNodeService:
         [
             Frame(MsgType.GET_BLOCK),
             Frame(MsgType.GET_BLOCK, {"address": "zz" * 32}),
-            Frame(MsgType.CHECK_STORE, {"address": "00" * 31}),
+            Frame(MsgType.GET_BLOCK, {"address": "00" * 31}),
             Frame(MsgType.HAS_BLOCK, {"address": ""}),
             Frame(MsgType.HAS_BLOCK, {"address": "00" * 32, "address2": "00" * 31}),
             Frame(MsgType.ELECTION, {"size": "1.5"}),

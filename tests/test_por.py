@@ -178,13 +178,11 @@ class TestCheckRate:
 
 
 class TestProvisionalRecords:
-    def test_tally_and_unrecord(self):
+    def test_tally_counts_each_node(self):
         records = ProvisionalRecords(total_blocks=3)
         records.record("a:1")
         records.record("a:1")
         assert records.count("a:1") == 2
-        records.unrecord("a:1")
-        assert records.count("a:1") == 1
 
     def test_cannot_exceed_event_total(self):
         records = ProvisionalRecords(total_blocks=1)
