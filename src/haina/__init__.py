@@ -6,7 +6,7 @@ one block per node through a latency-and-capacity election.  Recovery
 walks the chain from the header block with two concurrent cursors.
 """
 
-from .chain import Block, Chain, LockState, build_chain, content_address, verify_chain
+from .chain import Block, Chain, build_chain, content_address, verify_chain
 from .client import bdam_fetch, download, speedup, unidirectional_fetch, upload
 from .crypto import decrypt_file, encrypt_file, generate_key, generate_mask
 from .errors import (
@@ -16,7 +16,6 @@ from .errors import (
     IntegrityError,
     NetworkError,
     ParseError,
-    StateError,
     UsageError,
 )
 from .locking import lock_chain, unlock_block, unlock_chain, unlock_pointers
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Block",
     "Chain",
-    "LockState",
     "build_chain",
     "content_address",
     "verify_chain",
@@ -48,7 +46,6 @@ __all__ = [
     "IntegrityError",
     "NetworkError",
     "ParseError",
-    "StateError",
     "UsageError",
     "lock_chain",
     "unlock_block",

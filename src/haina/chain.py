@@ -11,15 +11,9 @@ stable whether its neighbor pointers are locked or not.
 
 import struct
 from dataclasses import dataclass
-from enum import Enum
 
 from . import hashing
-from .errors import StateError, UsageError
-
-
-class LockState(Enum):
-    UNLOCKED = "unlocked"
-    LOCKED = "locked"
+from .errors import UsageError
 
 
 @dataclass(frozen=True)
@@ -28,7 +22,6 @@ class Block:
     current_hash: bytes
     next_hash: bytes
     data: bytes
-    state: LockState = LockState.UNLOCKED
 
     def __post_init__(self):
         hashing.check_digest(self.previous_hash)
@@ -41,7 +34,6 @@ class Block:
 @dataclass(frozen=True)
 class Chain:
     blocks: tuple
-    state: LockState = LockState.UNLOCKED
 
     def __len__(self):
         return len(self.blocks)
@@ -90,17 +82,15 @@ def build_chain(payloads) -> Chain:
         )
         for i in range(m)
     )
-    return Chain(blocks=blocks, state=LockState.UNLOCKED)
+    return Chain(blocks=blocks)
 
 
 def verify_chain(chain: Chain) -> list:
     """Recompute every data hash and report each pointer that disagrees.
 
     Returns an empty list for a valid chain.  Defined on unlocked
-    pointers only.
+    pointers only: a locked chain reports every neighbour pointer.
     """
-    if chain.state is not LockState.UNLOCKED:
-        raise StateError("verify_chain is defined on unlocked chains only")
     m = len(chain.blocks)
     digests = [hashing.digest(b.data) for b in chain.blocks]
     violations = []
@@ -136,7 +126,7 @@ def serialize_block(block: Block) -> bytes:
     )
 
 
-def deserialize_block(raw: bytes, state: LockState = LockState.LOCKED) -> Block:
+def deserialize_block(raw: bytes) -> Block:
     if len(raw) < BLOCK_OVERHEAD:
         raise UsageError(f"serialized block too short: {len(raw)} bytes")
     (length,) = _LEN.unpack_from(raw, 96)
@@ -147,5 +137,4 @@ def deserialize_block(raw: bytes, state: LockState = LockState.LOCKED) -> Block:
         current_hash=raw[32:64],
         next_hash=raw[64:96],
         data=raw[BLOCK_OVERHEAD:],
-        state=state,
     )

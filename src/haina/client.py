@@ -204,7 +204,7 @@ def upload(
             if i == n - 2 and len(candidates) > 1:
                 # the last block neighbours block 0 on the circle: a node holding
                 # both would hold H(last) and H(last) xor mask, and so the mask
-                candidates = [c for c in candidates if c.address != first_beginner]
+                candidates = [a for a in candidates if a != first_beginner]
             chosen, rate, escalated = check_rate(candidates, records, rate, cfg.rate)
             if escalated:
                 escalations.append((i + 1, rate))
@@ -250,7 +250,7 @@ def _next_replacement(transport, nf, rng, cfg, records, rate, prev_candidates, f
     """After a failed storage check, pick the next node to try."""
     if block_index == 0 or not prev_candidates:
         return _pick_reachable_beginner(transport, nf, rng, cfg, excluded=failed)
-    remaining = [c for c in prev_candidates if c.address not in failed]
+    remaining = [a for a in prev_candidates if a not in failed]
     if not remaining:
         raise CampaignError(f"no remaining candidate for block {block_index + 1}")
     chosen, _, _ = check_rate(remaining, records, rate, cfg.rate)

@@ -38,12 +38,6 @@ class IncompleteChainError(HainaError):
         )
 
 
-class StateError(HainaError):
-    """Operation invoked on a chain/block in the wrong lock state."""
-
-    exit_code = 6
-
-
 class ParseError(HainaError):
     """Malformed document (meta file, node file, cluster spec)."""
 

@@ -27,7 +27,6 @@ class ClusterSpec:
     jitter_ms: float = 0.0
     seed: int = 0
     rate: float = 0.1
-    k: float = 1.0
     events: int = 10
     file_bytes: int = 65536
     blocks: int = 20
@@ -46,8 +45,6 @@ class ClusterSpec:
             raise ParseError("seed", "must be an integer (mandatory for sim runs)")
         if not 0 < self.rate <= 1:
             raise ParseError("rate", "must satisfy 0 < rate <= 1")
-        if not 0 < self.k <= 1:
-            raise ParseError("k", "must satisfy 0 < k <= 1")
         if self.events < 1:
             raise ParseError("events", "must be at least 1")
         if self.file_bytes < 1:
@@ -85,7 +82,7 @@ def build_cluster(spec: ClusterSpec, por_cfg: PorConfig = None):
             raise ParseError("latency_matrix", f"key {key!r} is not 'src>dst'")
         matrix[(src, dst)] = ms
     net = SimNet(LinkModel(spec.latency_ms, spec.jitter_ms, spec.seed, matrix))
-    cfg = por_cfg or PorConfig(k=spec.k, rate=spec.rate, timeout_ms=max(spec.latency_ms * 20, 1000.0))
+    cfg = por_cfg or PorConfig(rate=spec.rate, timeout_ms=max(spec.latency_ms * 20, 1000.0))
     services = {}
     quota = int(spec.quota_gb * 10**9)
     for addr in nf.addresses:

@@ -7,8 +7,8 @@ by content addressing.  XOR is its own inverse, so unlocking is the
 same operation.
 """
 
-from .chain import Block, Chain, LockState
-from .errors import StateError, UsageError
+from .chain import Block, Chain
+from .errors import UsageError
 
 MASK_SIZE = 32
 
@@ -25,32 +25,15 @@ def check_mask(mask: bytes) -> bytes:
     return bytes(mask)
 
 
-def _toggle(block: Block, mask: bytes, state: LockState) -> Block:
-    previous, nxt = unlock_pointers(block, mask)
-    return Block(
-        previous_hash=previous,
-        current_hash=block.current_hash,
-        next_hash=nxt,
-        data=block.data,
-        state=state,
-    )
-
-
-def _toggle_chain(chain: Chain, mask: bytes, state: LockState) -> Chain:
-    check_mask(mask)
-    if chain.state is state:
-        raise StateError(f"chain is already {state.value}")
-    return Chain(blocks=tuple(_toggle(b, mask, state) for b in chain.blocks), state=state)
-
-
 def lock_chain(chain: Chain, mask: bytes) -> Chain:
-    """Return a LOCKED copy of the chain with masked neighbor pointers."""
-    return _toggle_chain(chain, mask, LockState.LOCKED)
+    """Return a copy of the chain with masked neighbor pointers."""
+    check_mask(mask)
+    return Chain(blocks=tuple(unlock_block(b, mask) for b in chain.blocks))  # the XOR is its own inverse
 
 
 def unlock_chain(chain: Chain, mask: bytes) -> Chain:
-    """Inverse of lock_chain (same XOR, flipped state)."""
-    return _toggle_chain(chain, mask, LockState.UNLOCKED)
+    """Inverse of lock_chain: the same XOR."""
+    return lock_chain(chain, mask)
 
 
 def unlock_pointers(block: Block, mask: bytes):
@@ -65,4 +48,5 @@ def unlock_pointers(block: Block, mask: bytes):
 
 
 def unlock_block(block: Block, mask: bytes) -> Block:
-    return _toggle(block, mask, LockState.UNLOCKED)
+    previous, nxt = unlock_pointers(block, mask)
+    return Block(previous_hash=previous, current_hash=block.current_hash, next_hash=nxt, data=block.data)

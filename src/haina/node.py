@@ -3,10 +3,9 @@
 A node answers liveness pings, serves its roster and blocks, stores
 incoming blocks, and (as the current beginner) runs the storage-right
 campaign for the next block, returning the ranked candidates in its
-store acknowledgement.
+store acknowledgement as one comma-joined address list, best first.
 """
 
-import json
 import socket
 import socketserver
 import threading
@@ -16,23 +15,7 @@ from .blockstore import BlockStore
 from .errors import CampaignError, HainaError, ParseError
 from .frames import Frame, MsgType, error_frame
 from .nodefile import NodeFile
-from .por import CampaignResult, CandidateRecord, PorConfig, run_campaign
-
-
-def encode_candidates(result: CampaignResult) -> str:
-    return json.dumps(
-        [
-            {
-                "address": c.address,
-                "freespace_gb": c.freespace_gb,
-                "rtt_ms": c.rtt_ms,
-                "value": c.value,
-                "nf_index": c.nf_index,
-            }
-            for c in result.candidates
-        ],
-        separators=(",", ":"),
-    )
+from .por import PorConfig, run_campaign
 
 
 def decode_candidates(text: str, nf: NodeFile, beginner: str):
@@ -40,13 +23,10 @@ def decode_candidates(text: str, nf: NodeFile, beginner: str):
 
     A beginner that named itself would hold two neighbouring blocks, and so the mask.
     """
-    try:
-        candidates = tuple(CandidateRecord(**d) for d in json.loads(text))
-    except (TypeError, ValueError):
-        raise ParseError("candidates", "not a list of candidate records") from None
-    for c in candidates:
-        if c.address == beginner or c.address not in nf.addresses:
-            raise ParseError("candidates", f"{c.address!r} is not a follower on the roster")
+    candidates = tuple(text.split(","))
+    for address in candidates:
+        if address == beginner or address not in nf.addresses:
+            raise ParseError("candidates", f"{address!r} is not a follower on the roster")
     return candidates
 
 
@@ -94,7 +74,7 @@ class NodeService:
         if elect:
             try:
                 result = run_campaign(self.transport, self.address, next_size, self.nf, self.por_cfg)
-                header["candidates"] = encode_candidates(result)
+                header["candidates"] = ",".join(result.candidates)
                 header["campaign_ms"] = repr(result.elapsed_ms)
             except CampaignError as exc:
                 header["campaign_error"] = str(exc)

@@ -31,6 +31,8 @@ def make_node_file(addresses) -> NodeFile:
     for a in addrs:
         if not isinstance(a, str) or ":" not in a:
             raise ParseError("node_file", f"address {a!r} is not host:port")
+        if "," in a:
+            raise ParseError("node_file", f"address {a!r} contains ',', the candidate list separator")
     return NodeFile(addresses=tuple(addrs))
 
 

@@ -2,8 +2,8 @@
 
 A storage event walks the chain block by block.  The node holding the
 current block (the beginner) polls every other roster member for free
-space, scores each reply as k * free_gb / rtt_ms, and hands the
-descending-sorted list to the user.  The user applies the fairness
+space, scores each reply as free_gb / rtt_ms, and hands the user the
+followers' addresses, best first.  The user applies the fairness
 check against its per-event tally and notifies the winner.
 """
 
@@ -11,29 +11,17 @@ from dataclasses import dataclass, field
 
 from .errors import CampaignError, UsageError
 from .frames import Frame, MsgType
-from .nodefile import NodeFile, node_index
+from .nodefile import NodeFile
 
 
 @dataclass
 class PorConfig:
-    k: float = 1.0  # value compression factor, 0 < k <= 1
     rate: float = 0.1  # per-event fairness threshold and its escalation step, fraction of blocks
     timeout_ms: float = 1000.0
 
     def __post_init__(self):
-        if not 0 < self.k <= 1:
-            raise UsageError("k must satisfy 0 < k <= 1")
         if not 0 < self.rate <= 1:
             raise UsageError("rate must satisfy 0 < rate <= 1")
-
-
-@dataclass(frozen=True)
-class CandidateRecord:
-    address: str
-    freespace_gb: float
-    rtt_ms: float
-    value: float
-    nf_index: int
 
 
 @dataclass
@@ -54,17 +42,19 @@ class ProvisionalRecords:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    candidates: tuple  # CandidateRecords, value-descending
+    candidates: tuple  # follower addresses, value-descending
     elapsed_ms: float
 
 
-def judge(nc_gb: float, rtt_ms: float, k: float = 1.0) -> float:
-    """Score a candidate: k * capacity / round-trip, with RTT clamped up to 1 ms."""
+def judge(nc_gb: float, rtt_ms: float) -> float:
+    """Score a candidate: capacity / round-trip, with RTT clamped up to 1 ms.
+
+    The paper scales this by a factor k, but every score in a campaign
+    shares it, so it cannot change a ranking.
+    """
     if nc_gb < 0:
         raise UsageError("free capacity cannot be negative")
-    if not 0 < k <= 1:
-        raise UsageError("k must satisfy 0 < k <= 1")
-    return k * nc_gb / max(rtt_ms, 1.0)
+    return nc_gb / max(rtt_ms, 1.0)
 
 
 def pick_first_beginner(nf: NodeFile, draw: int) -> str:
@@ -93,7 +83,7 @@ def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, c
     election = Frame(MsgType.ELECTION, {"size": str(next_block_size)})
     replies = transport.broadcast(beginner, followers, election, cfg.timeout_ms)
 
-    candidates = []
+    scored = []  # (value, address), in roster order
     elapsed = 0.0
     missing = False
     for addr in followers:
@@ -111,26 +101,17 @@ def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, c
             continue
         if freespace < next_block_size:
             continue
-        nc_gb = freespace / BYTES_PER_GB
-        candidates.append(
-            CandidateRecord(
-                address=addr,
-                freespace_gb=nc_gb,
-                rtt_ms=rtt,
-                value=judge(nc_gb, rtt, cfg.k),
-                nf_index=node_index(nf, addr),
-            )
-        )
+        scored.append((judge(freespace / BYTES_PER_GB, rtt), addr))
     if missing:
         elapsed = max(elapsed, cfg.timeout_ms)
-    candidates.sort(key=lambda c: (-c.value, c.nf_index))
-    if not candidates:
+    if not scored:
         raise CampaignError(f"no candidate can hold a {next_block_size}-byte block")
-    return CampaignResult(candidates=tuple(candidates), elapsed_ms=elapsed)
+    scored.sort(key=lambda s: -s[0])  # stable: equal values keep roster order
+    return CampaignResult(candidates=tuple(addr for _, addr in scored), elapsed_ms=elapsed)
 
 
 def check_rate(candidates, records: ProvisionalRecords, rate: float, step: float):
-    """Fairness check over a value-sorted candidate list.
+    """Fairness check over value-sorted candidate addresses.
 
     Preference order: (a) best candidate holding nothing yet; (b) best
     candidate whose post-store share stays within `rate`; (c) fall back
@@ -141,13 +122,13 @@ def check_rate(candidates, records: ProvisionalRecords, rate: float, step: float
     if not candidates:
         raise CampaignError("no candidate to check")
     m = records.total_blocks
-    for cand in candidates:
-        if records.count(cand.address) == 0:
-            return cand.address, rate, False
-    for cand in candidates:
-        if (records.count(cand.address) + 1) / m <= rate:
-            return cand.address, rate, False
-    return candidates[0].address, rate + step, True
+    for address in candidates:
+        if records.count(address) == 0:
+            return address, rate, False
+    for address in candidates:
+        if (records.count(address) + 1) / m <= rate:
+            return address, rate, False
+    return candidates[0], rate + step, True
 
 
 def check_store(ack: Frame, expected: bytes) -> bool:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from haina.chain import (
     Block,
-    LockState,
     build_chain,
     content_address,
     deserialize_block,
@@ -14,7 +13,7 @@ from haina.chain import (
     serialized_size,
     verify_chain,
 )
-from haina.errors import StateError, UsageError
+from haina.errors import UsageError
 from haina.locking import lock_chain
 
 H = lambda b: hashlib.sha256(b).digest()
@@ -54,17 +53,11 @@ def test_build_then_verify_is_clean(payloads):
     assert verify_chain(build_chain(payloads)) == []
 
 
-def test_verify_rejects_locked_chain():
-    locked = lock_chain(build_chain([b"a", b"b"]), b"\x01" * 32)
-    with pytest.raises(StateError):
-        verify_chain(locked)
-
-
 def _with_data(chain, index, data):
     blocks = list(chain.blocks)
     old = blocks[index]
-    blocks[index] = Block(old.previous_hash, old.current_hash, old.next_hash, data, old.state)
-    return type(chain)(blocks=tuple(blocks), state=chain.state)
+    blocks[index] = Block(old.previous_hash, old.current_hash, old.next_hash, data)
+    return type(chain)(blocks=tuple(blocks))
 
 
 def test_tamper_locality_three_blocks():
@@ -92,7 +85,7 @@ def test_single_field_corruption():
     blocks = list(chain.blocks)
     b1 = blocks[0]
     blocks[0] = Block(b1.previous_hash, b1.current_hash, b"\x00" * 32, b1.data)
-    tampered = type(chain)(blocks=tuple(blocks), state=chain.state)
+    tampered = type(chain)(blocks=tuple(blocks))
     violations = verify_chain(tampered)
     assert len(violations) == 1
     assert (violations[0].block_index, violations[0].field) == (0, "next")
@@ -134,7 +127,7 @@ def test_block_serialization_roundtrip():
     assert len(raw) == serialized_size(block)
     assert raw[:32] == block.previous_hash
     assert raw[96:104] == len(block.data).to_bytes(8, "big")
-    back = deserialize_block(raw, state=LockState.UNLOCKED)
+    back = deserialize_block(raw)
     assert back == block
 
 

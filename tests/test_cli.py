@@ -140,5 +140,5 @@ class TestLiveRoundTrip:
             )
             assert result.exit_code == 0, result.output
             assert out.read_bytes() == payload
-            fetch = [r for r in rows_from_csv(csv_path.read_text()) if r.context.get("stage") == f"fetch_{mode}"]
-            assert [r.context["clock"] for r in fetch] == ["modeled"]
+            clocks = {r.context["stage"]: r.context["clock"] for r in rows_from_csv(csv_path.read_text())}
+            assert clocks[f"fetch_{mode}"] == clocks["header_fetch"] == "modeled"

@@ -268,7 +268,7 @@ class TestMalformedElectionReply:
         net, nf, services, cfg, bragger = self._cluster_with_bragger()
         beginner = nf.addresses[0]
         result = run_campaign(net, beginner, 100, nf, cfg)
-        assert {c.address for c in result.candidates} == set(nf.addresses) - {beginner, bragger}
+        assert set(result.candidates) == set(nf.addresses) - {beginner, bragger}
 
     def test_upload_succeeds_without_the_follower(self):
         net, nf, services, cfg, bragger = self._cluster_with_bragger()
@@ -280,12 +280,16 @@ class TestMalformedElectionReply:
 
 
 class _RewritesStoreAck:
-    """Malformed beginner: sets one header field of every STORE_ACK it sends ("{self}" names the node)."""
+    """Malformed beginner: sets one header field of every STORE_ACK it sends.
+
+    "{self}" names the node, "{follower}" another roster member.
+    """
 
     def __init__(self, service, key, value):
         self.service = service
         self.key = key
-        self.value = value.replace("{self}", service.address)
+        follower = next(a for a in service.nf.addresses if a != service.address)
+        self.value = value.replace("{self}", service.address).replace("{follower}", follower)
 
     def handle(self, frame):
         reply = self.service.handle(frame)
@@ -294,7 +298,7 @@ class _RewritesStoreAck:
         return reply
 
 
-CANDIDATE = '[{"address":"%s","freespace_gb":1.0,"rtt_ms":1.0,"value":1.0,"nf_index":1}]'
+CANDIDATE = "%s"
 
 
 class TestMalformedStoreAck:
@@ -306,9 +310,22 @@ class TestMalformedStoreAck:
             ("candidates", "[1]"),
             ("candidates", CANDIDATE % "10.6.6.6:7000"),
             ("candidates", CANDIDATE % "{self}"),
+            ("candidates", ""),
+            ("candidates", CANDIDATE % "{follower},"),
+            ("candidates", CANDIDATE % "{follower},10.6.6.6:7000"),
             ("campaign_ms", "fast"),
         ],
-        ids=["not-json", "unknown-key", "not-a-record", "off-roster", "beginner-itself", "campaign-ms-not-a-number"],
+        ids=[
+            "not-json",
+            "unknown-key",
+            "not-a-record",
+            "off-roster",
+            "beginner-itself",
+            "empty",
+            "trailing-comma",
+            "off-roster-after-a-follower",
+            "campaign-ms-not-a-number",
+        ],
     )
     def test_upload_raises_parse_error_naming_the_field(self, key, value):
         net, nf, services, cfg = _cluster(nodes=5, seed=47)

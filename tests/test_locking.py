@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from haina.chain import LockState, build_chain, content_address, verify_chain
+from haina.chain import build_chain, content_address, verify_chain
 from haina.crypto import generate_mask
-from haina.errors import StateError, UsageError
+from haina.errors import UsageError
 from haina.locking import lock_chain, unlock_block, unlock_chain, unlock_pointers
 
 
@@ -38,12 +38,6 @@ def test_zero_mask_rejected():
         lock_chain(build_chain([b"a"]), b"\x00" * 32)
 
 
-def test_double_lock_rejected():
-    locked = lock_chain(build_chain([b"a"]), b"\x01" * 32)
-    with pytest.raises(StateError):
-        lock_chain(locked, b"\x01" * 32)
-
-
 def test_unlock_restores_chain_law():
     chain = build_chain([b"a", b"b", b"c", b"d"])
     mask = generate_mask(random.Random(3))
@@ -59,7 +53,6 @@ def test_unlock_pointers_does_not_mutate():
     prev, nxt = unlock_pointers(block, mask)
     assert prev == chain.blocks[0].previous_hash
     assert nxt == chain.blocks[0].next_hash
-    assert block.state is LockState.LOCKED
     assert block.previous_hash != prev  # stored form untouched
 
 

@@ -12,6 +12,7 @@ from haina.errors import IncompleteChainError, NetworkError, UsageError
 from haina.frames import Frame, MsgType, encode_frame
 from haina.node import NodeServer, NodeService
 from haina.nodefile import make_node_file, parse_node_file
+from haina.por import PorConfig, run_campaign
 from haina.realnet import RealNet
 from haina.resolve import resolve
 from haina.simnet import LinkModel, SimNet
@@ -188,6 +189,21 @@ class TestNodeService:
         reply, _ = net.request("u:0", "a:1", frame)
         assert reply.type is MsgType.ERROR
         assert services["a:1"].store.used_bytes == 0
+
+    def test_store_ack_candidates_are_the_ranked_addresses_comma_joined(self):
+        nodes = ("a:1", "b:1", "c:1", "d:1")
+        matrix = {}
+        for n, lat in zip(nodes[1:], (20.0, 5.0, 10.0)):
+            matrix[("a:1", n)] = matrix[(n, "a:1")] = lat
+        net = SimNet(LinkModel(1.0, matrix=matrix))
+        nf = make_node_file(nodes)
+        for addr in nodes:
+            net.add_node(addr, NodeService(addr, BlockStore(10**9), nf, transport=net))
+        frame = Frame(MsgType.STORE_READY, {"next_size": "64", "elect": "1"}, serialize_block(_block()))
+        reply, _ = net.request("u:0", "a:1", frame)
+        ranked = run_campaign(net, "a:1", 64, nf, PorConfig()).candidates
+        assert ranked == ("c:1", "d:1", "b:1")  # equal free space: the nearest follower first
+        assert reply.header["candidates"] == ",".join(ranked)
 
     @pytest.mark.parametrize("stored,has", [((0,), "10"), ((1,), "01"), ((0, 1), "11"), ((), "00")])
     def test_two_address_has_block_answers_each_address(self, stored, has):

@@ -3,12 +3,11 @@ from collections import Counter
 
 import pytest
 
-from haina.errors import CampaignError, IntegrityError, UsageError
+from haina.errors import CampaignError, IntegrityError, ParseError, UsageError
 from haina.frames import Frame, MsgType
 from haina.nodefile import make_node_file, node_index, parse_node_file, update_node_file
 from haina.por import (
     BYTES_PER_GB,
-    CandidateRecord,
     PorConfig,
     ProvisionalRecords,
     check_rate,
@@ -20,23 +19,17 @@ from haina.por import (
 
 class TestJudge:
     def test_direct_arithmetic(self):
-        assert judge(100, 50, 1.0) == 2.0
+        assert judge(100, 50) == 2.0
 
     def test_zero_capacity(self):
-        assert judge(0, 10, 1.0) == 0.0
+        assert judge(0, 10) == 0.0
 
     def test_clamp_then_scale(self):
-        assert judge(8, 0.25, 0.5) == 4.0
+        assert judge(8, 0.25) == 8.0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(UsageError):
             judge(-1, 10)
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(UsageError):
-            judge(1, 1, k=0)
-        with pytest.raises(UsageError):
-            judge(1, 1, k=1.5)
 
     def test_common_scaling_preserves_order(self):
         rng = random.Random(11)
@@ -101,8 +94,7 @@ class TestRunCampaign:
             }
         )
         result = run_campaign(transport, "b:1", 1024, nf, PorConfig())
-        assert [c.address for c in result.candidates] == ["n2:1", "n3:1", "n1:1"]
-        assert [c.value for c in result.candidates] == [10.0, 5.0, 2.0]
+        assert result.candidates == ("n2:1", "n3:1", "n1:1")
 
     def test_beginner_excluded_from_poll(self):
         nf = make_node_file(["b:1", "n1:1"])
@@ -120,19 +112,19 @@ class TestRunCampaign:
         nf = make_node_file(["b:1", "small:1", "big:1"])
         transport = StubTransport({"small:1": (10, 1.0), "big:1": (BYTES_PER_GB, 1.0)})
         result = run_campaign(transport, "b:1", 1000, nf, PorConfig())
-        assert [c.address for c in result.candidates] == ["big:1"]
+        assert result.candidates == ("big:1",)
 
     def test_tie_break_keeps_roster_order(self):
         nf = make_node_file(["b:1", "x1:1", "x2:1"])
         transport = StubTransport({"x1:1": (BYTES_PER_GB, 5.0), "x2:1": (BYTES_PER_GB, 5.0)})
         result = run_campaign(transport, "b:1", 1, nf, PorConfig())
-        assert [c.address for c in result.candidates] == ["x1:1", "x2:1"]
+        assert result.candidates == ("x1:1", "x2:1")
 
     def test_refusals_and_silence_omitted(self):
         nf = make_node_file(["b:1", "mute:1", "no:1", "yes:1"])
         transport = StubTransport({"mute:1": None, "no:1": "refuse", "yes:1": (BYTES_PER_GB, 2.0)})
         result = run_campaign(transport, "b:1", 1, nf, PorConfig())
-        assert [c.address for c in result.candidates] == ["yes:1"]
+        assert result.candidates == ("yes:1",)
         assert result.elapsed_ms == PorConfig().timeout_ms  # waited out the silent node
 
     def test_zero_candidates_raises(self):
@@ -142,10 +134,7 @@ class TestRunCampaign:
 
 
 def _cands(*addresses):
-    return [
-        CandidateRecord(address=a, freespace_gb=1.0, rtt_ms=1.0, value=1.0 - i * 0.01, nf_index=i + 1)
-        for i, a in enumerate(addresses)
-    ]
+    return list(addresses)
 
 
 class TestCheckRate:
@@ -214,6 +203,11 @@ class TestNodeFile:
         body[0] ^= 1
         with pytest.raises(IntegrityError):
             update_node_file(local, remote.digest, lambda: bytes(body))
+
+    def test_comma_in_address_rejected(self):
+        # ',' separates the addresses of a STORE_ACK's candidate list
+        with pytest.raises(ParseError, match="node_file"):
+            make_node_file(["a:1", "b:2,c:3"])
 
     def test_node_index_is_one_based(self):
         nf = make_node_file(["a:1", "b:2"])
