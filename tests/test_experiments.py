@@ -19,7 +19,7 @@ class TestClusterSpec:
                 parse_cluster_spec(json.dumps({"nodes": 5, "seed": 1, field: 2}))
 
     @pytest.mark.parametrize(
-        "field,value", [("nodes", 1), ("rate", 0.0), ("events", 0), ("blocks", 0)]
+        "field,value", [("nodes", 1), ("rate", 0.0), ("k", 2.0), ("events", 0), ("blocks", 0)]
     )
     def test_invalid_value_named(self, field, value):
         doc = {"nodes": 5, "seed": 1, field: value}
