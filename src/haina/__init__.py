@@ -6,7 +6,7 @@ one block per node through a latency-and-capacity election.  Recovery
 walks the chain from the header block with two concurrent cursors.
 """
 
-from .chain import Block, Chain, build_chain, content_address, verify_chain
+from .chain import Block, build_chain, verify_chain
 from .client import bdam_fetch, download, speedup, unidirectional_fetch, upload
 from .crypto import decrypt_file, encrypt_file, generate_key, generate_mask
 from .errors import (
@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .locking import lock_chain, unlock_block, unlock_chain, unlock_pointers
+from .locking import lock_chain, unlock_block
 from .metafile import MetaFile, build_meta_file, parse_meta_file, serialize_meta_file
 from .nodefile import NodeFile, make_node_file, parse_node_file, update_node_file
 from .por import PorConfig, check_rate, check_store, judge, pick_first_beginner, run_campaign
@@ -27,9 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block",
-    "Chain",
     "build_chain",
-    "content_address",
     "verify_chain",
     "bdam_fetch",
     "download",
@@ -49,8 +47,6 @@ __all__ = [
     "UsageError",
     "lock_chain",
     "unlock_block",
-    "unlock_chain",
-    "unlock_pointers",
     "MetaFile",
     "build_meta_file",
     "parse_meta_file",

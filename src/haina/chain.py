@@ -5,8 +5,9 @@ and a data domain (raw payload bytes).  In the unlocked state the
 pointers of block i are the data-domain hashes of blocks i-1, i, i+1
 (indices mod chain length), so the chain forms a verifiable circle.
 
-Only the data domain is hashed: the content address of a block is
-stable whether its neighbor pointers are locked or not.
+Only the data domain is hashed: a block's content address,
+`current_hash`, is stable whether its neighbor pointers are locked or
+not.  A chain is a tuple of blocks indexed by position.
 """
 
 import struct
@@ -31,39 +32,13 @@ class Block:
             raise UsageError("block data domain must be non-empty")
 
 
-@dataclass(frozen=True)
-class Chain:
-    blocks: tuple
-
-    def __len__(self):
-        return len(self.blocks)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """A single broken link: which block, which pointer field."""
-
-    block_index: int  # 0-based
-    field: str  # "previous" | "current" | "next"
-
-    def __str__(self):
-        return f"block {self.block_index}: {self.field}_hash does not match neighbor data"
-
-
-def content_address(block: Block) -> bytes:
-    """Content address of a block: the hash of its data domain.
-
-    Identical for locked and unlocked blocks.
-    """
-    return hashing.digest(block.data)
-
-
-def build_chain(payloads) -> Chain:
+def build_chain(payloads) -> tuple:
     """Build an unlocked circular chain over the given data-domain payloads.
 
-    Block i points backward to H(payload[i-1]) and forward to
-    H(payload[i+1]) with wrap-around, so a single payload yields a
-    self-referential block.
+    Returns the blocks as a tuple indexed by chain position.  Block i
+    points backward to H(payload[i-1]) and forward to H(payload[i+1])
+    with wrap-around, so a single payload yields a self-referential
+    block.
     """
     payloads = [bytes(p) for p in payloads]
     if not payloads:
@@ -73,7 +48,7 @@ def build_chain(payloads) -> Chain:
 
     digests = [hashing.digest(p) for p in payloads]
     m = len(payloads)
-    blocks = tuple(
+    return tuple(
         Block(
             previous_hash=digests[(i - 1) % m],
             current_hash=digests[i],
@@ -82,25 +57,25 @@ def build_chain(payloads) -> Chain:
         )
         for i in range(m)
     )
-    return Chain(blocks=blocks)
 
 
-def verify_chain(chain: Chain) -> list:
+def verify_chain(blocks) -> list:
     """Recompute every data hash and report each pointer that disagrees.
 
-    Returns an empty list for a valid chain.  Defined on unlocked
-    pointers only: a locked chain reports every neighbour pointer.
+    Returns (block index, "previous" | "current" | "next") pairs, none
+    for a valid chain.  Defined on unlocked pointers only: a locked
+    chain reports every neighbour pointer.
     """
-    m = len(chain.blocks)
-    digests = [hashing.digest(b.data) for b in chain.blocks]
+    m = len(blocks)
+    digests = [hashing.digest(b.data) for b in blocks]
     violations = []
-    for i, block in enumerate(chain.blocks):
+    for i, block in enumerate(blocks):
         if block.previous_hash != digests[(i - 1) % m]:
-            violations.append(Violation(i, "previous"))
+            violations.append((i, "previous"))
         if block.current_hash != digests[i]:
-            violations.append(Violation(i, "current"))
+            violations.append((i, "current"))
         if block.next_hash != digests[(i + 1) % m]:
-            violations.append(Violation(i, "next"))
+            violations.append((i, "next"))
     return violations
 
 

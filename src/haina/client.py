@@ -57,10 +57,10 @@ class UploadReport:
 
 @dataclass
 class FetchResult:
-    blocks: list  # chain order, starting at the header
+    blocks: list  # unlocked, by chain position; None where no cursor got through
     elapsed_ms: float
     rounds: int
-    missing: list
+    missing: list  # the address each stopped cursor could not fetch
 
 
 @dataclass
@@ -131,23 +131,19 @@ def upload(
     mask = generate_mask(rng)
     iv = rng.randbytes(CIPHER_BLOCK)
     ef = encrypt_file(file, key, iv)
-    if n > len(ef):
-        raise UsageError(
-            f"block count {n} exceeds ciphertext length {len(ef)}; choose a smaller block count"
-        )
     encrypt_ms = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    chain = build_chain(embed_key_shards(split_ciphertext(ef, n), key))
+    blocks = build_chain(embed_key_shards(split_ciphertext(ef, n), key))
     del ef  # the data domains are the only copy from here on
-    if len({b.current_hash for b in chain.blocks}) < n:
+    if len({b.current_hash for b in blocks}) < n:
         # content addressing cannot tell identical data domains apart;
         # only degenerate slice sizes (a few bytes) can collide
         raise UsageError(
             f"block count {n} produces duplicate block contents for this file; "
             "choose a smaller block count"
         )
-    blocks = lock_chain(chain, mask).blocks
+    blocks = lock_chain(blocks, mask)
     chain_ms = (time.perf_counter() - t0) * 1000.0
 
     sizes = [serialized_size(b) for b in blocks]
@@ -289,51 +285,47 @@ def _fetch_from(transport, address, holders, timeout_ms):
 def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors: int) -> FetchResult:
     """Walk the chain from the header with 1 (forward) or 2 (forward and backward) cursors.
 
+    `blocks[p]` is chain position p.  The forward cursor fills positions
+    1, 2, ... from its left neighbour's next pointer; the backward cursor
+    fills n-1, n-2, ... from its right neighbour's previous pointer.
     Each round hands the cursors' distinct target addresses to
-    `fetcher`, which returns ({address: locked Block} for those it
-    fetched, the round's ms).  A cursor stops at an already-fetched
-    address (the circle has closed) or at one that was not fetched.
+    `fetcher`, which returns (one locked Block or None per address, the
+    round's ms).  A cursor whose target was not fetched stops, and the
+    other walks on to its position.
     """
-    header = unlock_block(header_block, meta.mask)
-    fetched = {meta.header_digest: header}  # address -> unlocked Block
-    # the pointer each cursor follows -> the address it wants next
-    wants = {p: getattr(header, p) for p in ("next_hash", "previous_hash")[:cursors]}
+    n = meta.block_count
+    blocks = [unlock_block(header_block, meta.mask)] + [None] * (n - 1)
+    lo, hi = 1, n - 1  # the next position of the forward and of the backward cursor
+    forward, backward = True, cursors == 2
     elapsed = 0.0
     rounds = 0
     missing = []
-    while len(fetched) < meta.block_count:
-        targets = list(dict.fromkeys(a for a in wants.values() if a not in fetched))
-        if not targets:
-            break
+    while lo <= hi and (forward or backward):
+        ahead = blocks[lo - 1].next_hash if forward else None
+        behind = blocks[(hi + 1) % n].previous_hash if backward else None
+        targets = [a for a in dict.fromkeys((ahead, behind)) if a is not None]
         try:
-            blocks, round_ms = fetcher(targets)
+            got, round_ms = fetcher(targets)
         except IncompleteChainError:
-            blocks, round_ms = {}, 0.0
-        for pointer, address in list(wants.items()):
-            if address not in targets:
-                continue
-            if address not in blocks:
-                if address not in missing:
-                    missing.append(address)
-                del wants[pointer]
-                continue
-            if address not in fetched:
-                fetched[address] = unlock_block(blocks[address], meta.mask)
-            wants[pointer] = getattr(fetched[address], pointer)
+            got, round_ms = [None] * len(targets), 0.0
+        # the forward cursor's block is got[0], the backward one's got[-1]
+        if forward:
+            if got[0] is None:
+                forward = False
+                missing.append(ahead)
+            else:
+                blocks[lo] = unlock_block(got[0], meta.mask)
+                lo += 1
+        if backward and lo <= hi:
+            if got[-1] is None:
+                backward = False
+                if behind not in missing:
+                    missing.append(behind)
+            else:
+                blocks[hi] = unlock_block(got[-1], meta.mask)
+                hi -= 1
         elapsed += round_ms
         rounds += 1
-
-    # chain order: follow next pointers from the header
-    blocks = []
-    address = meta.header_digest
-    for _ in range(meta.block_count):
-        block = fetched.get(address)
-        if block is None:
-            if address not in missing:
-                missing.append(address)
-            break
-        blocks.append(block)
-        address = block.next_hash
     return FetchResult(blocks=blocks, elapsed_ms=elapsed, rounds=rounds, missing=missing)
 
 
@@ -373,20 +365,22 @@ def download(
 
     def fetcher(addresses):
         # one HAS_BLOCK broadcast for the whole round; the round lasts as
-        # long as its slowest target's holder reply and GET_BLOCK
-        blocks, round_ms = {}, 0.0
+        # long as its slowest fetched target's holder reply and GET_BLOCK
+        blocks, round_ms = [], 0.0
         for address, holders in zip(addresses, resolve(transport, USER_ADDRESS, addresses, nf, timeout_ms)):
             block, ms = _fetch_from(transport, address, holders, timeout_ms)
+            blocks.append(block)
             if block is not None:
-                blocks[address] = block
                 round_ms = max(round_ms, ms)
         return blocks, round_ms
 
     t0 = time.perf_counter()
     fetch = bdam_fetch if mode == "bi" else unidirectional_fetch
     result = fetch(meta, header_block, fetcher)
-    if len(result.blocks) < meta.block_count:
-        raise IncompleteChainError(result.missing or [meta.header_digest])
+    if None in result.blocks:
+        # a stopped cursor names its target in `missing` even when the
+        # other cursor filled that position, so test the positions
+        raise IncompleteChainError(result.missing)
 
     key, slices = extract_key_shards([b.data for b in result.blocks])
     plaintext = decrypt_file(slices, key, meta.iv)

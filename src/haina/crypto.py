@@ -13,6 +13,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import hashing
 from .errors import IntegrityError, UsageError
+from .locking import MASK_SIZE
 
 KEY_SIZE = 32  # sharded key bytes
 CIPHER_KEY_SIZE = 16
@@ -41,7 +42,7 @@ def generate_mask(rng=None) -> bytes:
     """
     draw = rng.randbytes if rng is not None else secrets.token_bytes
     while True:
-        mask = draw(KEY_SIZE)
+        mask = draw(MASK_SIZE)
         if any(mask):
             return mask
 
@@ -129,8 +130,8 @@ def split_ciphertext(ef: bytes, n: int) -> list:
 def shard_sizes(key_len: int, n: int) -> list:
     """Bytes of key that land in each of the n blocks under round-robin sharding.
 
-    Key byte i goes to block (i mod n) + 1 (1-based), so the first
-    key_len mod n blocks get the extra byte.
+    Key byte i goes to block position i mod n, so the first key_len mod n
+    blocks get the extra byte.
     """
     base, extra = divmod(key_len, n)
     return [base + (1 if j < extra else 0) for j in range(n)]
@@ -143,10 +144,7 @@ def embed_key_shards(slices, key: bytes) -> list:
     n = len(slices)
     if n < 1:
         raise UsageError("need at least one slice")
-    shards = [bytearray() for _ in range(n)]
-    for i, byte in enumerate(key):
-        shards[i % n].append(byte)
-    return [b"".join((shards[j], slices[j])) for j in range(n)]
+    return [b"".join((key[j::n], slices[j])) for j in range(n)]
 
 
 def extract_key_shards(domains):
@@ -154,20 +152,10 @@ def extract_key_shards(domains):
     n = len(domains)
     if n < 1:
         raise UsageError("need at least one data domain")
-    sizes = shard_sizes(KEY_SIZE, n)
-    shards = []
     slices = []
-    for j, domain in enumerate(domains):
-        if len(domain) < sizes[j]:
-            raise IntegrityError(
-                f"data domain {j + 1} shorter than its {sizes[j]}-byte key shard"
-            )
-        shards.append(domain[: sizes[j]])
-        slices.append(memoryview(domain)[sizes[j] :])
-    key = bytearray(KEY_SIZE)
-    cursors = [0] * n
-    for i in range(KEY_SIZE):
-        j = i % n
-        key[i] = shards[j][cursors[j]]
-        cursors[j] += 1
-    return bytes(key), slices
+    for j, (domain, size) in enumerate(zip(domains, shard_sizes(KEY_SIZE, n))):
+        if len(domain) < size:
+            raise IntegrityError(f"data domain {j + 1} shorter than its {size}-byte key shard")
+        slices.append(memoryview(domain)[size:])
+    # key byte i is byte i // n of position i % n's shard
+    return bytes(domains[i % n][i // n] for i in range(KEY_SIZE)), slices

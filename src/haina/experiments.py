@@ -80,6 +80,8 @@ def build_cluster(spec: ClusterSpec, por_cfg: PorConfig = None):
         src, sep, dst = key.partition(">")
         if not sep:
             raise ParseError("latency_matrix", f"key {key!r} is not 'src>dst'")
+        if ms < 0:
+            raise ParseError("latency_matrix", f"{key!r} latency cannot be negative")
         matrix[(src, dst)] = ms
     net = SimNet(LinkModel(spec.latency_ms, spec.jitter_ms, spec.seed, matrix))
     cfg = por_cfg or PorConfig(rate=spec.rate, timeout_ms=max(spec.latency_ms * 20, 1000.0))

@@ -7,7 +7,7 @@ the algorithm as "sha256" and no other value is accepted.
 
 import hashlib
 
-from .errors import ParseError
+from .errors import ParseError, UsageError
 
 DIGEST_SIZE = 32
 ALGORITHM = "sha256"  # the name the meta file records
@@ -19,8 +19,10 @@ def digest(data: bytes) -> bytes:
 
 
 def check_digest(value: bytes) -> bytes:
-    if not isinstance(value, (bytes, bytearray)) or len(value) != DIGEST_SIZE:
-        raise ValueError(f"digest must be exactly {DIGEST_SIZE} bytes, got {len(value)}")
+    if not isinstance(value, (bytes, bytearray)):
+        raise UsageError(f"digest must be {DIGEST_SIZE} bytes, got {type(value).__name__}")
+    if len(value) != DIGEST_SIZE:
+        raise UsageError(f"digest must be exactly {DIGEST_SIZE} bytes, got {len(value)}")
     return bytes(value)
 
 

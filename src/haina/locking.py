@@ -7,7 +7,7 @@ by content addressing.  XOR is its own inverse, so unlocking is the
 same operation.
 """
 
-from .chain import Block, Chain
+from .chain import Block
 from .errors import UsageError
 
 MASK_SIZE = 32
@@ -17,36 +17,19 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(MASK_SIZE, "big")
 
 
-def check_mask(mask: bytes) -> bytes:
-    if len(mask) != MASK_SIZE:
-        raise UsageError(f"mask must be {MASK_SIZE} bytes, got {len(mask)}")
-    if not any(mask):
-        raise UsageError("mask must be nonzero")
-    return bytes(mask)
-
-
-def lock_chain(chain: Chain, mask: bytes) -> Chain:
-    """Return a copy of the chain with masked neighbor pointers."""
-    check_mask(mask)
-    return Chain(blocks=tuple(unlock_block(b, mask) for b in chain.blocks))  # the XOR is its own inverse
-
-
-def unlock_chain(chain: Chain, mask: bytes) -> Chain:
-    """Inverse of lock_chain: the same XOR."""
-    return lock_chain(chain, mask)
-
-
-def unlock_pointers(block: Block, mask: bytes):
-    """Recover a locked block's neighbor content addresses without mutating it.
-
-    Returns (previous, next).  A wrong mask simply yields digests that
-    resolve nowhere; that is the security property, not an error.
-    """
-    if len(mask) != MASK_SIZE:
-        raise UsageError(f"mask must be {MASK_SIZE} bytes, got {len(mask)}")
-    return _xor(block.previous_hash, mask), _xor(block.next_hash, mask)
+def lock_chain(blocks, mask: bytes) -> tuple:
+    """Return the blocks with masked neighbor pointers; the same call unlocks them."""
+    if len(mask) != MASK_SIZE or not any(mask):
+        raise UsageError(f"mask must be {MASK_SIZE} bytes and nonzero")
+    return tuple(unlock_block(b, mask) for b in blocks)
 
 
 def unlock_block(block: Block, mask: bytes) -> Block:
-    previous, nxt = unlock_pointers(block, mask)
-    return Block(previous_hash=previous, current_hash=block.current_hash, next_hash=nxt, data=block.data)
+    """Toggle one block's neighbor pointers under the mask, as a new block.
+
+    A wrong mask simply yields digests that resolve nowhere; that is the
+    security property, not an error.
+    """
+    if len(mask) != MASK_SIZE:
+        raise UsageError(f"mask must be {MASK_SIZE} bytes, got {len(mask)}")
+    return Block(_xor(block.previous_hash, mask), block.current_hash, _xor(block.next_hash, mask), block.data)

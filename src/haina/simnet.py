@@ -25,7 +25,8 @@ class LinkModel:
     """One-way latencies: uniform base or a full per-pair matrix, plus jitter.
 
     `matrix` maps (src, dst) -> ms and overrides the uniform base;
-    a latency of `UNREACHABLE` models a partitioned link.
+    a latency of `UNREACHABLE` models a partitioned link.  Jitter never
+    makes a delay negative: a draw below zero is clamped to 0.
     """
 
     def __init__(self, latency_ms: float = 25.0, jitter_ms: float = 0.0, seed: int = 0, matrix=None):
@@ -34,6 +35,8 @@ class LinkModel:
         self.latency_ms = latency_ms
         self.jitter_ms = jitter_ms
         self.matrix = dict(matrix) if matrix else {}
+        if any(ms < 0 for ms in self.matrix.values()):
+            raise UsageError("matrix latencies cannot be negative")
         self._rng = random.Random(seed)
 
     def one_way(self, src: str, dst: str) -> float:
@@ -41,7 +44,7 @@ class LinkModel:
         if base is UNREACHABLE or base == UNREACHABLE:
             return UNREACHABLE
         if self.jitter_ms:
-            return base + self._rng.uniform(-self.jitter_ms, self.jitter_ms)
+            return max(0.0, base + self._rng.uniform(-self.jitter_ms, self.jitter_ms))
         return base
 
 

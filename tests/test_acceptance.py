@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from haina.chain import Block, Chain, build_chain, content_address, verify_chain
+from haina.chain import Block, build_chain, verify_chain
 from haina.client import download, upload
 from haina.crypto import (
     KEY_SIZE,
@@ -24,7 +24,7 @@ from haina.crypto import (
 from haina.errors import ParseError
 from haina.experiments import ClusterSpec, build_cluster, run_experiment
 from haina.frames import Frame, MsgType, decode_frame, encode_frame
-from haina.locking import lock_chain, unlock_chain, unlock_pointers
+from haina.locking import lock_chain, unlock_block
 from haina.metafile import build_meta_file, parse_meta_file, serialize_meta_file
 from haina.metrics import rows_to_csv
 
@@ -79,16 +79,16 @@ def test_anti_traverse(report):
     for _ in range(100):
         m = rng.randint(2, 12)
         chain = build_chain([rng.randbytes(rng.randint(1, 200)) for _ in range(m)])
-        addresses = {content_address(b) for b in chain.blocks}
+        addresses = {b.current_hash for b in chain}
         mask = generate_mask(rng)
         locked = lock_chain(chain, mask)
-        for i, block in enumerate(locked.blocks):
+        for i, block in enumerate(locked):
             if block.previous_hash in addresses or block.next_hash in addresses:
                 bad_locked += 1
-            prev, nxt = unlock_pointers(block, mask)
-            want_prev = content_address(chain.blocks[(i - 1) % m])
-            want_next = content_address(chain.blocks[(i + 1) % m])
-            if prev != want_prev or nxt != want_next:
+            back = unlock_block(block, mask)
+            want_prev = chain[(i - 1) % m].current_hash
+            want_next = chain[(i + 1) % m].current_hash
+            if back.previous_hash != want_prev or back.next_hash != want_next:
                 bad_unlocked += 1
     report(
         "anti-traverse locking",
@@ -230,10 +230,10 @@ def test_unit_property_suite(report):
     # XOR lock involution
     for _ in range(50):
         chain = build_chain([rng.randbytes(rng.randint(1, 64)) for _ in range(rng.randint(1, 8))])
-        if unlock_chain(lock_chain(chain, generate_mask(rng)), generate_mask(random.Random(0))) == chain:
+        if lock_chain(lock_chain(chain, generate_mask(rng)), generate_mask(random.Random(0))) == chain:
             problems.append("wrong mask inverted a lock")
         mask = generate_mask(rng)
-        if unlock_chain(lock_chain(chain, mask), mask) != chain:
+        if lock_chain(lock_chain(chain, mask), mask) != chain:
             problems.append("lock/unlock is not an involution")
 
     # key-shard round-trip and split/concat inverse for every block count
@@ -273,16 +273,16 @@ def test_unit_property_suite(report):
         m = rng.randint(3, 10)
         chain = build_chain([rng.randbytes(20) for _ in range(m)])
         i = rng.randrange(m)
-        blocks = list(chain.blocks)
+        blocks = list(chain)
         tampered = bytearray(blocks[i].data)
         tampered[0] ^= 0xFF
         blocks[i] = Block(
             blocks[i].previous_hash, blocks[i].current_hash, blocks[i].next_hash, bytes(tampered)
         )
-        violations = verify_chain(Chain(tuple(blocks)))
-        touched = {v.block_index for v in violations}
+        violations = verify_chain(blocks)
+        touched = {index for index, _ in violations}
         expected = {(i - 1) % m, i, (i + 1) % m}
-        if touched != expected or ("current" not in {v.field for v in violations if v.block_index == i}):
+        if touched != expected or ("current" not in {field for index, field in violations if index == i}):
             problems.append(f"tamper at {i}/{m} reported blocks {sorted(touched)}")
 
     report(

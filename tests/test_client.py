@@ -233,6 +233,24 @@ class _FlipsServedBytes:
         return reply
 
 
+class _FlipsNextPointer:
+    """Byzantine node: serves every block with the first byte of its next pointer flipped.
+
+    The data domain is untouched, so each block still hashes to its address.
+    """
+
+    def __init__(self, service):
+        self.service = service
+
+    def handle(self, frame):
+        reply = self.service.handle(frame)
+        if reply.type is MsgType.BLOCK_DATA:
+            body = bytearray(reply.body)
+            body[64] ^= 0x01  # bytes 64..95 hold the next pointer
+            reply = Frame(reply.type, reply.header, bytes(body))
+        return reply
+
+
 class _ClaimsEveryBlock:
     """Byzantine node: answers every HAS_BLOCK address with has = 1."""
 
@@ -368,6 +386,22 @@ class TestByzantineHolders:
         with pytest.raises(IncompleteChainError) as err:
             download(report.meta, nf, net, mode=mode)
         assert set(err.value.missing) <= stolen
+
+
+class TestFlippedNextPointer:
+    """Only the forward cursor follows next pointers, so the backward one walks past a flip."""
+
+    @pytest.mark.parametrize("seed", [41, 43, 47])
+    def test_bi_recovers_and_uni_raises(self, seed):
+        net, nf, services, cfg = _cluster(nodes=5, seed=seed)
+        rng = random.Random(seed)
+        file = rng.randbytes(3000)
+        report = upload(file, 9, cfg, nf, net, rng=rng)
+        flipper = report.placements[4]  # a middle block's holder, the only copy of its blocks
+        net.add_node(flipper, _FlipsNextPointer(services[flipper]))
+        assert download(report.meta, nf, net, mode="bi").data == file
+        with pytest.raises(IncompleteChainError):
+            download(report.meta, nf, net, mode="uni")
 
 
 class TestBidirectionalFetch:

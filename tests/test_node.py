@@ -7,7 +7,7 @@ import time
 import pytest
 
 from haina.blockstore import BlockStore
-from haina.chain import build_chain, content_address, serialize_block
+from haina.chain import build_chain, serialize_block
 from haina.errors import IncompleteChainError, NetworkError, UsageError
 from haina.frames import Frame, MsgType, encode_frame
 from haina.node import NodeServer, NodeService
@@ -20,7 +20,7 @@ from haina.simnet import LinkModel, SimNet
 
 def _block(data=b"payload"):
     chain = build_chain([data])
-    return chain.blocks[0]
+    return chain[0]
 
 
 class TestBlockStore:
@@ -28,7 +28,7 @@ class TestBlockStore:
         store = BlockStore(10**6)
         raw = serialize_block(_block())
         address = store.put(raw)
-        assert address == content_address(_block())
+        assert address == _block().current_hash
         assert store.get(address) == raw
         assert store.has(address)
 
@@ -149,7 +149,7 @@ class TestNodeService:
         frame = Frame(MsgType.STORE_READY, {"next_size": "0", "elect": "0"}, serialize_block(block))
         reply, _ = net.request("u:0", "a:1", frame)
         assert reply.type is MsgType.STORE_ACK
-        address = content_address(block)
+        address = block.current_hash
         assert reply.header["stored"] == address.hex()
 
     def test_election_refuses_when_quota_too_small(self):
@@ -209,7 +209,7 @@ class TestNodeService:
     def test_two_address_has_block_answers_each_address(self, stored, has):
         net, _, services = _sim_pair()
         raws = [serialize_block(_block(data)) for data in (b"first", b"second")]
-        addresses = [content_address(_block(data)).hex() for data in (b"first", b"second")]
+        addresses = [_block(data).current_hash.hex() for data in (b"first", b"second")]
         for i in stored:
             services["a:1"].store.put(raws[i])
         frame = Frame(MsgType.HAS_BLOCK, {"address": addresses[0], "address2": addresses[1]})
@@ -348,7 +348,7 @@ def test_real_tcp_roundtrip(payload_size, tcp_nodes):
     store = Frame(MsgType.STORE_READY, {"next_size": "0", "elect": "0"}, serialize_block(block))
     ack, _ = net.request("client:0", listen, store)
     assert ack.type is MsgType.STORE_ACK
-    got, _ = net.request("client:0", listen, Frame(MsgType.GET_BLOCK, {"address": content_address(block).hex()}))
+    got, _ = net.request("client:0", listen, Frame(MsgType.GET_BLOCK, {"address": block.current_hash.hex()}))
     assert got.type is MsgType.BLOCK_DATA
     assert got.body == serialize_block(block)
 

@@ -5,7 +5,7 @@ import pytest
 from haina import simnet
 from haina.blockstore import BlockStore
 from haina.client import upload
-from haina.errors import NetworkError
+from haina.errors import NetworkError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType
 from haina.node import NodeService
@@ -36,6 +36,23 @@ def test_jitter_bounded_and_seeded():
         rtts.append(rtt)
         assert 40.0 <= rtt <= 60.0
     assert rtts[0] == rtts[1]
+
+
+def test_jitter_above_latency_never_makes_a_delay_negative():
+    link = LinkModel(1.0, 5.0, seed=3)
+    assert min(link.one_way("a:1", "b:1") for _ in range(1000)) == 0.0
+    net, _, _, _ = build_cluster(ClusterSpec(nodes=3, latency_ms=1, jitter_ms=5))
+    for _ in range(50):
+        t0 = net.clock
+        _, rtt = net.request("node001:9000", "node002:9000", Frame(MsgType.PING))
+        assert rtt >= 0.0 and net.clock >= t0
+
+
+def test_negative_matrix_latency_rejected():
+    with pytest.raises(UsageError):
+        LinkModel(matrix={("a:1", "b:1"): -50.0})
+    with pytest.raises(ParseError, match="latency_matrix"):
+        build_cluster(ClusterSpec(nodes=2, latency_matrix={"node001:9000>node002:9000": -50}))
 
 
 def test_partitioned_link_times_out():
