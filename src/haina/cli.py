@@ -141,12 +141,8 @@ def download(meta_path, nf_path, out_path, mode, csv_out):
         _fail(exc)
     with open(out_path, "wb") as fh:
         fh.write(report.data)
-    # fetch_ms sums each round's slowest measured round trip, and header_fetch adds a
-    # whole timeout per silent holder: models, not stopwatches
-    rows = [MetricsRow("download", "stage_ms", report.fetch_ms, {"stage": f"fetch_{mode}", "clock": "modeled"})]
-    for stage, ms in report.stage_ms.items():
-        clock = "modeled" if stage == "header_fetch" else "wall"
-        rows.append(MetricsRow("download", "stage_ms", ms, {"stage": stage, "clock": clock}))
+    stages = {f"fetch_{mode}": report.fetch_ms, **report.stage_ms}
+    rows = [MetricsRow("download", "stage_ms", ms, {"stage": stage, "clock": "wall"}) for stage, ms in stages.items()]
     _write_csv(csv_out, rows)
     click.echo(f"recovered {len(report.data)} bytes to {out_path} ({mode} fetch, {report.rounds} rounds)")
 

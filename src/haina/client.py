@@ -58,7 +58,6 @@ class UploadReport:
 @dataclass
 class FetchResult:
     blocks: list  # unlocked, by chain position; None where no cursor got through
-    elapsed_ms: float
     rounds: int
     missing: list  # the address each stopped cursor could not fetch
 
@@ -67,9 +66,9 @@ class FetchResult:
 class DownloadReport:
     data: bytearray  # the decryption buffer itself; compares equal to bytes
     mode: str
-    fetch_ms: float
+    fetch_ms: float  # transport.now() from before the header fetch to the end of the walk
     rounds: int
-    stage_ms: dict
+    stage_ms: dict  # header_fetch on transport.now(); decrypt wall-clock
 
 
 def _store_timeout(cfg: PorConfig) -> float:
@@ -254,23 +253,18 @@ def _next_replacement(transport, nf, rng, cfg, records, rate, prev_candidates, f
 
 
 def _fetch_from(transport, address, holders, timeout_ms):
-    """Fetch one block from its (node, reply ms) holders, in order.
+    """Fetch one block from its holders' node addresses, in order.
 
     A reply counts only if its data domain hashes to `address`; anything
-    else is a miss and the next holder is asked.  Returns (locked Block
-    or None, modeled ms): a GET_BLOCK starts once its holder's reply is
-    in and the previous attempt has failed.
+    else is a miss and the next holder is asked.  Returns the locked
+    Block, or None when no holder served it.
     """
     query = Frame(MsgType.GET_BLOCK, {"address": address.hex()})
-    elapsed = 0.0
-    for node, reply_ms in holders:
-        elapsed = max(elapsed, reply_ms)
+    for node in holders:
         try:
-            reply, rtt = transport.request(USER_ADDRESS, node, query, timeout_ms)
+            reply, _ = transport.request(USER_ADDRESS, node, query, timeout_ms)
         except NetworkError:
-            elapsed += timeout_ms
             continue
-        elapsed += rtt
         if reply.type is not MsgType.BLOCK_DATA:
             continue
         try:
@@ -278,8 +272,8 @@ def _fetch_from(transport, address, holders, timeout_ms):
         except UsageError:
             continue
         if hashing.digest(block.data) == address:
-            return block, elapsed
-    return None, elapsed
+            return block
+    return None
 
 
 def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors: int) -> FetchResult:
@@ -289,25 +283,20 @@ def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors: int) -> FetchRe
     1, 2, ... from its left neighbour's next pointer; the backward cursor
     fills n-1, n-2, ... from its right neighbour's previous pointer.
     Each round hands the cursors' distinct target addresses to
-    `fetcher`, which returns (one locked Block or None per address, the
-    round's ms).  A cursor whose target was not fetched stops, and the
-    other walks on to its position.
+    `fetcher`, which returns one locked Block or None per address.  A
+    cursor whose target was not fetched stops, and the other walks on
+    to its position.
     """
     n = meta.block_count
     blocks = [unlock_block(header_block, meta.mask)] + [None] * (n - 1)
     lo, hi = 1, n - 1  # the next position of the forward and of the backward cursor
     forward, backward = True, cursors == 2
-    elapsed = 0.0
     rounds = 0
     missing = []
     while lo <= hi and (forward or backward):
         ahead = blocks[lo - 1].next_hash if forward else None
         behind = blocks[(hi + 1) % n].previous_hash if backward else None
-        targets = [a for a in dict.fromkeys((ahead, behind)) if a is not None]
-        try:
-            got, round_ms = fetcher(targets)
-        except IncompleteChainError:
-            got, round_ms = [None] * len(targets), 0.0
+        got = fetcher([a for a in dict.fromkeys((ahead, behind)) if a is not None])
         # the forward cursor's block is got[0], the backward one's got[-1]
         if forward:
             if got[0] is None:
@@ -324,9 +313,8 @@ def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors: int) -> FetchRe
             else:
                 blocks[hi] = unlock_block(got[-1], meta.mask)
                 hi -= 1
-        elapsed += round_ms
         rounds += 1
-    return FetchResult(blocks=blocks, elapsed_ms=elapsed, rounds=rounds, missing=missing)
+    return FetchResult(blocks=blocks, rounds=rounds, missing=missing)
 
 
 def bdam_fetch(meta: MetaFile, header_block, fetcher) -> FetchResult:
@@ -349,41 +337,40 @@ def download(
     """Recover a file from the cluster using its meta file.
 
     `mode` is "bi" (both cursors) or "uni" (forward only); both produce
-    identical bytes, only the fetch timing differs.
+    identical bytes, only the fetch timing differs.  Every fetch time is
+    a `transport.now()` difference: virtual on the simulator, wall on
+    sockets.
     """
     if mode not in ("bi", "uni"):
         raise UsageError(f"mode must be 'bi' or 'uni', not {mode!r}")
 
     # header block: ask the recorded first beginner, fall back to resolution
-    header_digest = meta.header_digest
-    header_block, header_ms = _fetch_from(transport, header_digest, [(meta.first_beginner, 0.0)], timeout_ms)
+    start = transport.now()
+    header_block = _fetch_from(transport, meta.header_digest, [meta.first_beginner], timeout_ms)
     if header_block is None:
-        (holders,) = resolve(transport, USER_ADDRESS, [header_digest], nf, timeout_ms)
-        header_block, header_ms = _fetch_from(transport, header_digest, holders, timeout_ms)
+        (holders,) = resolve(transport, USER_ADDRESS, [meta.header_digest], nf, timeout_ms)
+        header_block = _fetch_from(transport, meta.header_digest, holders, timeout_ms)
         if header_block is None:
-            raise IncompleteChainError([header_digest])
+            raise IncompleteChainError([meta.header_digest])
+    header_ms = transport.now() - start
 
     def fetcher(addresses):
-        # one HAS_BLOCK broadcast for the whole round; the round lasts as
-        # long as its slowest fetched target's holder reply and GET_BLOCK
-        blocks, round_ms = [], 0.0
-        for address, holders in zip(addresses, resolve(transport, USER_ADDRESS, addresses, nf, timeout_ms)):
-            block, ms = _fetch_from(transport, address, holders, timeout_ms)
-            blocks.append(block)
-            if block is not None:
-                round_ms = max(round_ms, ms)
-        return blocks, round_ms
+        # one HAS_BLOCK broadcast for the whole round, then its GET_BLOCKs at once
+        targets = list(zip(addresses, resolve(transport, USER_ADDRESS, addresses, nf, timeout_ms)))
+        return transport.fan_out(lambda target: _fetch_from(transport, *target, timeout_ms), targets)
 
-    t0 = time.perf_counter()
     fetch = bdam_fetch if mode == "bi" else unidirectional_fetch
     result = fetch(meta, header_block, fetcher)
+    fetch_ms = transport.now() - start
     if None in result.blocks:
         # a stopped cursor names its target in `missing` even when the
         # other cursor filled that position, so test the positions
         raise IncompleteChainError(result.missing)
 
+    t0 = time.perf_counter()
     key, slices = extract_key_shards([b.data for b in result.blocks])
     plaintext = decrypt_file(slices, key, meta.iv)
+    decrypt_ms = (time.perf_counter() - t0) * 1000.0
     del slices
     result.blocks.clear()
     if len(plaintext) < meta.file_length:
@@ -391,14 +378,13 @@ def download(
             f"recovered {len(plaintext)} bytes but the meta file records {meta.file_length}"
         )
     del plaintext[meta.file_length :]  # in place: a slice would copy
-    disassemble_ms = (time.perf_counter() - t0) * 1000.0
 
     return DownloadReport(
         data=plaintext,
         mode=mode,
-        fetch_ms=header_ms + result.elapsed_ms,
+        fetch_ms=fetch_ms,
         rounds=result.rounds,
-        stage_ms={"header_fetch": header_ms, "disassemble_wall": disassemble_ms},
+        stage_ms={"header_fetch": header_ms, "decrypt": decrypt_ms},
     )
 
 

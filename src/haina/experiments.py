@@ -41,8 +41,6 @@ class ClusterSpec:
             raise ParseError("latency_ms", "cannot be negative")
         if self.jitter_ms < 0:
             raise ParseError("jitter_ms", "cannot be negative")
-        if not isinstance(self.seed, int):
-            raise ParseError("seed", "must be an integer (mandatory for sim runs)")
         if not 0 < self.rate <= 1:
             raise ParseError("rate", "must satisfy 0 < rate <= 1")
         if self.events < 1:
@@ -60,10 +58,18 @@ def parse_cluster_spec(text: str) -> ClusterSpec:
         raise ParseError("spec", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("spec", "top level must be an object")
-    known = set(ClusterSpec.__dataclass_fields__)
-    unknown = [k for k in doc if k not in known]
-    if unknown:
-        raise ParseError(unknown[0], "unknown cluster spec field")
+    fields = ClusterSpec.__dataclass_fields__
+    for name, value in doc.items():
+        if name not in fields:
+            raise ParseError(name, "unknown cluster spec field")
+        kind = fields[name].type
+        # type() rather than isinstance(): JSON true and false are bools, and so ints
+        if kind is int and type(value) is not int:
+            raise ParseError(name, "must be an integer")
+        if kind is float and type(value) not in (int, float):
+            raise ParseError(name, "must be a number")
+        if kind is dict and (type(value) is not dict or any(type(ms) not in (int, float) for ms in value.values())):
+            raise ParseError(name, "must be an object of numbers")
     return ClusterSpec(**doc)
 
 

@@ -10,7 +10,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .errors import ParseError
+from .errors import NetworkError, ParseError
 
 MAGIC = b"HAIN"
 HEADER_FMT = struct.Struct(">4sBIQ")  # magic, type, header len, body len
@@ -109,3 +109,20 @@ def decode_frame(raw) -> Frame:
 
 def error_frame(reason: str) -> Frame:
     return Frame(MsgType.ERROR, {"reason": reason})
+
+
+def broadcast(transport, origin: str, dsts, frame: Frame, timeout_ms: float = 1000.0) -> dict:
+    """Send one frame to many nodes at once over `transport.fan_out`.
+
+    Returns dst -> (reply, round-trip ms) in `dsts` order, or None where
+    the request failed.  Both transports bind this as their `broadcast`.
+    """
+
+    def ask(dst):
+        try:
+            return transport.request(origin, dst, frame, timeout_ms)
+        except NetworkError:
+            return None
+
+    dsts = list(dsts)
+    return dict(zip(dsts, transport.fan_out(ask, dsts)))

@@ -158,6 +158,11 @@ class NodeServer(socketserver.ThreadingTCPServer):
             except OSError:
                 pass  # the peer already closed it
 
+    def serve_forever(self):
+        # shutdown() waits up to one poll interval for the loop to notice;
+        # socketserver's 0.5 s default made every node stop take that long
+        super().serve_forever(poll_interval=0.05)
+
     def serve_background(self):
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()

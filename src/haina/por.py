@@ -81,18 +81,15 @@ def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, c
     if not followers:
         raise CampaignError("no follower to poll: node file has a single member")
     election = Frame(MsgType.ELECTION, {"size": str(next_block_size)})
+    t0 = transport.now()
     replies = transport.broadcast(beginner, followers, election, cfg.timeout_ms)
+    elapsed = transport.now() - t0
 
     scored = []  # (value, address), in roster order
-    elapsed = 0.0
-    missing = False
-    for addr in followers:
-        reply = replies.get(addr)
+    for addr, reply in replies.items():
         if reply is None:
-            missing = True
             continue
         frame, rtt = reply
-        elapsed = max(elapsed, rtt)
         if frame.type is not MsgType.TAKEPART:
             continue
         try:
@@ -102,8 +99,6 @@ def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, c
         if freespace < next_block_size:
             continue
         scored.append((judge(freespace / BYTES_PER_GB, rtt), addr))
-    if missing:
-        elapsed = max(elapsed, cfg.timeout_ms)
     if not scored:
         raise CampaignError(f"no candidate can hold a {next_block_size}-byte block")
     scored.sort(key=lambda s: -s[0])  # stable: equal values keep roster order

@@ -1,4 +1,4 @@
-"""Socket transport: the same request/broadcast contract as the simulator.
+"""Socket transport: the same request/fan_out/now contract as the simulator.
 
 Connections persist: each `RealNet` keeps a stack of idle sockets per
 peer and reuses one for the next request to that peer.  A socket goes
@@ -6,19 +6,20 @@ back on its stack only after a whole reply was read from it; any
 timeout or error closes it, so a late reply can never be read as the
 answer to a later request.  A reused socket that the peer has closed
 (for example, after a node restart) costs one retry on a fresh
-connection.  Broadcast fans requests out on one executor per `RealNet`
-and joins them all.  Round-trips are measured with the monotonic clock.
+connection.  `fan_out` runs its first call on the calling thread and
+the rest on one executor per `RealNet`, and joins them all.  `now()`
+and every round-trip read the monotonic clock.
 """
 
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 from .errors import NetworkError, ParseError
-from .frames import FRAME_OVERHEAD, HEADER_FMT, MAGIC, MAX_FRAME, Frame, decode_frame, encode_frame
+from .frames import FRAME_OVERHEAD, HEADER_FMT, MAGIC, MAX_FRAME, Frame, broadcast, decode_frame, encode_frame
 
-BROADCAST_WORKERS = 32
+FAN_OUT_WORKERS = 32
 
 
 def send_frame(sock, frame: Frame):
@@ -89,13 +90,13 @@ class RealNet:
 
     The `origin` argument is accepted for interface parity with the
     simulator; real sockets always originate from the caller's host.
-    Call `close()` to release the idle sockets and the broadcast workers.
+    Call `close()` to release the idle sockets and the fan-out workers.
     """
 
     def __init__(self):
         self._idle = {}  # peer address -> idle sockets, most recently used last
         self._lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(max_workers=BROADCAST_WORKERS)
+        self._pool = ThreadPoolExecutor(max_workers=FAN_OUT_WORKERS)
 
     def _take(self, dst: str):
         with self._lock:
@@ -110,7 +111,7 @@ class RealNet:
         address = parse_address(dst)
         timeout_s = timeout_ms / 1000.0
         data = encode_frame(frame)
-        t0 = time.monotonic()
+        t0 = self.now()
         sock = self._take(dst)
         reply = None
         try:
@@ -132,21 +133,28 @@ class RealNet:
             sock.close()
             raise NetworkError(f"{dst} closed the connection")
         self._give(dst, sock)
-        rtt = (time.monotonic() - t0) * 1000.0
-        return reply, rtt
+        return reply, self.now() - t0
 
-    def broadcast(self, origin: str, dsts, frame: Frame, timeout_ms: float = 1000.0) -> dict:
-        futures = {dst: self._pool.submit(self.request, origin, dst, frame, timeout_ms) for dst in dsts}
-        results = {}
-        for dst, future in futures.items():
-            try:
-                results[dst] = future.result()
-            except NetworkError:
-                results[dst] = None
-        return results
+    def now(self) -> float:
+        return time.monotonic() * 1000.0
+
+    def fan_out(self, fn, items) -> list:
+        """Return [fn(item) for item in a sequence of items], with the calls run at once.
+
+        The first call runs on the calling thread and the rest on the
+        executor, which starts its workers only as calls need them.
+        """
+        futures = [self._pool.submit(fn, item) for item in items[1:]]
+        try:
+            return [fn(item) for item in items[:1]] + [future.result() for future in futures]
+        except BaseException:
+            wait(futures)  # a call that raised leaves no other still running
+            raise
+
+    broadcast = broadcast
 
     def close(self):
-        """Stop the broadcast workers and close every idle socket."""
+        """Stop the fan-out workers and close every idle socket."""
         self._pool.shutdown()
         with self._lock:
             idle, self._idle = self._idle, {}

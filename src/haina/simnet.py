@@ -1,10 +1,11 @@
 """Deterministic simulated network with virtual time.
 
 Each message is delayed by the ordered-pair one-way latency plus
-seeded jitter.  The whole simulation is single-threaded: concurrent
-fan-out (election polls, resolver broadcasts) is modeled by charging
-the maximum of the individual round-trips rather than their sum, so a
-fixed seed reproduces every trace and timing bit-for-bit.
+seeded jitter.  The whole simulation is single-threaded: `fan_out`
+(election polls, resolver broadcasts, a round's block fetches) starts
+every call at the same virtual time and charges the slowest of them
+rather than their sum, so a fixed seed reproduces every trace and
+timing bit-for-bit.
 """
 
 import math
@@ -12,7 +13,7 @@ import random
 from collections import deque
 
 from .errors import NetworkError, UsageError
-from .frames import Frame
+from .frames import Frame, broadcast
 
 UNREACHABLE = math.inf
 # SimNet.trace keeps only the most recent messages: uploading 64 blocks to
@@ -88,24 +89,20 @@ class SimNet:
         self.trace.append((round(self.clock, 6), dst, origin, reply.type.name))
         return reply, rtt
 
-    def broadcast(self, origin: str, dsts, frame: Frame, timeout_ms: float = 1000.0) -> dict:
-        """Fan a frame out to many nodes at once.
+    def now(self) -> float:
+        return self.clock
 
-        All requests are in flight simultaneously, so virtual time
-        advances by the slowest reply (or by the timeout if any target
-        never answers), not by the sum.
-        """
-        t0 = self.clock
-        results = {}
-        elapsed = 0.0
-        for dst in dsts:
+    def fan_out(self, fn, items) -> list:
+        """Return [fn(item) for item in items], each call starting at the same virtual
+        time; the clock is left at the latest finish, not at the sum."""
+        t0 = end = self.clock
+        results = []
+        for item in items:
             self.clock = t0
-            try:
-                reply, rtt = self.request(origin, dst, frame, timeout_ms)
-                results[dst] = (reply, rtt)
-                elapsed = max(elapsed, rtt)
-            except NetworkError:
-                results[dst] = None
-                elapsed = timeout_ms
-        self.clock = t0 + elapsed
+            results.append(fn(item))
+            if self.clock > end:
+                end = self.clock
+        self.clock = end
         return results
+
+    broadcast = broadcast

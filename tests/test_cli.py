@@ -141,4 +141,4 @@ class TestLiveRoundTrip:
             assert result.exit_code == 0, result.output
             assert out.read_bytes() == payload
             clocks = {r.context["stage"]: r.context["clock"] for r in rows_from_csv(csv_path.read_text())}
-            assert clocks[f"fetch_{mode}"] == clocks["header_fetch"] == "modeled"
+            assert clocks == {f"fetch_{mode}": "wall", "header_fetch": "wall", "decrypt": "wall"}

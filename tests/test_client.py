@@ -454,6 +454,17 @@ class TestBidirectionalFetch:
         f = speedup(bi.fetch_ms, uni.fetch_ms)
         assert 0.40 <= f <= 0.55
 
+    @pytest.mark.parametrize("jitter_ms", [0.0, 5.0])
+    @pytest.mark.parametrize("mode", ["bi", "uni"])
+    def test_fetch_ms_is_the_clock_advance(self, mode, jitter_ms):
+        # the README spec: 47 nodes, 20 blocks, 25 ms links
+        net, nf, services, cfg = _cluster(nodes=47, latency=25.0, seed=1, jitter_ms=jitter_ms)
+        rng = random.Random(1)
+        report = upload(rng.randbytes(65536), 20, cfg, nf, net, rng=rng)
+        before = net.clock
+        fetch_ms = download(report.meta, nf, net, mode=mode, timeout_ms=cfg.timeout_ms).fetch_ms
+        assert net.clock - before == fetch_ms
+
 
 class TestSpeedup:
     def test_direct_arithmetic(self):

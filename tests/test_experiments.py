@@ -19,7 +19,15 @@ class TestClusterSpec:
                 parse_cluster_spec(json.dumps({"nodes": 5, "seed": 1, field: 2}))
 
     @pytest.mark.parametrize(
-        "field,value", [("nodes", 1), ("rate", 0.0), ("k", 2.0), ("events", 0), ("blocks", 0)]
+        "field,value",
+        [("nodes", 1), ("rate", 0.0), ("k", 2.0), ("events", 0), ("blocks", 0)]
+        # a value of the wrong JSON type; true and false are neither integers nor numbers
+        + [(field, value) for field in ("nodes", "events", "file_bytes", "blocks", "seed")
+           for value in ("5", None, [5], {"n": 5}, 2.5, True)]
+        + [(field, value) for field in ("quota_gb", "latency_ms", "jitter_ms", "rate")
+           for value in ("1", None, [1], {"n": 1}, True)]
+        + [("latency_matrix", value) for value in (["a>b", 5], "fast", 5, {"a>b": "fast"}, {"a>b": None},
+                                                   {"a>b": True}, {"a>b": [5]})],
     )
     def test_invalid_value_named(self, field, value):
         doc = {"nodes": 5, "seed": 1, field: value}

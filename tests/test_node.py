@@ -8,7 +8,7 @@ import pytest
 
 from haina.blockstore import BlockStore
 from haina.chain import build_chain, serialize_block
-from haina.errors import IncompleteChainError, NetworkError, UsageError
+from haina.errors import NetworkError, UsageError
 from haina.frames import Frame, MsgType, encode_frame
 from haina.node import NodeServer, NodeService
 from haina.nodefile import make_node_file, parse_node_file
@@ -252,14 +252,13 @@ class TestResolve:
         recorder = _Recorder(net)
         holders = resolve(recorder, "u:0", [first, second], nf)
         assert len(recorder.frames) == 1
-        assert [[node for node, _ in found] for found in holders] == [["a:1"], ["a:1", "b:1"]]
+        assert holders == [["a:1"], ["a:1", "b:1"]]
 
     def test_unique_holder_found(self):
         net, nf, services = _sim_pair()
         raw = serialize_block(_block())
         address = services["b:1"].store.put(raw)
-        ((node, _),) = resolve(net, "u:0", [address], nf)[0]
-        assert node == "b:1"
+        assert resolve(net, "u:0", [address], nf) == [["b:1"]]
 
     def test_lowest_latency_holder_wins(self):
         nodes = ("a:1", "b:1", "c:1")
@@ -276,14 +275,11 @@ class TestResolve:
         raw = serialize_block(_block())
         address = services["a:1"].store.put(raw)
         services["b:1"].store.put(raw)
-        (node, elapsed), _ = resolve(net, "u:0", [address], nf)[0]
-        assert node == "b:1"
-        assert elapsed == 5.0
+        assert resolve(net, "u:0", [address], nf) == [["b:1", "a:1"]]
 
     def test_unknown_address_not_found(self):
         net, nf, _ = _sim_pair()
-        with pytest.raises(IncompleteChainError):
-            resolve(net, "u:0", [bytes(32)], nf)
+        assert resolve(net, "u:0", [bytes(32)], nf) == [[]]
 
 
 class _SlowEcho:
@@ -305,7 +301,7 @@ def _serve(port=0, service=None):
 
 
 def _stop(*servers):
-    # each shutdown() waits up to one 0.5 s poll of serve_forever; overlap them
+    # each shutdown() waits up to one poll of serve_forever; overlap them
     stoppers = [threading.Thread(target=server.shutdown) for server in servers]
     for stopper in stoppers:
         stopper.start()
@@ -369,6 +365,32 @@ class TestTransportContract:
             replies = net.broadcast("client:0", addresses, Frame(MsgType.PING))
             assert [replies[a][0].type for a in addresses] == [MsgType.PONG] * 3
         assert threading.active_count() == threads
+
+    def test_fan_out_runs_its_calls_at_once(self):
+        # each call returns only once both are waiting on the barrier
+        barrier = threading.Barrier(2, timeout=5)
+        net = RealNet()
+        try:
+            assert net.fan_out(lambda item: (barrier.wait(), item)[1], ["a", "b"]) == ["a", "b"]
+        finally:
+            net.close()
+
+    def test_fan_out_raises_only_after_every_call_ended(self):
+        finished = []
+
+        def call(item):
+            if item == "fails":
+                raise NetworkError("first call fails at once")
+            time.sleep(0.2)
+            finished.append(item)
+
+        net = RealNet()
+        try:
+            with pytest.raises(NetworkError):
+                net.fan_out(call, ["fails", "slow"])
+            assert finished == ["slow"]
+        finally:
+            net.close()
 
     def test_stopped_node_fails_and_restarted_node_answers(self, connects):
         server, listen = _serve()

@@ -64,10 +64,18 @@ class TestPickFirstBeginner:
 
 
 class StubTransport:
-    """Scripted follower replies: addr -> (freespace bytes, rtt ms) or None."""
+    """Scripted follower replies: addr -> (freespace bytes, rtt ms) or None.
+
+    Like SimNet, a broadcast advances the clock by its slowest reply, or
+    by the timeout when any follower stays silent.
+    """
 
     def __init__(self, replies):
         self.replies = replies
+        self.clock = 0.0
+
+    def now(self):
+        return self.clock
 
     def broadcast(self, origin, dsts, frame, timeout_ms):
         out = {}
@@ -80,6 +88,7 @@ class StubTransport:
             else:
                 free, rtt = entry
                 out[dst] = (Frame(MsgType.TAKEPART, {"freespace": str(free)}), rtt)
+        self.clock += max(timeout_ms if reply is None else reply[1] for reply in out.values())
         return out
 
 
