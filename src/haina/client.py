@@ -26,6 +26,7 @@ from .crypto import (
 )
 from .errors import (
     CampaignError,
+    HainaError,
     IncompleteChainError,
     IntegrityError,
     NetworkError,
@@ -252,28 +253,33 @@ def _next_replacement(transport, nf, rng, cfg, records, rate, prev_candidates, f
     return chosen
 
 
-def _fetch_from(transport, address, holders, timeout_ms):
-    """Fetch one block from its holders' node addresses, in order.
+def _fetch(transport, addresses, holders, timeout_ms):
+    """Fetch each content address from its holders' node addresses, in order.
 
-    A reply counts only if its data domain hashes to `address`; anything
-    else is a miss and the next holder is asked.  Returns the locked
-    Block, or None when no holder served it.
+    `holders[i]` lists the nodes to ask for `addresses[i]`.  The first
+    holder of every address is asked in one exchange; the addresses that
+    missed go to their next holder in the next exchange, and so on.  A
+    reply counts only if it is BLOCK_DATA, deserializes, and its data
+    domain hashes to its address.  Returns one locked Block per address,
+    or None where no holder served it.
     """
-    query = Frame(MsgType.GET_BLOCK, {"address": address.hex()})
-    for node in holders:
-        try:
-            reply, _ = transport.request(USER_ADDRESS, node, query, timeout_ms)
-        except NetworkError:
-            continue
-        if reply.type is not MsgType.BLOCK_DATA:
-            continue
-        try:
-            block = deserialize_block(reply.body)
-        except UsageError:
-            continue
-        if hashing.digest(block.data) == address:
-            return block
-    return None
+    blocks = [None] * len(addresses)
+    rank = 0
+    while True:
+        asked = [i for i, nodes in enumerate(holders) if blocks[i] is None and rank < len(nodes)]
+        if not asked:
+            return blocks
+        queries = [(holders[i][rank], Frame(MsgType.GET_BLOCK, {"address": addresses[i].hex()})) for i in asked]
+        for i, result in zip(asked, transport.exchange(USER_ADDRESS, queries, timeout_ms)):
+            if isinstance(result, HainaError) or result[0].type is not MsgType.BLOCK_DATA:
+                continue
+            try:
+                block = deserialize_block(result[0].body)
+            except UsageError:
+                continue
+            if hashing.digest(block.data) == addresses[i]:
+                blocks[i] = block
+        rank += 1
 
 
 def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors: int) -> FetchResult:
@@ -346,18 +352,18 @@ def download(
 
     # header block: ask the recorded first beginner, fall back to resolution
     start = transport.now()
-    header_block = _fetch_from(transport, meta.header_digest, [meta.first_beginner], timeout_ms)
+    header = [meta.header_digest]
+    (header_block,) = _fetch(transport, header, [[meta.first_beginner]], timeout_ms)
     if header_block is None:
-        (holders,) = resolve(transport, USER_ADDRESS, [meta.header_digest], nf, timeout_ms)
-        header_block = _fetch_from(transport, meta.header_digest, holders, timeout_ms)
+        holders = resolve(transport, USER_ADDRESS, header, nf, timeout_ms)
+        (header_block,) = _fetch(transport, header, holders, timeout_ms)
         if header_block is None:
             raise IncompleteChainError([meta.header_digest])
     header_ms = transport.now() - start
 
     def fetcher(addresses):
         # one HAS_BLOCK broadcast for the whole round, then its GET_BLOCKs at once
-        targets = list(zip(addresses, resolve(transport, USER_ADDRESS, addresses, nf, timeout_ms)))
-        return transport.fan_out(lambda target: _fetch_from(transport, *target, timeout_ms), targets)
+        return _fetch(transport, addresses, resolve(transport, USER_ADDRESS, addresses, nf, timeout_ms), timeout_ms)
 
     fetch = bdam_fetch if mode == "bi" else unidirectional_fetch
     result = fetch(meta, header_block, fetcher)

@@ -10,7 +10,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .errors import NetworkError, ParseError
+from .errors import HainaError, ParseError
 
 MAGIC = b"HAIN"
 HEADER_FMT = struct.Struct(">4sBIQ")  # magic, type, header len, body len
@@ -112,17 +112,13 @@ def error_frame(reason: str) -> Frame:
 
 
 def broadcast(transport, origin: str, dsts, frame: Frame, timeout_ms: float = 1000.0) -> dict:
-    """Send one frame to many nodes at once over `transport.fan_out`.
+    """Send one frame to many nodes at once: one `transport.exchange`.
 
     Returns dst -> (reply, round-trip ms) in `dsts` order, or None where
-    the request failed.  Both transports bind this as their `broadcast`.
+    the request ended in an error, so a silent node or a malformed reply
+    costs only its own entry.  Both transports bind this as their
+    `broadcast`.
     """
-
-    def ask(dst):
-        try:
-            return transport.request(origin, dst, frame, timeout_ms)
-        except NetworkError:
-            return None
-
     dsts = list(dsts)
-    return dict(zip(dsts, transport.fan_out(ask, dsts)))
+    results = transport.exchange(origin, [(dst, frame) for dst in dsts], timeout_ms)
+    return {dst: None if isinstance(result, HainaError) else result for dst, result in zip(dsts, results)}

@@ -1,80 +1,90 @@
-"""Socket transport: the same request/fan_out/now contract as the simulator.
+"""Socket transport: the same request/exchange/now contract as the simulator.
 
-Connections persist: each `RealNet` keeps a stack of idle sockets per
-peer and reuses one for the next request to that peer.  A socket goes
-back on its stack only after a whole reply was read from it; any
-timeout or error closes it, so a late reply can never be read as the
-answer to a later request.  A reused socket that the peer has closed
-(for example, after a node restart) costs one retry on a fresh
-connection.  `fan_out` runs its first call on the calling thread and
-the rest on one executor per `RealNet`, and joins them all.  `now()`
-and every round-trip read the monotonic clock.
+`exchange` sends every request from the calling thread, then waits for
+all the replies in one `select.poll()` loop against one deadline, so no
+thread is ever started.  Connections persist: each `RealNet` keeps a
+stack of idle non-blocking sockets per peer and reuses one for the next
+request to that peer.  A socket goes back on its stack only after a
+whole reply was read from it; any timeout or error closes it, so a late
+reply can never be read as the answer to a later request.  A reused
+socket that the peer has closed (for example, after a node restart)
+costs one retry on a fresh connection, within the time left.  A fresh
+connect is bounded by that time too: on loopback, and for a peer that is
+up but silent, the kernel completes it without waiting on the peer.
+`now()` and every round-trip read the monotonic clock.
 """
 
+import select
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 
-from .errors import NetworkError, ParseError
+from .errors import HainaError, NetworkError, ParseError
 from .frames import FRAME_OVERHEAD, HEADER_FMT, MAGIC, MAX_FRAME, Frame, broadcast, decode_frame, encode_frame
-
-FAN_OUT_WORKERS = 32
 
 
 def send_frame(sock, frame: Frame):
     sock.sendall(encode_frame(frame))
 
 
-def _recv_into(sock, view) -> bool:
-    """Fill `view` from the socket; False if the peer closed it first."""
-    while view:
-        n = sock.recv_into(view)
-        if n == 0:
-            return False
-        view = view[n:]
-    return True
+class _PeerClosed(ConnectionError):
+    """The peer closed or reset the connection before the frame's first byte."""
+
+
+class _Reader:
+    """One frame, read from a socket as its bytes arrive: the 17-byte
+    head, then exactly as many bytes as the head declares."""
+
+    __slots__ = ("got", "raw", "view")
+
+    def __init__(self):
+        self.got = 0  # bytes read so far
+        self.raw = bytearray(FRAME_OVERHEAD)  # the head, then the whole frame
+        self.view = memoryview(self.raw)  # the part of `raw` still to read
+
+    def read(self, sock) -> bool:
+        """Read what has arrived; True once the whole frame is in.
+
+        Raises _PeerClosed if the peer closed or reset the connection
+        before the frame's first byte.
+        """
+        while self.view:
+            try:
+                n = sock.recv_into(self.view)
+            except BlockingIOError:
+                return False
+            except ConnectionResetError:
+                if self.got:
+                    raise
+                n = 0
+            if n == 0:
+                if self.got:
+                    raise ParseError("frame", "connection closed mid-frame")
+                raise _PeerClosed("the peer closed the connection")
+            self.got += n
+            self.view = self.view[n:]
+            if self.got == FRAME_OVERHEAD and not self.view:
+                magic, _, header_len, body_len = HEADER_FMT.unpack(self.raw)
+                if magic != MAGIC:
+                    raise ParseError("frame", f"bad magic {magic!r}")
+                total = FRAME_OVERHEAD + header_len + body_len
+                if total > MAX_FRAME:
+                    raise ParseError("frame", "declared frame size exceeds cap")
+                head, self.raw = self.raw, bytearray(total)
+                self.raw[:FRAME_OVERHEAD] = head
+                self.view = memoryview(self.raw)[FRAME_OVERHEAD:]
+        return True
 
 
 def recv_frame(sock):
-    """Read one frame; returns None if the peer closed or reset the
-    connection before the frame's first byte."""
-    head = bytearray(FRAME_OVERHEAD)
+    """Read one frame from a blocking socket; returns None if the peer
+    closed or reset the connection before the frame's first byte."""
+    reader = _Reader()
     try:
-        n = sock.recv_into(head)
-    except ConnectionResetError:
+        reader.read(sock)
+    except _PeerClosed:
         return None
-    if n == 0:
-        return None
-    if not _recv_into(sock, memoryview(head)[n:]):
-        raise ParseError("frame", "connection closed mid-frame")
-    magic, _, header_len, body_len = HEADER_FMT.unpack(head)
-    if magic != MAGIC:
-        raise ParseError("frame", f"bad magic {magic!r}")
-    total = FRAME_OVERHEAD + header_len + body_len
-    if total > MAX_FRAME:
-        raise ParseError("frame", "declared frame size exceeds cap")
-    raw = bytearray(total)
-    raw[:FRAME_OVERHEAD] = head
-    if not _recv_into(sock, memoryview(raw)[FRAME_OVERHEAD:]):
-        raise ParseError("frame", "connection closed mid-frame")
-    return decode_frame(raw)
-
-
-def _exchange(sock, data: bytes, timeout_s: float):
-    """Send one encoded frame and read its reply.
-
-    Returns None when the peer had closed the connection before the
-    reply's first byte; a timeout always raises.
-    """
-    sock.settimeout(timeout_s)
-    try:
-        sock.sendall(data)
-    except socket.timeout:
-        raise
-    except OSError:
-        return None
-    return recv_frame(sock)
+    return decode_frame(reader.raw)
 
 
 def parse_address(address: str):
@@ -85,18 +95,52 @@ def parse_address(address: str):
         raise ParseError("address", f"{address!r} is not host:port") from None
 
 
+def _connect(dst: str, timeout_ms: float):
+    """A fresh non-blocking socket to `dst`, connected within `timeout_ms`."""
+    if timeout_ms <= 0:
+        raise TimeoutError("timed out")
+    sock = socket.create_connection(parse_address(dst), timeout=timeout_ms / 1000.0)
+    sock.setblocking(False)
+    return sock
+
+
+class _Call:
+    """One request of an `exchange`: its socket and how far it got."""
+
+    __slots__ = ("dst", "data", "sent", "sock", "reused", "reply", "result")
+
+    def __init__(self, dst: str, data: bytes):
+        self.dst = dst
+        self.data = data  # the encoded request
+        self.sent = 0
+        self.sock = None
+        self.reused = False  # the socket came off the idle stack
+        self.reply = _Reader()
+        self.result = None
+
+    def send(self) -> bool:
+        """Send what is left of the request; True once all of it is out."""
+        while self.sent < len(self.data):
+            try:
+                self.sent += self.sock.send(memoryview(self.data)[self.sent :])
+            except BlockingIOError:
+                return False
+        return True
+
+
 class RealNet:
     """Client-side transport over TCP sockets.
 
     The `origin` argument is accepted for interface parity with the
     simulator; real sockets always originate from the caller's host.
-    Call `close()` to release the idle sockets and the fan-out workers.
+    Every call keeps its state to itself, so the handler threads of a
+    node may share one `RealNet`.  Call `close()` to release the idle
+    sockets.
     """
 
     def __init__(self):
         self._idle = {}  # peer address -> idle sockets, most recently used last
         self._lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(max_workers=FAN_OUT_WORKERS)
 
     def _take(self, dst: str):
         with self._lock:
@@ -108,54 +152,95 @@ class RealNet:
             self._idle.setdefault(dst, []).append(sock)
 
     def request(self, origin: str, dst: str, frame: Frame, timeout_ms: float = 1000.0):
-        address = parse_address(dst)
-        timeout_s = timeout_ms / 1000.0
-        data = encode_frame(frame)
+        """One request: (reply, round-trip ms), or raises what ended it."""
+        (result,) = self.exchange(origin, [(dst, frame)], timeout_ms)
+        if isinstance(result, HainaError):
+            raise result
+        return result
+
+    def exchange(self, origin: str, requests, timeout_ms: float = 1000.0) -> list:
+        """Send every (dst, frame) request at once and wait for all the replies.
+
+        Returns, in request order, (reply, round-trip ms) for each request
+        that succeeded, or the HainaError that ended it.  Every request is
+        sent before the first wait, and all of them share one deadline,
+        `timeout_ms` from now.  A frame that cannot be encoded raises
+        before anything is sent.
+        """
         t0 = self.now()
-        sock = self._take(dst)
-        reply = None
+        deadline = t0 + timeout_ms
+        calls = [_Call(dst, encode_frame(frame)) for dst, frame in requests]
+        poller = select.poll()
+        waiting = {}  # socket fd -> the call waiting on it
+        ready = calls
         try:
-            if sock is not None:
-                reply = _exchange(sock, data, timeout_s)
-                if reply is None:  # the peer dropped the idle socket: retry once, fresh
-                    sock.close()
-            if reply is None:
-                sock = socket.create_connection(address, timeout=timeout_s)
-                reply = _exchange(sock, data, timeout_s)
+            while True:
+                for call in ready:
+                    events = self._step(call, t0, deadline)
+                    if events:
+                        fd = call.sock.fileno()
+                        poller.register(fd, events)
+                        waiting[fd] = call
+                left = deadline - self.now()
+                if not waiting or left <= 0:
+                    break
+                ready = []
+                for fd, _ in poller.poll(left):
+                    poller.unregister(fd)
+                    ready.append(waiting.pop(fd))
+        finally:
+            for call in waiting.values():
+                call.sock.close()
+                call.result = NetworkError(f"request to {call.dst} failed: timed out")
+        return [call.result for call in calls]
+
+    def _step(self, call, t0: float, deadline: float) -> int:
+        """Take `call` as far as its socket allows without waiting.
+
+        Returns the poll events it waits for next, or 0 once it ended
+        with its result set.
+        """
+        try:
+            if call.sock is None:  # the first step
+                call.sock = self._take(call.dst)
+                call.reused = call.sock is not None
+                if not call.reused:
+                    call.sock = _connect(call.dst, deadline - self.now())
+            while True:
+                try:
+                    if call.sent < len(call.data):  # all sent: the first read waits for the poll
+                        return select.POLLIN if call.send() else select.POLLOUT
+                    if not call.reply.read(call.sock):
+                        return select.POLLIN
+                    break
+                except OSError:
+                    if not call.reused or call.reply.got:
+                        raise
+                # the peer dropped the idle socket: retry once, fresh
+                call.sock.close()
+                call.sock, call.reused, call.sent = None, False, 0
+                call.sock = _connect(call.dst, deadline - self.now())
+            result = (decode_frame(call.reply.raw), self.now() - t0)
         except OSError as exc:
-            if sock is not None:
-                sock.close()
-            raise NetworkError(f"request to {dst} failed: {exc}") from None
-        except ParseError:
-            sock.close()
-            raise
-        if reply is None:
-            sock.close()
-            raise NetworkError(f"{dst} closed the connection")
-        self._give(dst, sock)
-        return reply, self.now() - t0
+            result = NetworkError(f"request to {call.dst} failed: {exc}")
+        except ParseError as exc:
+            result = exc.with_traceback(None)  # its traceback would hold `call` in a cycle
+        else:
+            self._give(call.dst, call.sock)
+            call.sock = None
+        if call.sock is not None:
+            call.sock.close()
+        call.data = call.reply = None
+        call.result = result
+        return 0
 
     def now(self) -> float:
         return time.monotonic() * 1000.0
 
-    def fan_out(self, fn, items) -> list:
-        """Return [fn(item) for item in a sequence of items], with the calls run at once.
-
-        The first call runs on the calling thread and the rest on the
-        executor, which starts its workers only as calls need them.
-        """
-        futures = [self._pool.submit(fn, item) for item in items[1:]]
-        try:
-            return [fn(item) for item in items[:1]] + [future.result() for future in futures]
-        except BaseException:
-            wait(futures)  # a call that raised leaves no other still running
-            raise
-
     broadcast = broadcast
 
     def close(self):
-        """Stop the fan-out workers and close every idle socket."""
-        self._pool.shutdown()
+        """Close every idle socket."""
         with self._lock:
             idle, self._idle = self._idle, {}
         for stack in idle.values():

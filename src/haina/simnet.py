@@ -1,9 +1,9 @@
 """Deterministic simulated network with virtual time.
 
 Each message is delayed by the ordered-pair one-way latency plus
-seeded jitter.  The whole simulation is single-threaded: `fan_out`
+seeded jitter.  The whole simulation is single-threaded: `exchange`
 (election polls, resolver broadcasts, a round's block fetches) starts
-every call at the same virtual time and charges the slowest of them
+every request at the same virtual time and charges the slowest of them
 rather than their sum, so a fixed seed reproduces every trace and
 timing bit-for-bit.
 """
@@ -12,7 +12,7 @@ import math
 import random
 from collections import deque
 
-from .errors import NetworkError, UsageError
+from .errors import HainaError, NetworkError, UsageError
 from .frames import Frame, broadcast
 
 UNREACHABLE = math.inf
@@ -92,14 +92,22 @@ class SimNet:
     def now(self) -> float:
         return self.clock
 
-    def fan_out(self, fn, items) -> list:
-        """Return [fn(item) for item in items], each call starting at the same virtual
-        time; the clock is left at the latest finish, not at the sum."""
+    def exchange(self, origin: str, requests, timeout_ms: float = 1000.0) -> list:
+        """Run `request` for each (dst, frame), every one starting at the same virtual time.
+
+        Returns, in order, (reply, round-trip ms) or the HainaError that
+        ended the request; the clock is left at the latest finish, not at
+        the sum.
+        """
         t0 = end = self.clock
         results = []
-        for item in items:
+        for dst, frame in requests:
             self.clock = t0
-            results.append(fn(item))
+            try:
+                results.append(self.request(origin, dst, frame, timeout_ms))
+            except HainaError as exc:
+                # its traceback would hold this frame, and so `results`, in a cycle
+                results.append(exc.with_traceback(None))
             if self.clock > end:
                 end = self.clock
         self.clock = end

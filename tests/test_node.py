@@ -1,5 +1,6 @@
 import random
 import socket
+import socketserver
 import sys
 import threading
 import time
@@ -8,12 +9,13 @@ import pytest
 
 from haina.blockstore import BlockStore
 from haina.chain import build_chain, serialize_block
+from haina.client import download, upload
 from haina.errors import NetworkError, UsageError
 from haina.frames import Frame, MsgType, encode_frame
 from haina.node import NodeServer, NodeService
 from haina.nodefile import make_node_file, parse_node_file
 from haina.por import PorConfig, run_campaign
-from haina.realnet import RealNet
+from haina.realnet import RealNet, recv_frame, send_frame
 from haina.resolve import resolve
 from haina.simnet import LinkModel, SimNet
 
@@ -311,6 +313,35 @@ def _stop(*servers):
         server.server_close()
 
 
+class _SpeaksGarbage(socketserver.BaseRequestHandler):
+    """Answers every frame with 17 bytes that are not a frame head."""
+
+    def handle(self):
+        while recv_frame(self.request) is not None:
+            self.request.sendall(b"XXXX" + bytes(13))
+
+
+class _ReadsLate(socketserver.BaseRequestHandler):
+    """Starts reading 0.2 s after the connection opens, then answers every frame with a PONG."""
+
+    def handle(self):
+        time.sleep(0.2)
+        while recv_frame(self.request) is not None:
+            send_frame(self.request, Frame(MsgType.PONG))
+
+
+class _RawServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+
+
+def _serve_raw(handler, port=0):
+    """Start a loopback server that answers through `handler`, not a NodeService; returns (server, address)."""
+    server = _RawServer(("127.0.0.1", port), handler)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+    return server, f"127.0.0.1:{server.server_address[1]}"
+
+
 @pytest.fixture
 def connects(monkeypatch):
     """Record every socket.create_connection call."""
@@ -357,40 +388,48 @@ class TestTransportContract:
             assert reply.type is MsgType.PONG
         assert len(connects) == 1
 
-    def test_broadcast_starts_no_threads_after_the_first(self, tcp_nodes):
+    def test_realnet_starts_no_thread(self, tcp_nodes):
         addresses, net = tcp_nodes
-        net.broadcast("client:0", addresses, Frame(MsgType.PING))
+        for address in addresses:  # a node starts one handler thread per new connection
+            net.request("client:0", address, Frame(MsgType.PING))
         threads = threading.active_count()
-        for _ in range(10):
+        for _ in range(11):
             replies = net.broadcast("client:0", addresses, Frame(MsgType.PING))
             assert [replies[a][0].type for a in addresses] == [MsgType.PONG] * 3
         assert threading.active_count() == threads
 
-    def test_fan_out_runs_its_calls_at_once(self):
-        # each call returns only once both are waiting on the barrier
-        barrier = threading.Barrier(2, timeout=5)
+    @staticmethod
+    def _exchange(delays, timeout_ms):
+        """One exchange of a PING to each of len(delays) slow echo nodes: (results, wall seconds)."""
+        served = [_serve(service=_SlowEcho()) for _ in delays]
         net = RealNet()
         try:
-            assert net.fan_out(lambda item: (barrier.wait(), item)[1], ["a", "b"]) == ["a", "b"]
+            requests = [
+                (listen, Frame(MsgType.PING, {"n": str(i), "delay": str(delay)}))
+                for i, ((_, listen), delay) in enumerate(zip(served, delays))
+            ]
+            t0 = time.monotonic()
+            results = net.exchange("client:0", requests, timeout_ms)
+            return results, time.monotonic() - t0
         finally:
             net.close()
+            _stop(*(server for server, _ in served))
 
-    def test_fan_out_raises_only_after_every_call_ended(self):
-        finished = []
+    def test_exchange_waits_for_the_replies_at_once(self):
+        results, elapsed = self._exchange([0.2, 0.2], timeout_ms=2000)
+        assert [reply.header["n"] for reply, _ in results] == ["0", "1"]
+        assert elapsed < 0.4
 
-        def call(item):
-            if item == "fails":
-                raise NetworkError("first call fails at once")
-            time.sleep(0.2)
-            finished.append(item)
+    def test_silent_peer_costs_only_its_own_reply(self):
+        results, elapsed = self._exchange([0, 1.0, 0], timeout_ms=300)
+        assert [results[i][0].header["n"] for i in (0, 2)] == ["0", "2"]
+        assert isinstance(results[1], NetworkError)
+        assert 0.3 <= elapsed < 0.6
 
-        net = RealNet()
-        try:
-            with pytest.raises(NetworkError):
-                net.fan_out(call, ["fails", "slow"])
-            assert finished == ["slow"]
-        finally:
-            net.close()
+    def test_two_silent_peers_cost_one_deadline(self):
+        results, elapsed = self._exchange([1.0, 1.0], timeout_ms=300)
+        assert all(isinstance(result, NetworkError) for result in results)
+        assert 0.3 <= elapsed < 0.6
 
     def test_stopped_node_fails_and_restarted_node_answers(self, connects):
         server, listen = _serve()
@@ -427,6 +466,16 @@ class TestTransportContract:
             net.close()
             _stop(server)
 
+    def test_request_larger_than_the_socket_buffers_is_sent_in_parts(self):
+        server, listen = _serve_raw(_ReadsLate)
+        net = RealNet()
+        try:
+            reply, _ = net.request("client:0", listen, Frame(MsgType.PING, body=bytes(12 * 1024 * 1024)), 5000)
+            assert reply.type is MsgType.PONG
+        finally:
+            net.close()
+            _stop(server)
+
     def test_malformed_frame_keeps_the_connection(self, tcp_nodes, connects):
         (listen, *_), net = tcp_nodes
         bad, _ = net.request("client:0", listen, Frame(MsgType.GET_BLOCK, {"address": "not hex"}))
@@ -434,3 +483,46 @@ class TestTransportContract:
         good, _ = net.request("client:0", listen, Frame(MsgType.HAS_BLOCK, {"address": "00" * 32}))
         assert good.type is MsgType.HAS_BLOCK_REPLY and good.header["has"] == "0"
         assert len(connects) == 1
+
+
+class TestGarbageReplies:
+    """A node that answers with bytes that are not a frame costs only its own replies."""
+
+    def test_broadcast_keeps_the_good_reply(self):
+        good, good_listen = _serve()
+        bad, bad_listen = _serve_raw(_SpeaksGarbage)
+        net = RealNet()
+        try:
+            replies = net.broadcast("client:0", [good_listen, bad_listen], Frame(MsgType.PING))
+            assert replies[good_listen][0].type is MsgType.PONG
+            assert replies[bad_listen] is None
+        finally:
+            net.close()
+            _stop(good, bad)
+
+    def test_block_downloads_from_its_second_holder(self):
+        servers = [NodeServer(("127.0.0.1", 0), None) for _ in range(3)]
+        addresses = [f"127.0.0.1:{server.server_address[1]}" for server in servers]
+        nf = make_node_file(addresses)
+        services = {}
+        for server, address in zip(servers, addresses):
+            server.service = services[address] = NodeService(address, BlockStore(10**9), nf, PorConfig(), RealNet())
+            server.serve_background()
+        net = RealNet()
+        try:
+            file = random.Random(7).randbytes(3000)
+            meta = upload(file, 6, PorConfig(), nf, net, seed=7).meta
+            first = meta.first_beginner  # the header's recorded holder: asked first
+            second = next(a for a in addresses if a != first)
+            for address in services[first].store.addresses():
+                services[second].store.put(services[first].store.get(address))
+            i = addresses.index(first)
+            _stop(servers[i])
+            servers[i], _ = _serve_raw(_SpeaksGarbage, int(first.rpartition(":")[2]))
+            for mode in ("bi", "uni"):
+                assert download(meta, nf, net, mode=mode).data == file
+        finally:
+            net.close()
+            _stop(*servers)
+            for service in services.values():
+                service.transport.close()
