@@ -399,7 +399,7 @@ class TestTransportContract:
         assert threading.active_count() == threads
 
     @staticmethod
-    def _exchange(delays, timeout_ms):
+    def _ping_slow_echoes(delays, timeout_ms):
         """One exchange of a PING to each of len(delays) slow echo nodes: (results, wall seconds)."""
         served = [_serve(service=_SlowEcho()) for _ in delays]
         net = RealNet()
@@ -416,18 +416,18 @@ class TestTransportContract:
             _stop(*(server for server, _ in served))
 
     def test_exchange_waits_for_the_replies_at_once(self):
-        results, elapsed = self._exchange([0.2, 0.2], timeout_ms=2000)
+        results, elapsed = self._ping_slow_echoes([0.2, 0.2], timeout_ms=2000)
         assert [reply.header["n"] for reply, _ in results] == ["0", "1"]
         assert elapsed < 0.4
 
     def test_silent_peer_costs_only_its_own_reply(self):
-        results, elapsed = self._exchange([0, 1.0, 0], timeout_ms=300)
+        results, elapsed = self._ping_slow_echoes([0, 1.0, 0], timeout_ms=300)
         assert [results[i][0].header["n"] for i in (0, 2)] == ["0", "2"]
         assert isinstance(results[1], NetworkError)
         assert 0.3 <= elapsed < 0.6
 
     def test_two_silent_peers_cost_one_deadline(self):
-        results, elapsed = self._exchange([1.0, 1.0], timeout_ms=300)
+        results, elapsed = self._ping_slow_echoes([1.0, 1.0], timeout_ms=300)
         assert all(isinstance(result, NetworkError) for result in results)
         assert 0.3 <= elapsed < 0.6
 
