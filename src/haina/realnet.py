@@ -9,11 +9,14 @@ whole reply was read from it; any timeout or error closes it, so a late
 reply can never be read as the answer to a later request.  A reused
 socket that the peer has closed (for example, after a node restart)
 costs one retry on a fresh connection, within the time left.  A fresh
-connect is bounded by that time too: on loopback, and for a peer that is
-up but silent, the kernel completes it without waiting on the peer.
+connection is connected without blocking, in the same poll loop, so a
+peer that never completes the connect (a host that is down, or one
+that drops the SYN) costs only its own request.
 `now()` and every round-trip read the monotonic clock.
 """
 
+import errno
+import os
 import select
 import socket
 import threading
@@ -95,31 +98,49 @@ def parse_address(address: str):
         raise ParseError("address", f"{address!r} is not host:port") from None
 
 
-def _connect(dst: str, timeout_ms: float):
-    """A fresh non-blocking socket to `dst`, connected within `timeout_ms`."""
-    if timeout_ms <= 0:
-        raise TimeoutError("timed out")
-    sock = socket.create_connection(parse_address(dst), timeout=timeout_ms / 1000.0)
-    sock.setblocking(False)
-    return sock
-
-
 class _Call:
     """One request of an `exchange`: its socket and how far it got."""
 
-    __slots__ = ("dst", "data", "sent", "sock", "reused", "reply", "result")
+    __slots__ = ("dst", "data", "sent", "sock", "reused", "addrs", "connecting", "reply", "result")
 
     def __init__(self, dst: str, data: bytes):
         self.dst = dst
         self.data = data  # the encoded request
         self.sent = 0
         self.sock = None
-        self.reused = False  # the socket came off the idle stack
+        self.reused = None  # whether the socket came off the idle stack; None before the first step
+        self.addrs = None  # the addresses of `dst` not tried yet, once resolved
+        self.connecting = False  # a fresh connect was started and has not been seen to succeed
         self.reply = _Reader()
         self.result = None
 
+    def connect(self, left_ms: float) -> int:
+        """Start a non-blocking connect to the next address of `dst`.
+
+        Returns POLLOUT, the event that says the connect ended; `send`
+        then tells whether it succeeded.
+        """
+        if self.addrs is None:
+            host, port = parse_address(self.dst)
+            self.addrs = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
+        family, kind, proto, _, address = self.addrs.pop(0)
+        if left_ms <= 0:
+            raise TimeoutError("timed out")
+        self.sock = socket.socket(family, kind, proto)
+        self.sock.setblocking(False)
+        self.connecting = True
+        err = self.sock.connect_ex(address)
+        if err not in (0, errno.EINPROGRESS):
+            raise OSError(err, os.strerror(err))
+        return select.POLLOUT
+
     def send(self) -> bool:
         """Send what is left of the request; True once all of it is out."""
+        if self.connecting:
+            err = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if err:
+                raise OSError(err, os.strerror(err))
+            self.connecting = False
         while self.sent < len(self.data):
             try:
                 self.sent += self.sock.send(memoryview(self.data)[self.sent :])
@@ -172,7 +193,7 @@ class RealNet:
         calls = [_Call(dst, encode_frame(frame)) for dst, frame in requests]
         poller = select.poll()
         waiting = {}  # socket fd -> the call waiting on it
-        ready = calls
+        ready, late = calls, False
         try:
             while True:
                 for call in ready:
@@ -181,17 +202,20 @@ class RealNet:
                         fd = call.sock.fileno()
                         poller.register(fd, events)
                         waiting[fd] = call
-                left = deadline - self.now()
-                if not waiting or left <= 0:
+                if not waiting or late:
                     break
+                left = deadline - self.now()
+                late = left <= 0  # past the deadline: one last look at what is ready
                 ready = []
-                for fd, _ in poller.poll(left):
+                for fd, _ in poller.poll(max(left, 0)):
                     poller.unregister(fd)
                     ready.append(waiting.pop(fd))
         finally:
-            for call in waiting.values():
-                call.sock.close()
-                call.result = NetworkError(f"request to {call.dst} failed: timed out")
+            for call in calls:
+                if call.result is None:  # timed out, or the loop was interrupted
+                    if call.sock is not None:
+                        call.sock.close()
+                    call.result = NetworkError(f"request to {call.dst} failed: timed out")
         return [call.result for call in calls]
 
     def _step(self, call, t0: float, deadline: float) -> int:
@@ -201,25 +225,26 @@ class RealNet:
         with its result set.
         """
         try:
-            if call.sock is None:  # the first step
+            if call.reused is None:  # the first step
                 call.sock = self._take(call.dst)
                 call.reused = call.sock is not None
-                if not call.reused:
-                    call.sock = _connect(call.dst, deadline - self.now())
             while True:
                 try:
+                    if call.sock is None:
+                        return call.connect(deadline - self.now())
                     if call.sent < len(call.data):  # all sent: the first read waits for the poll
                         return select.POLLIN if call.send() else select.POLLOUT
                     if not call.reply.read(call.sock):
                         return select.POLLIN
                     break
                 except OSError:
-                    if not call.reused or call.reply.got:
+                    stale = call.reused and not call.reply.got  # the peer dropped the idle socket
+                    if not (stale or call.connecting and call.addrs):
                         raise
-                # the peer dropped the idle socket: retry once, fresh
-                call.sock.close()
+                # retry once on a fresh connection, or connect to the next address
+                if call.sock is not None:
+                    call.sock.close()
                 call.sock, call.reused, call.sent = None, False, 0
-                call.sock = _connect(call.dst, deadline - self.now())
             result = (decode_frame(call.reply.raw), self.now() - t0)
         except OSError as exc:
             result = NetworkError(f"request to {call.dst} failed: {exc}")

@@ -1,12 +1,15 @@
+import gc
 import random
 import socket
 import socketserver
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
+from haina import realnet
 from haina.blockstore import BlockStore
 from haina.chain import build_chain, serialize_block
 from haina.client import download, upload
@@ -344,15 +347,15 @@ def _serve_raw(handler, port=0):
 
 @pytest.fixture
 def connects(monkeypatch):
-    """Record every socket.create_connection call."""
+    """Record every connect a client socket starts (RealNet connects with socket.connect_ex)."""
     calls = []
-    create = socket.create_connection
+    connect_ex = socket.socket.connect_ex
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return create(*args, **kwargs)
+    def counting(sock, address):
+        calls.append(address)
+        return connect_ex(sock, address)
 
-    monkeypatch.setattr(socket, "create_connection", counting)
+    monkeypatch.setattr(socket.socket, "connect_ex", counting)
     return calls
 
 
@@ -430,6 +433,47 @@ class TestTransportContract:
         results, elapsed = self._ping_slow_echoes([1.0, 1.0], timeout_ms=300)
         assert all(isinstance(result, NetworkError) for result in results)
         assert 0.3 <= elapsed < 0.6
+
+    def test_peer_that_never_accepts_costs_only_its_own_reply(self):
+        # a listener whose accept queue is full drops further SYNs, as a host that is down does
+        unreachable = socket.socket()
+        unreachable.bind(("127.0.0.1", 0))
+        unreachable.listen(0)
+        filler = socket.create_connection(unreachable.getsockname())
+        unreachable_listen = f"127.0.0.1:{unreachable.getsockname()[1]}"
+        served = [_serve() for _ in range(2)]
+        addresses = [served[0][1], unreachable_listen, served[1][1]]
+        net = RealNet()
+        try:
+            t0 = time.monotonic()
+            replies = net.broadcast("client:0", addresses, Frame(MsgType.PING), timeout_ms=300)
+            elapsed = time.monotonic() - t0
+            assert [replies[a][0].type for a in (addresses[0], addresses[2])] == [MsgType.PONG] * 2
+            assert replies[unreachable_listen] is None
+            assert 0.3 <= elapsed < 0.6
+        finally:
+            net.close()
+            filler.close()
+            unreachable.close()
+            _stop(*(server for server, _ in served))
+
+    def test_interrupted_exchange_closes_every_socket(self, tcp_nodes, monkeypatch):
+        addresses, net = tcp_nodes
+        ports = {int(address.rpartition(":")[2]) for address in addresses}
+        read = realnet._Reader.read
+
+        def fails_on_the_client(reader, sock):  # the node side reads frames with the same reader
+            if sock.getpeername()[1] in ports:
+                raise MemoryError("no room for the reply")
+            return read(reader, sock)
+
+        monkeypatch.setattr(realnet._Reader, "read", fails_on_the_client)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(MemoryError):
+                net.broadcast("client:0", addresses, Frame(MsgType.PING))
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_stopped_node_fails_and_restarted_node_answers(self, connects):
         server, listen = _serve()
