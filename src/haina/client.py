@@ -72,19 +72,12 @@ class DownloadReport:
     stage_ms: dict  # header_fetch on transport.now(); decrypt wall-clock
 
 
-def _store_timeout(cfg: PorConfig) -> float:
-    # a store round-trip nests the campaign, so it needs headroom
-    return cfg.timeout_ms * 4
-
-
-def _store_header(next_size: int, elect: bool) -> dict:
-    return {"next_size": str(next_size), "elect": "1" if elect else "0"}
-
-
 def _place_block(transport, node, block, next_size, elect, cfg, nf):
     """Send one STORE_READY; returns (STORE_ACK, candidates or None, campaign ms, rtt)."""
-    frame = Frame(MsgType.STORE_READY, _store_header(next_size, elect), serialize_block(block))
-    ack, rtt = transport.request(USER_ADDRESS, node, frame, _store_timeout(cfg))
+    header = {"next_size": str(next_size), "elect": "1" if elect else "0"}
+    frame = Frame(MsgType.STORE_READY, header, serialize_block(block))
+    # a store round-trip nests the campaign, so it needs headroom
+    ack, rtt = transport.request(USER_ADDRESS, node, frame, cfg.timeout_ms * 4)
     if ack.type is not MsgType.STORE_ACK:
         reason = ack.header.get("reason", ack.type.name)
         raise NetworkError(f"store on {node} rejected: {reason}")
@@ -147,69 +140,59 @@ def upload(
     chain_ms = (time.perf_counter() - t0) * 1000.0
 
     sizes = [serialized_size(b) for b in blocks]
-    # SimNet never encodes frames, so check the TCP frame cap before any
-    # block is placed: a block travels out in STORE_READY and back in BLOCK_DATA
-    for i, block in enumerate(blocks):
-        for header in (_store_header(sizes[(i + 1) % n], i < n - 1), {"address": block.current_hash.hex()}):
-            total = frames.frame_size(header, sizes[i])
-            if total > frames.MAX_FRAME:
-                raise UsageError(
-                    f"block {i + 1} needs a {total}-byte frame, over the {frames.MAX_FRAME}-byte cap; "
-                    "choose a larger block count"
-                )
+    # SimNet never encodes frames, so check the TCP frame cap before any block is
+    # placed: the largest frame is the largest block's BLOCK_DATA, whose 74-byte
+    # header outweighs STORE_READY's (at most 30: `next_size` < MAX_FRAME)
+    largest = sizes.index(max(sizes))
+    total = frames.frame_size({"address": blocks[largest].current_hash.hex()}, sizes[largest])
+    if total > frames.MAX_FRAME:
+        raise UsageError(
+            f"block {largest + 1} needs a {total}-byte frame, over the {frames.MAX_FRAME}-byte cap; "
+            "choose a larger block count"
+        )
     records = ProvisionalRecords(total_blocks=n)
-    placements = [None] * n
-    decision_ms = [0.0] * n
-    transfer_ms = [0.0] * n
-    escalations = []
+    placements, decision_ms, transfer_ms, escalations = [], [], [], []
     rate = cfg.rate
+    current = _pick_reachable_beginner(transport, nf, rng, cfg)
+    candidates = nf.addresses  # the nodes that may hold the current block
 
-    first_beginner = _pick_reachable_beginner(transport, nf, rng, cfg)
-    current = first_beginner
-    prev_candidates = None  # candidate list that elected the current node
-
-    i = 0
-    while i < n:
-        block = blocks[i]
-        next_size = sizes[(i + 1) % n]
+    for i, block in enumerate(blocks):
         elect = i < n - 1
-        retries = 0
         failed = set()
         while True:
-            ack, candidates, campaign_ms, rtt = _place_block(
-                transport, current, block, next_size, elect, cfg, nf
+            ack, elected, campaign_ms, rtt = _place_block(
+                transport, current, block, sizes[(i + 1) % n], elect, cfg, nf
             )
             if check_store(ack, block.current_hash):
-                records.record(current)
                 break
+            # a failed check moves the block to a node not yet tried: a new
+            # reachable draw for block 0, the next fair candidate after it
             failed.add(current)
-            retries += 1
-            if retries > MAX_STORE_RETRIES:
+            untried = [a for a in candidates if a not in failed]
+            if len(failed) > MAX_STORE_RETRIES or not untried:
                 raise IntegrityError(
-                    f"block {i + 1} failed storage verification on {current} after {retries} attempts"
+                    f"block {i + 1} failed storage verification on {current} after {len(failed)} attempts"
                 )
-            current = _next_replacement(
-                transport, nf, rng, cfg, records, rate, prev_candidates, failed, i
-            )
             if i == 0:
-                first_beginner = current
-        placements[i] = current
-        decision_ms[i] = campaign_ms
-        transfer_ms[i] = rtt - campaign_ms
+                current = _pick_reachable_beginner(transport, nf, rng, cfg, excluded=failed)
+            else:
+                current, _, _ = check_rate(untried, records, rate, cfg.rate)
+        records.record(current)
+        placements.append(current)
+        decision_ms.append(campaign_ms)
+        transfer_ms.append(rtt - campaign_ms)
         if elect:
+            candidates = elected
             if i == n - 2 and len(candidates) > 1:
                 # the last block neighbours block 0 on the circle: a node holding
                 # both would hold H(last) and H(last) xor mask, and so the mask
-                candidates = [a for a in candidates if a != first_beginner]
-            chosen, rate, escalated = check_rate(candidates, records, rate, cfg.rate)
+                candidates = [a for a in candidates if a != placements[0]]
+            current, rate, escalated = check_rate(candidates, records, rate, cfg.rate)
             if escalated:
                 escalations.append((i + 1, rate))
-            prev_candidates = candidates
-            current = chosen
-        i += 1
 
     meta = build_meta_file(
-        first_beginner=first_beginner,
+        first_beginner=placements[0],
         header_digest=blocks[0].current_hash,
         mask=mask,
         block_count=n,
@@ -228,11 +211,12 @@ def upload(
 
 
 def _pick_reachable_beginner(transport, nf, rng, cfg, excluded=()):
+    """Draw roster nodes outside `excluded` (never the whole roster) until one answers PING."""
     last_error = None
-    for _ in range((MAX_STORE_RETRIES + 1) * max(len(nf), 1)):
+    for _ in range((MAX_STORE_RETRIES + 1) * len(nf)):  # one PING each
         candidate = pick_first_beginner(nf, rng.getrandbits(32))
-        if candidate in excluded:
-            continue
+        while candidate in excluded:
+            candidate = pick_first_beginner(nf, rng.getrandbits(32))
         try:
             reply, _ = transport.request(USER_ADDRESS, candidate, Frame(MsgType.PING), cfg.timeout_ms)
             if reply.type is MsgType.PONG:
@@ -240,17 +224,6 @@ def _pick_reachable_beginner(transport, nf, rng, cfg, excluded=()):
         except NetworkError as exc:
             last_error = exc
     raise NetworkError(f"no reachable first beginner found: {last_error}")
-
-
-def _next_replacement(transport, nf, rng, cfg, records, rate, prev_candidates, failed, block_index):
-    """After a failed storage check, pick the next node to try."""
-    if block_index == 0 or not prev_candidates:
-        return _pick_reachable_beginner(transport, nf, rng, cfg, excluded=failed)
-    remaining = [a for a in prev_candidates if a not in failed]
-    if not remaining:
-        raise CampaignError(f"no remaining candidate for block {block_index + 1}")
-    chosen, _, _ = check_rate(remaining, records, rate, cfg.rate)
-    return chosen
 
 
 def _fetch(transport, addresses, holders, timeout_ms):

@@ -108,25 +108,26 @@ def run_experiment(spec: ClusterSpec, name: str):
     return runner(spec)
 
 
-def _upload_once(spec, net, nf, cfg, rng):
-    file = rng.randbytes(spec.file_bytes)
-    return upload(file, spec.blocks, cfg, nf, net, rng=rng), file
+def _events(spec, net, nf, cfg):
+    """Run the spec's storage events on one seeded rng: yields (event id, upload report, file)."""
+    rng = random.Random(spec.seed)
+    for event in range(spec.events):
+        file = rng.randbytes(spec.file_bytes)
+        yield f"event{event:04d}", upload(file, spec.blocks, cfg, nf, net, rng=rng), file
 
 
 def _run_fairness(spec: ClusterSpec):
     """Many storage events; one block_node row per placement."""
     net, nf, services, cfg = build_cluster(spec)
-    rng = random.Random(spec.seed)
     rows = []
-    for event in range(spec.events):
-        report, _ = _upload_once(spec, net, nf, cfg, rng)
+    for event_id, report, _ in _events(spec, net, nf, cfg):
         counts = {}
         for addr in report.placements:
             counts[addr] = counts.get(addr, 0) + 1
         for addr, count in sorted(counts.items()):
             rows.append(
                 MetricsRow(
-                    event_id=f"event{event:04d}",
+                    event_id=event_id,
                     kind="block_node",
                     value=float(count),
                     context={"node": addr, "nf_index": node_index(nf, addr), "rate": spec.rate},
@@ -135,7 +136,7 @@ def _run_fairness(spec: ClusterSpec):
         for idx, new_rate in report.escalations:
             rows.append(
                 MetricsRow(
-                    event_id=f"event{event:04d}",
+                    event_id=event_id,
                     kind="stage_ms",
                     value=0.0,
                     context={"stage": "rate_escalation", "block": idx, "new_rate": new_rate},
@@ -147,16 +148,14 @@ def _run_fairness(spec: ClusterSpec):
 def _run_decision_time(spec: ClusterSpec):
     """Per-block campaign durations under the modeled latency."""
     net, nf, services, cfg = build_cluster(spec)
-    rng = random.Random(spec.seed)
     rows = []
-    for event in range(spec.events):
-        report, _ = _upload_once(spec, net, nf, cfg, rng)
+    for event_id, report, _ in _events(spec, net, nf, cfg):
         for i, ms in enumerate(report.decision_ms):
             if i == len(report.decision_ms) - 1:
                 continue  # the tail block triggers no election
             rows.append(
                 MetricsRow(
-                    event_id=f"event{event:04d}",
+                    event_id=event_id,
                     kind="decision_ms",
                     value=ms,
                     context={"block": i + 1, "clock": "virtual"},
@@ -168,15 +167,12 @@ def _run_decision_time(spec: ClusterSpec):
 def _run_bdam_speedup(spec: ClusterSpec):
     """Upload once, download both ways, compare fetch times."""
     net, nf, services, cfg = build_cluster(spec)
-    rng = random.Random(spec.seed)
     rows = []
-    for event in range(spec.events):
-        report, file = _upload_once(spec, net, nf, cfg, rng)
+    for event_id, report, file in _events(spec, net, nf, cfg):
         bi = download(report.meta, nf, net, mode="bi", timeout_ms=cfg.timeout_ms)
         uni = download(report.meta, nf, net, mode="uni", timeout_ms=cfg.timeout_ms)
         if bi.data != file or uni.data != file:
             raise UsageError("recovered file does not match the uploaded file")
-        event_id = f"event{event:04d}"
         rows.append(MetricsRow(event_id, "stage_ms", bi.fetch_ms, {"stage": "fetch_bi", "clock": "virtual"}))
         rows.append(MetricsRow(event_id, "stage_ms", uni.fetch_ms, {"stage": "fetch_uni", "clock": "virtual"}))
         rows.append(
@@ -193,12 +189,8 @@ def _run_bdam_speedup(spec: ClusterSpec):
 def _run_capacity(spec: ClusterSpec):
     """Aggregate stored bytes across all nodes vs. total chain bytes."""
     net, nf, services, cfg = build_cluster(spec)
-    rng = random.Random(spec.seed)
     rows = []
-    total_chain = 0
-    for event in range(spec.events):
-        report, _ = _upload_once(spec, net, nf, cfg, rng)
-        total_chain += sum(report.block_sizes)
+    total_chain = sum(sum(report.block_sizes) for _, report, _ in _events(spec, net, nf, cfg))
     total_stored = 0
     for addr in nf.addresses:
         used = services[addr].store.used_bytes

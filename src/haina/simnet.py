@@ -60,8 +60,6 @@ class SimNet:
 
     def add_node(self, address: str, service):
         self.services[address] = service
-        if hasattr(service, "transport"):
-            service.transport = self
 
     def remove_node(self, address: str):
         self.services.pop(address, None)

@@ -8,7 +8,7 @@ import pytest
 
 from haina import frames
 from haina.client import USER_ADDRESS, download, speedup, upload
-from haina.errors import IncompleteChainError, ParseError, UsageError
+from haina.errors import IncompleteChainError, IntegrityError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType
 from haina.metafile import parse_meta_file, serialize_meta_file
@@ -202,6 +202,51 @@ class TestFaultInjection:
         )
         with pytest.raises(IncompleteChainError):
             download(bad_meta, nf, net)
+
+
+class TestStoreRetries:
+    """A failed storage check moves the block on; when no node is left, upload raises IntegrityError."""
+
+    @staticmethod
+    def _corrupt(net, services, addresses):
+        for address in addresses:
+            net.add_node(address, _CorruptsStoredBytes(services[address]))
+
+    def test_every_node_corrupt_is_an_integrity_error(self):
+        net, nf, services, cfg = _cluster(nodes=3, seed=29)
+        self._corrupt(net, services, nf.addresses)
+        with pytest.raises(IntegrityError, match="block 1 .* after 3 attempts") as err:
+            upload(random.Random(29).randbytes(300), 4, cfg, nf, net, rng=random.Random(29))
+        assert err.value.exit_code == 4
+        stores = {entry[2] for entry in net.trace if entry[3] == "STORE_READY"}
+        assert stores == set(nf.addresses)
+
+    def test_honest_node_asked_before_the_beginner_draws_run_out(self):
+        # with this seed, once both corrupt nodes failed block 1, the next 16
+        # draws land on them again; they send no PING, so they spend no budget
+        net, nf, services, cfg = _cluster(nodes=3, seed=0)
+        honest = nf.addresses[2]
+        self._corrupt(net, services, nf.addresses[:2])
+        with pytest.raises(IntegrityError, match="block 2 .* after 2 attempts") as err:
+            upload(random.Random(58).randbytes(200), 2, cfg, nf, net, rng=random.Random(58))
+        assert err.value.exit_code == 4
+        assert services[honest].store.used_bytes > 0  # block 1 landed on it
+
+    def test_corrupting_first_draw_moves_the_header_block(self):
+        net, nf, services, cfg = _cluster(nodes=5, seed=31)
+        probe = random.Random(31)
+        probe.getrandbits(64)  # timestamp draw precedes the beginner draw
+        probe.randbytes(32)  # mask
+        probe.randbytes(16)  # iv
+        first_pick = nf.addresses[probe.getrandbits(32) % len(nf)]
+        self._corrupt(net, services, [first_pick])
+        file = random.Random(31).randbytes(2000)
+        report = upload(file, 12, cfg, nf, net, seed=31)
+        assert any(entry[2] == first_pick and entry[3] == "STORE_READY" for entry in net.trace)
+        assert report.meta.first_beginner == report.placements[0]
+        assert report.placements[0] != first_pick
+        assert report.placements[-1] != report.placements[0]
+        assert download(report.meta, nf, net).data == file
 
 
 class _CorruptsStoredBytes:
