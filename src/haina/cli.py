@@ -15,9 +15,9 @@ from .experiments import EXPERIMENTS, parse_cluster_spec, run_experiment
 from .metafile import META_SUFFIX, parse_meta_file, serialize_meta_file
 from .metrics import MetricsRow, rows_to_csv
 from .node import NodeServer, NodeService
-from .nodefile import parse_node_file, update_node_file
+from .nodefile import parse_address, parse_node_file, update_node_file
 from .por import PorConfig
-from .realnet import RealNet, parse_address
+from .realnet import RealNet
 from .frames import Frame, MsgType
 
 log = logging.getLogger("haina")

@@ -8,6 +8,7 @@ one cursor (forward) or two (forward and backward), then reassembles
 and decrypts the file.
 """
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -83,8 +84,10 @@ def _place_block(transport, node, block, next_size, elect, cfg, nf):
         raise NetworkError(f"store on {node} rejected: {reason}")
     try:
         campaign_ms = float(ack.header.get("campaign_ms", "0") or 0)
+        if not 0 <= campaign_ms < math.inf:
+            raise ValueError
     except ValueError:
-        raise ParseError("campaign_ms", "not a number") from None
+        raise ParseError("campaign_ms", "not a finite non-negative number") from None
     candidates = None
     if elect:
         if "candidates" in ack.header:

@@ -10,7 +10,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .errors import HainaError, ParseError
+from .errors import ParseError
 
 MAGIC = b"HAIN"
 HEADER_FMT = struct.Struct(">4sBIQ")  # magic, type, header len, body len
@@ -110,15 +110,3 @@ def decode_frame(raw) -> Frame:
 def error_frame(reason: str) -> Frame:
     return Frame(MsgType.ERROR, {"reason": reason})
 
-
-def broadcast(transport, origin: str, dsts, frame: Frame, timeout_ms: float = 1000.0) -> dict:
-    """Send one frame to many nodes at once: one `transport.exchange`.
-
-    Returns dst -> (reply, round-trip ms) in `dsts` order, or None where
-    the request ended in an error, so a silent node or a malformed reply
-    costs only its own entry.  Both transports bind this as their
-    `broadcast`.
-    """
-    dsts = list(dsts)
-    results = transport.exchange(origin, [(dst, frame) for dst in dsts], timeout_ms)
-    return {dst: None if isinstance(result, HainaError) else result for dst, result in zip(dsts, results)}

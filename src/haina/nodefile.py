@@ -26,11 +26,20 @@ class NodeFile:
         return hashing.digest(self.canonical_bytes())
 
 
+def parse_address(address: str, field: str = "address"):
+    """Split "host:port" into (host, port); raises ParseError(field) if the port is not an integer."""
+    host, _, port = address.rpartition(":")
+    try:
+        return host, int(port)
+    except ValueError:
+        raise ParseError(field, f"{address!r} is not host:port") from None
+
+
 def make_node_file(addresses) -> NodeFile:
     addrs = sorted(set(addresses))
     for a in addrs:
-        if not isinstance(a, str) or ":" not in a:
-            raise ParseError("node_file", f"address {a!r} is not host:port")
+        if not isinstance(a, str) or ":" not in a or not 0 < parse_address(a, "node_file")[1] < 65536:
+            raise ParseError("node_file", f"address {a!r} is not host:port with a port in 1-65535")
         if "," in a:
             raise ParseError("node_file", f"address {a!r} contains ',', the candidate list separator")
     return NodeFile(addresses=tuple(addrs))

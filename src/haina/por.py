@@ -9,7 +9,7 @@ check against its per-event tally and notifies the winner.
 
 from dataclasses import dataclass, field
 
-from .errors import CampaignError, UsageError
+from .errors import CampaignError, HainaError, UsageError
 from .frames import Frame, MsgType
 from .nodefile import NodeFile
 
@@ -70,26 +70,26 @@ BYTES_PER_GB = 10**9
 
 
 def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, cfg: PorConfig) -> CampaignResult:
-    """Poll every roster member except the beginner and rank the replies.
+    """Poll every roster member except the beginner in one `exchange`, and rank the replies.
 
     A node appears in the result only if it answered within the timeout
-    with enough free space; refusals, silence and a `freespace` that is
-    not an integer drop it for this round.  Ties in value keep node-file
-    order.
+    with enough free space; refusals, silence, errors and a `freespace`
+    that is not an integer drop it for this round.  Ties in value keep
+    node-file order.
     """
     followers = [a for a in nf.addresses if a != beginner]
     if not followers:
         raise CampaignError("no follower to poll: node file has a single member")
     election = Frame(MsgType.ELECTION, {"size": str(next_block_size)})
     t0 = transport.now()
-    replies = transport.broadcast(beginner, followers, election, cfg.timeout_ms)
+    results = transport.exchange(beginner, [(addr, election) for addr in followers], cfg.timeout_ms)
     elapsed = transport.now() - t0
 
     scored = []  # (value, address), in roster order
-    for addr, reply in replies.items():
-        if reply is None:
+    for addr, result in zip(followers, results):
+        if isinstance(result, HainaError):
             continue
-        frame, rtt = reply
+        frame, rtt = result
         if frame.type is not MsgType.TAKEPART:
             continue
         try:

@@ -2,16 +2,17 @@
 
 `exchange` sends every request from the calling thread, then waits for
 all the replies in one `select.poll()` loop against one deadline, so no
-thread is ever started.  Connections persist: each `RealNet` keeps a
-stack of idle non-blocking sockets per peer and reuses one for the next
-request to that peer.  A socket goes back on its stack only after a
-whole reply was read from it; any timeout or error closes it, so a late
-reply can never be read as the answer to a later request.  A reused
-socket that the peer has closed (for example, after a node restart)
-costs one retry on a fresh connection, within the time left.  A fresh
-connection is connected without blocking, in the same poll loop, so a
-peer that never completes the connect (a host that is down, or one
-that drops the SYN) costs only its own request.
+thread is ever started; each request is a generator that yields the
+socket and event it waits on.  Connections persist: each `RealNet`
+keeps a stack of idle non-blocking sockets per peer and reuses one for
+the next request to that peer.  A socket goes back on its stack only
+after a whole reply was read from it; any timeout or error closes it,
+so a late reply can never be read as the answer to a later request.  A
+reused socket that the peer has closed (for example, after a node
+restart) costs one retry on a fresh connection, within the time left.
+A fresh connection is connected without blocking, in the same poll
+loop, so a peer that never completes the connect (a host that is down,
+or one that drops the SYN) costs only its own request.
 `now()` and every round-trip read the monotonic clock.
 """
 
@@ -23,7 +24,8 @@ import threading
 import time
 
 from .errors import HainaError, NetworkError, ParseError
-from .frames import FRAME_OVERHEAD, HEADER_FMT, MAGIC, MAX_FRAME, Frame, broadcast, decode_frame, encode_frame
+from .frames import FRAME_OVERHEAD, HEADER_FMT, MAGIC, MAX_FRAME, Frame, decode_frame, encode_frame
+from .nodefile import parse_address
 
 
 def send_frame(sock, frame: Frame):
@@ -90,65 +92,6 @@ def recv_frame(sock):
     return decode_frame(reader.raw)
 
 
-def parse_address(address: str):
-    host, _, port = address.rpartition(":")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ParseError("address", f"{address!r} is not host:port") from None
-
-
-class _Call:
-    """One request of an `exchange`: its socket and how far it got."""
-
-    __slots__ = ("dst", "data", "sent", "sock", "reused", "addrs", "connecting", "reply", "result")
-
-    def __init__(self, dst: str, data: bytes):
-        self.dst = dst
-        self.data = data  # the encoded request
-        self.sent = 0
-        self.sock = None
-        self.reused = None  # whether the socket came off the idle stack; None before the first step
-        self.addrs = None  # the addresses of `dst` not tried yet, once resolved
-        self.connecting = False  # a fresh connect was started and has not been seen to succeed
-        self.reply = _Reader()
-        self.result = None
-
-    def connect(self, left_ms: float) -> int:
-        """Start a non-blocking connect to the next address of `dst`.
-
-        Returns POLLOUT, the event that says the connect ended; `send`
-        then tells whether it succeeded.
-        """
-        if self.addrs is None:
-            host, port = parse_address(self.dst)
-            self.addrs = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
-        family, kind, proto, _, address = self.addrs.pop(0)
-        if left_ms <= 0:
-            raise TimeoutError("timed out")
-        self.sock = socket.socket(family, kind, proto)
-        self.sock.setblocking(False)
-        self.connecting = True
-        err = self.sock.connect_ex(address)
-        if err not in (0, errno.EINPROGRESS):
-            raise OSError(err, os.strerror(err))
-        return select.POLLOUT
-
-    def send(self) -> bool:
-        """Send what is left of the request; True once all of it is out."""
-        if self.connecting:
-            err = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-            if err:
-                raise OSError(err, os.strerror(err))
-            self.connecting = False
-        while self.sent < len(self.data):
-            try:
-                self.sent += self.sock.send(memoryview(self.data)[self.sent :])
-            except BlockingIOError:
-                return False
-        return True
-
-
 class RealNet:
     """Client-side transport over TCP sockets.
 
@@ -180,7 +123,7 @@ class RealNet:
         return result
 
     def exchange(self, origin: str, requests, timeout_ms: float = 1000.0) -> list:
-        """Send every (dst, frame) request at once and wait for all the replies.
+        """Send every (dst, frame) request of a list at once and wait for all the replies.
 
         Returns, in request order, (reply, round-trip ms) for each request
         that succeeded, or the HainaError that ended it.  Every request is
@@ -190,18 +133,22 @@ class RealNet:
         """
         t0 = self.now()
         deadline = t0 + timeout_ms
-        calls = [_Call(dst, encode_frame(frame)) for dst, frame in requests]
+        calls = [self._call(dst, encode_frame(frame), t0, deadline) for dst, frame in requests]
+        results = [None] * len(calls)
         poller = select.poll()
-        waiting = {}  # socket fd -> the call waiting on it
-        ready, late = calls, False
+        waiting = {}  # socket fd -> the index of the call waiting on it
+        ready, late = range(len(calls)), False
         try:
             while True:
-                for call in ready:
-                    events = self._step(call, t0, deadline)
-                    if events:
-                        fd = call.sock.fileno()
-                        poller.register(fd, events)
-                        waiting[fd] = call
+                for i in ready:
+                    try:
+                        sock, event = next(calls[i])
+                    except StopIteration as done:
+                        results[i] = done.value
+                        continue
+                    fd = sock.fileno()
+                    poller.register(fd, event)
+                    waiting[fd] = i
                 if not waiting or late:
                     break
                 left = deadline - self.now()
@@ -211,58 +158,72 @@ class RealNet:
                     poller.unregister(fd)
                     ready.append(waiting.pop(fd))
         finally:
-            for call in calls:
-                if call.result is None:  # timed out, or the loop was interrupted
-                    if call.sock is not None:
-                        call.sock.close()
-                    call.result = NetworkError(f"request to {call.dst} failed: timed out")
-        return [call.result for call in calls]
+            for call in calls:  # a call still waiting (timed out or interrupted) closes its socket
+                call.close()
+        for i in waiting.values():  # still waiting at the deadline
+            results[i] = NetworkError(f"request to {requests[i][0]} failed: timed out")
+        return results
 
-    def _step(self, call, t0: float, deadline: float) -> int:
-        """Take `call` as far as its socket allows without waiting.
+    def _call(self, dst: str, data: bytes, t0: float, deadline: float):
+        """One request of an `exchange`, as a generator.
 
-        Returns the poll events it waits for next, or 0 once it ended
-        with its result set.
+        It yields (socket, poll event) whenever it would block, and returns
+        (reply, round-trip ms) or the HainaError that ended the request.
+        Its socket is closed unless it went back on the idle stack.
         """
+        sock = self._take(dst)
+        reused = sock is not None
         try:
-            if call.reused is None:  # the first step
-                call.sock = self._take(call.dst)
-                call.reused = call.sock is not None
             while True:
+                if sock is None:  # a fresh connection: each address of `dst` in turn
+                    addrs = socket.getaddrinfo(*parse_address(dst), type=socket.SOCK_STREAM)
+                    while True:
+                        family, kind, proto, _, address = addrs.pop(0)
+                        if self.now() >= deadline:
+                            raise TimeoutError("timed out")
+                        sock = socket.socket(family, kind, proto)
+                        sock.setblocking(False)
+                        err = sock.connect_ex(address)
+                        if err == errno.EINPROGRESS:
+                            yield sock, select.POLLOUT
+                            err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                        if not err:
+                            break
+                        sock.close()
+                        if not addrs:
+                            raise OSError(err, os.strerror(err))
+                reply = _Reader()
                 try:
-                    if call.sock is None:
-                        return call.connect(deadline - self.now())
-                    if call.sent < len(call.data):  # all sent: the first read waits for the poll
-                        return select.POLLIN if call.send() else select.POLLOUT
-                    if not call.reply.read(call.sock):
-                        return select.POLLIN
+                    out = memoryview(data)
+                    while out:
+                        try:
+                            out = out[sock.send(out) :]
+                        except BlockingIOError:
+                            yield sock, select.POLLOUT
+                    yield sock, select.POLLIN  # all sent: the reply cannot be in yet
+                    while not reply.read(sock):
+                        yield sock, select.POLLIN
                     break
                 except OSError:
-                    stale = call.reused and not call.reply.got  # the peer dropped the idle socket
-                    if not (stale or call.connecting and call.addrs):
+                    if not reused or reply.got:
                         raise
-                # retry once on a fresh connection, or connect to the next address
-                if call.sock is not None:
-                    call.sock.close()
-                call.sock, call.reused, call.sent = None, False, 0
-            result = (decode_frame(call.reply.raw), self.now() - t0)
+                # the peer dropped the idle socket: retry once on a fresh connection
+                sock.close()
+                sock, reused = None, False
+            result = decode_frame(reply.raw), self.now() - t0
+            self._give(dst, sock)  # a whole reply: the socket is ready for the next request
+            sock = None
+            return result
         except OSError as exc:
-            result = NetworkError(f"request to {call.dst} failed: {exc}")
+            return NetworkError(f"request to {dst} failed: {exc}")
         except ParseError as exc:
-            result = exc.with_traceback(None)  # its traceback would hold `call` in a cycle
-        else:
-            self._give(call.dst, call.sock)
-            call.sock = None
-        if call.sock is not None:
-            call.sock.close()
-        call.data = call.reply = None
-        call.result = result
-        return 0
+            return exc.with_traceback(None)  # its traceback would keep this call's frame and buffers alive
+        finally:
+            if sock is not None:
+                sock.close()
 
     def now(self) -> float:
         return time.monotonic() * 1000.0
-
-    broadcast = broadcast
 
     def close(self):
         """Close every idle socket."""

@@ -1,6 +1,6 @@
 """Content-address resolution over the node roster."""
 
-from .errors import UsageError
+from .errors import HainaError, UsageError
 from .frames import Frame, MsgType
 from .nodefile import NodeFile
 
@@ -8,10 +8,10 @@ from .nodefile import NodeFile
 def resolve(transport, origin: str, addresses, nf: NodeFile, timeout_ms: float = 1000.0):
     """Find every node holding each of one or two content addresses.
 
-    One HAS_BLOCK broadcast asks every roster member about all the
-    addresses at once (`address`, then `address2`); a reply's `has`
-    holds one "0"/"1" per address asked.  Returns one list per address
-    of the node addresses that hold it, fastest reply first
+    One `transport.exchange` of a HAS_BLOCK asks every roster member
+    about all the addresses at once (`address`, then `address2`); a
+    reply's `has` holds one "0"/"1" per address asked.  Returns one list
+    per address of the node addresses that hold it, fastest reply first
     (deterministic under the simulated transport); an address nobody
     holds gets an empty list.
     """
@@ -20,13 +20,16 @@ def resolve(transport, origin: str, addresses, nf: NodeFile, timeout_ms: float =
     header = {"address": addresses[0].hex()}
     if len(addresses) == 2:
         header["address2"] = addresses[1].hex()
-    replies = transport.broadcast(origin, nf.addresses, Frame(MsgType.HAS_BLOCK, header), timeout_ms)
+    query = Frame(MsgType.HAS_BLOCK, header)
+    results = transport.exchange(origin, [(node, query) for node in nf.addresses], timeout_ms)
     holders = [[] for _ in addresses]
-    for node, reply in replies.items():  # roster order
-        if reply and reply[0].type is MsgType.HAS_BLOCK_REPLY:
-            for found, bit in zip(holders, reply[0].header.get("has", "")):
+    rtts = {}  # holder -> its reply's round-trip ms
+    for node, result in zip(nf.addresses, results):  # roster order
+        if not isinstance(result, HainaError) and result[0].type is MsgType.HAS_BLOCK_REPLY:
+            reply, rtts[node] = result
+            for found, bit in zip(holders, reply.header.get("has", "")):
                 if bit == "1":
                     found.append(node)
     for found in holders:
-        found.sort(key=lambda node: replies[node][1])  # stable: equal times keep roster order
+        found.sort(key=rtts.get)  # stable: equal times keep roster order
     return holders

@@ -2,7 +2,7 @@
 
 Each message is delayed by the ordered-pair one-way latency plus
 seeded jitter.  The whole simulation is single-threaded: `exchange`
-(election polls, resolver broadcasts, a round's block fetches) starts
+(election polls, resolver queries, a round's block fetches) starts
 every request at the same virtual time and charges the slowest of them
 rather than their sum, so a fixed seed reproduces every trace and
 timing bit-for-bit.
@@ -13,7 +13,7 @@ import random
 from collections import deque
 
 from .errors import HainaError, NetworkError, UsageError
-from .frames import Frame, broadcast
+from .frames import Frame
 
 UNREACHABLE = math.inf
 # SimNet.trace keeps only the most recent messages: uploading 64 blocks to
@@ -110,5 +110,3 @@ class SimNet:
                 end = self.clock
         self.clock = end
         return results
-
-    broadcast = broadcast

@@ -377,6 +377,9 @@ class TestMalformedStoreAck:
             ("candidates", CANDIDATE % "{follower},"),
             ("candidates", CANDIDATE % "{follower},10.6.6.6:7000"),
             ("campaign_ms", "fast"),
+            ("campaign_ms", "nan"),
+            ("campaign_ms", "inf"),
+            ("campaign_ms", "-1"),
         ],
         ids=[
             "not-json",
@@ -388,6 +391,9 @@ class TestMalformedStoreAck:
             "trailing-comma",
             "off-roster-after-a-follower",
             "campaign-ms-not-a-number",
+            "campaign-ms-nan",
+            "campaign-ms-infinite",
+            "campaign-ms-negative",
         ],
     )
     def test_upload_raises_parse_error_naming_the_field(self, key, value):

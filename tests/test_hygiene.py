@@ -1,11 +1,14 @@
 """Source hygiene checks that need no import of the package under test."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "haina"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "haina"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -30,3 +33,11 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_every_span_wrapped_name_exists():
+    # perfbench/spans.py wraps haina's layer boundaries by name, so a deleted or renamed one fails here
+    paths = [str(REPO / "src"), str(REPO / "perfbench")]
+    code = f"import sys; sys.path[:0] = {paths!r}; import spans; spans.install(spans.Tracer(), client_side=True)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -13,7 +13,7 @@ from haina import realnet
 from haina.blockstore import BlockStore
 from haina.chain import build_chain, serialize_block
 from haina.client import download, upload
-from haina.errors import NetworkError, UsageError
+from haina.errors import NetworkError, ParseError, UsageError
 from haina.frames import Frame, MsgType, encode_frame
 from haina.node import NodeServer, NodeService
 from haina.nodefile import make_node_file, parse_node_file
@@ -224,15 +224,17 @@ class TestNodeService:
 
 
 class _Recorder:
-    """A transport that records every broadcast frame and passes it on."""
+    """A transport that records the one frame each exchange sends to every node, and passes it on."""
 
     def __init__(self, net):
         self.net = net
         self.frames = []
 
-    def broadcast(self, origin, dsts, frame, timeout_ms=1000.0):
-        self.frames.append(frame)
-        return self.net.broadcast(origin, dsts, frame, timeout_ms)
+    def exchange(self, origin, requests, timeout_ms=1000.0):
+        frames = [frame for _, frame in requests]
+        assert all(frame is frames[0] for frame in frames)
+        self.frames.append(frames[0])
+        return self.net.exchange(origin, requests, timeout_ms)
 
 
 class TestResolve:
@@ -345,6 +347,11 @@ def _serve_raw(handler, port=0):
     return server, f"127.0.0.1:{server.server_address[1]}"
 
 
+def _pings(addresses):
+    """An exchange's requests: one PING to each address."""
+    return [(address, Frame(MsgType.PING)) for address in addresses]
+
+
 @pytest.fixture
 def connects(monkeypatch):
     """Record every connect a client socket starts (RealNet connects with socket.connect_ex)."""
@@ -391,14 +398,29 @@ class TestTransportContract:
             assert reply.type is MsgType.PONG
         assert len(connects) == 1
 
+    def test_failed_connect_moves_on_to_the_next_address(self, tcp_nodes, connects, monkeypatch):
+        (listen, *_), net = tcp_nodes
+        closed = socket.socket()
+        closed.bind(("127.0.0.1", 0))  # bound but not listening: a connect to it is refused
+        refused = closed.getsockname()
+        live = ("127.0.0.1", int(listen.rpartition(":")[2]))
+        resolved = [(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP, "", a) for a in (refused, live)]
+        monkeypatch.setattr(socket, "getaddrinfo", lambda *args, **kwargs: list(resolved))
+        try:
+            reply, _ = net.request("client:0", listen, Frame(MsgType.PING))
+        finally:
+            closed.close()
+        assert reply.type is MsgType.PONG
+        assert connects == [refused, live]
+
     def test_realnet_starts_no_thread(self, tcp_nodes):
         addresses, net = tcp_nodes
         for address in addresses:  # a node starts one handler thread per new connection
             net.request("client:0", address, Frame(MsgType.PING))
         threads = threading.active_count()
         for _ in range(11):
-            replies = net.broadcast("client:0", addresses, Frame(MsgType.PING))
-            assert [replies[a][0].type for a in addresses] == [MsgType.PONG] * 3
+            results = net.exchange("client:0", _pings(addresses))
+            assert [reply.type for reply, _ in results] == [MsgType.PONG] * 3
         assert threading.active_count() == threads
 
     @staticmethod
@@ -446,10 +468,10 @@ class TestTransportContract:
         net = RealNet()
         try:
             t0 = time.monotonic()
-            replies = net.broadcast("client:0", addresses, Frame(MsgType.PING), timeout_ms=300)
+            results = net.exchange("client:0", _pings(addresses), timeout_ms=300)
             elapsed = time.monotonic() - t0
-            assert [replies[a][0].type for a in (addresses[0], addresses[2])] == [MsgType.PONG] * 2
-            assert replies[unreachable_listen] is None
+            assert [results[i][0].type for i in (0, 2)] == [MsgType.PONG] * 2
+            assert isinstance(results[1], NetworkError)
             assert 0.3 <= elapsed < 0.6
         finally:
             net.close()
@@ -471,7 +493,7 @@ class TestTransportContract:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             with pytest.raises(MemoryError):
-                net.broadcast("client:0", addresses, Frame(MsgType.PING))
+                net.exchange("client:0", _pings(addresses))
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
@@ -537,9 +559,9 @@ class TestGarbageReplies:
         bad, bad_listen = _serve_raw(_SpeaksGarbage)
         net = RealNet()
         try:
-            replies = net.broadcast("client:0", [good_listen, bad_listen], Frame(MsgType.PING))
-            assert replies[good_listen][0].type is MsgType.PONG
-            assert replies[bad_listen] is None
+            good_result, bad_result = net.exchange("client:0", _pings([good_listen, bad_listen]))
+            assert good_result[0].type is MsgType.PONG
+            assert isinstance(bad_result, ParseError)
         finally:
             net.close()
             _stop(good, bad)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from haina.errors import CampaignError, IntegrityError, ParseError, UsageError
+from haina.errors import CampaignError, IntegrityError, NetworkError, ParseError, UsageError
 from haina.frames import Frame, MsgType
 from haina.nodefile import make_node_file, node_index, parse_node_file, update_node_file
 from haina.por import (
@@ -66,7 +66,7 @@ class TestPickFirstBeginner:
 class StubTransport:
     """Scripted follower replies: addr -> (freespace bytes, rtt ms) or None.
 
-    Like SimNet, a broadcast advances the clock by its slowest reply, or
+    Like SimNet, an exchange advances the clock by its slowest reply, or
     by the timeout when any follower stays silent.
     """
 
@@ -77,18 +77,18 @@ class StubTransport:
     def now(self):
         return self.clock
 
-    def broadcast(self, origin, dsts, frame, timeout_ms):
-        out = {}
-        for dst in dsts:
+    def exchange(self, origin, requests, timeout_ms):
+        out = []
+        for dst, _ in requests:
             entry = self.replies.get(dst)
             if entry is None:
-                out[dst] = None
+                out.append(NetworkError(f"{dst} is silent"))
             elif entry == "refuse":
-                out[dst] = (Frame(MsgType.REFUSE, {"freespace": "0"}), 1.0)
+                out.append((Frame(MsgType.REFUSE, {"freespace": "0"}), 1.0))
             else:
                 free, rtt = entry
-                out[dst] = (Frame(MsgType.TAKEPART, {"freespace": str(free)}), rtt)
-        self.clock += max(timeout_ms if reply is None else reply[1] for reply in out.values())
+                out.append((Frame(MsgType.TAKEPART, {"freespace": str(free)}), rtt))
+        self.clock += max(timeout_ms if isinstance(reply, NetworkError) else reply[1] for reply in out)
         return out
 
 
@@ -110,9 +110,9 @@ class TestRunCampaign:
         seen = []
 
         class Spy(StubTransport):
-            def broadcast(self, origin, dsts, frame, timeout_ms):
-                seen.extend(dsts)
-                return super().broadcast(origin, dsts, frame, timeout_ms)
+            def exchange(self, origin, requests, timeout_ms):
+                seen.extend(dst for dst, _ in requests)
+                return super().exchange(origin, requests, timeout_ms)
 
         run_campaign(Spy({"n1:1": (BYTES_PER_GB, 5.0)}), "b:1", 1, nf, PorConfig())
         assert seen == ["n1:1"]
@@ -213,10 +213,19 @@ class TestNodeFile:
         with pytest.raises(IntegrityError):
             update_node_file(local, remote.digest, lambda: bytes(body))
 
-    def test_comma_in_address_rejected(self):
-        # ',' separates the addresses of a STORE_ACK's candidate list
+    @pytest.mark.parametrize(
+        "address",
+        [
+            "b:2,c:3",  # ',' separates the addresses of a STORE_ACK's candidate list
+            "h:72537",  # getaddrinfo would wrap it to port 7001, another node
+            "h:0",
+            "a:b",
+        ],
+        ids=["comma", "port-above-65535", "port-zero", "port-not-a-number"],
+    )
+    def test_malformed_address_rejected(self, address):
         with pytest.raises(ParseError, match="node_file"):
-            make_node_file(["a:1", "b:2,c:3"])
+            make_node_file(["a:1", address])
 
     def test_node_index_is_one_based(self):
         nf = make_node_file(["a:1", "b:2"])

@@ -71,17 +71,17 @@ def test_unknown_destination_unreachable():
 def test_broadcast_advances_clock_by_slowest_reply():
     matrix = {("u:0", "a:1"): 5.0, ("a:1", "u:0"): 5.0, ("u:0", "b:1"): 30.0, ("b:1", "u:0"): 30.0}
     net = _net(matrix=matrix)
-    results = net.broadcast("u:0", ["a:1", "b:1"], Frame(MsgType.PING), timeout_ms=500.0)
-    assert results["a:1"][1] == 10.0
-    assert results["b:1"][1] == 60.0
+    results = net.exchange("u:0", [(dst, Frame(MsgType.PING)) for dst in ("a:1", "b:1")], timeout_ms=500.0)
+    assert results[0][1] == 10.0
+    assert results[1][1] == 60.0
     assert net.clock == 60.0
 
 
 def test_broadcast_with_silent_member_waits_out_timeout():
     net = _net(matrix={("u:0", "b:1"): UNREACHABLE})
-    results = net.broadcast("u:0", ["a:1", "b:1"], Frame(MsgType.PING), timeout_ms=200.0)
-    assert results["b:1"] is None
-    assert results["a:1"] is not None
+    results = net.exchange("u:0", [(dst, Frame(MsgType.PING)) for dst in ("a:1", "b:1")], timeout_ms=200.0)
+    assert isinstance(results[1], NetworkError)
+    assert results[0][0].type is MsgType.PONG
     assert net.clock == 200.0
 
 
@@ -89,7 +89,7 @@ def test_seeded_run_replays_identical_trace():
     traces = []
     for _ in range(2):
         net = _net(latency=10.0, jitter=2.0, seed=42)
-        net.broadcast("a:1", ["b:1"], Frame(MsgType.PING))
+        net.exchange("a:1", [("b:1", Frame(MsgType.PING))])
         net.request("b:1", "a:1", Frame(MsgType.GET_NF))
         traces.append(list(net.trace))
     assert traces[0] == traces[1]
