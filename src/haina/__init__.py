@@ -19,7 +19,7 @@ from .errors import (
     UsageError,
 )
 from .locking import lock_chain, unlock_block
-from .metafile import MetaFile, build_meta_file, parse_meta_file, serialize_meta_file
+from .metafile import MetaFile, parse_meta_file, serialize_meta_file
 from .nodefile import NodeFile, make_node_file, parse_node_file, update_node_file
 from .por import PorConfig, check_rate, check_store, judge, pick_first_beginner, run_campaign
 
@@ -48,7 +48,6 @@ __all__ = [
     "lock_chain",
     "unlock_block",
     "MetaFile",
-    "build_meta_file",
     "parse_meta_file",
     "serialize_meta_file",
     "NodeFile",

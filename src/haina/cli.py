@@ -7,6 +7,7 @@ from contextlib import closing
 
 import click
 
+from . import hashing
 from .blockstore import BlockStore
 from .client import download as client_download
 from .client import upload as client_upload
@@ -63,7 +64,8 @@ def node_serve(listen, data_dir, quota_gb, nf_path, bootstrap):
             if bootstrap:
                 reply, _ = net.request(listen, bootstrap, Frame(MsgType.GET_NF), 5000.0)
                 if reply.type is MsgType.NF_DATA:
-                    nf = update_node_file(nf, bytes.fromhex(reply.header["digest"]), lambda: reply.body)
+                    digest = hashing.parse_hex_digest(reply.header.get("digest"), "digest")
+                    nf = update_node_file(nf, digest, lambda: reply.body)
             store = BlockStore(int(quota_gb * 10**9), data_dir=data_dir)
             service = NodeService(listen, store, nf, transport=net)
             server = NodeServer(parse_address(listen), service)

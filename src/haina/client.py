@@ -36,7 +36,7 @@ from .errors import (
 )
 from .frames import Frame, MsgType
 from .locking import lock_chain, unlock_block
-from .metafile import MetaFile, build_meta_file
+from .metafile import MetaFile
 from .node import decode_candidates
 from .nodefile import NodeFile
 from .por import PorConfig, ProvisionalRecords, check_rate, check_store, pick_first_beginner
@@ -194,7 +194,7 @@ def upload(
             if escalated:
                 escalations.append((i + 1, rate))
 
-    meta = build_meta_file(
+    meta = MetaFile(
         first_beginner=placements[0],
         header_digest=blocks[0].current_hash,
         mask=mask,
@@ -326,20 +326,19 @@ def download(
     if mode not in ("bi", "uni"):
         raise UsageError(f"mode must be 'bi' or 'uni', not {mode!r}")
 
+    def fetcher(addresses):
+        # one HAS_BLOCK broadcast for the whole round, then its GET_BLOCKs at once
+        return _fetch(transport, addresses, resolve(transport, USER_ADDRESS, addresses, nf, timeout_ms), timeout_ms)
+
     # header block: ask the recorded first beginner, fall back to resolution
     start = transport.now()
     header = [meta.header_digest]
     (header_block,) = _fetch(transport, header, [[meta.first_beginner]], timeout_ms)
     if header_block is None:
-        holders = resolve(transport, USER_ADDRESS, header, nf, timeout_ms)
-        (header_block,) = _fetch(transport, header, holders, timeout_ms)
+        (header_block,) = fetcher(header)
         if header_block is None:
-            raise IncompleteChainError([meta.header_digest])
+            raise IncompleteChainError(header)
     header_ms = transport.now() - start
-
-    def fetcher(addresses):
-        # one HAS_BLOCK broadcast for the whole round, then its GET_BLOCKs at once
-        return _fetch(transport, addresses, resolve(transport, USER_ADDRESS, addresses, nf, timeout_ms), timeout_ms)
 
     fetch = bdam_fetch if mode == "bi" else unidirectional_fetch
     result = fetch(meta, header_block, fetcher)

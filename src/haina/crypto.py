@@ -6,7 +6,6 @@ the full 32 bytes are sharded round-robin across the data blocks, each
 shard prepended to its block's data domain.
 """
 
-import secrets
 import struct
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -34,15 +33,14 @@ def generate_key(file: bytes, timestamp: int) -> bytes:
     return hashing.digest(struct.pack(">Q", timestamp) + inner)
 
 
-def generate_mask(rng=None) -> bytes:
-    """Draw a uniformly random nonzero 32-byte pointer mask.
+def generate_mask(rng) -> bytes:
+    """Draw a uniformly random nonzero 32-byte pointer mask from `rng`.
 
-    `rng` may be a `random.Random` for reproducible tests; the default
-    uses the OS entropy source.
+    `rng` is a `random.Random` for reproducible runs, or a
+    `random.SystemRandom` for the OS entropy source.
     """
-    draw = rng.randbytes if rng is not None else secrets.token_bytes
     while True:
-        mask = draw(MASK_SIZE)
+        mask = rng.randbytes(MASK_SIZE)
         if any(mask):
             return mask
 

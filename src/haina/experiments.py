@@ -7,6 +7,7 @@ Every run is a pure function of the cluster spec and its seed.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -51,6 +52,11 @@ class ClusterSpec:
             raise ParseError("blocks", "must be at least 1")
 
 
+def _finite(value) -> bool:
+    # json reads NaN, Infinity and -Infinity as floats
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
 def parse_cluster_spec(text: str) -> ClusterSpec:
     try:
         doc = json.loads(text)
@@ -66,10 +72,10 @@ def parse_cluster_spec(text: str) -> ClusterSpec:
         # type() rather than isinstance(): JSON true and false are bools, and so ints
         if kind is int and type(value) is not int:
             raise ParseError(name, "must be an integer")
-        if kind is float and type(value) not in (int, float):
-            raise ParseError(name, "must be a number")
-        if kind is dict and (type(value) is not dict or any(type(ms) not in (int, float) for ms in value.values())):
-            raise ParseError(name, "must be an object of numbers")
+        if kind is float and not _finite(value):
+            raise ParseError(name, "must be a finite number")
+        if kind is dict and (type(value) is not dict or not all(map(_finite, value.values()))):
+            raise ParseError(name, "must be an object of finite numbers")
     return ClusterSpec(**doc)
 
 

@@ -3,85 +3,55 @@
 A UTF-8 JSON document carrying everything needed to recover one file:
 the first head node's address, the header block's content address, the
 pointer mask, plus block count, the cipher's IV and the original file
-length.  Its "cipher", "mode" and "hash_alg" fields are always "sm4",
-"cbc" and "sha256", the only cipher and digest haina uses.  The document
-never leaves the user's hands.
+length.  Its fixed fields (`_FIXED`) name the one format version, cipher
+and digest haina uses.  The document never leaves the user's hands.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import hashing
 from .crypto import CIPHER_BLOCK
 from .errors import ParseError
 from .locking import MASK_SIZE
 
-META_VERSION = 1
 META_SUFFIX = ".haina.meta"
 # fields with one accepted value, written and checked byte for byte
-_FIXED = {"cipher": "sm4", "mode": "cbc", "hash_alg": hashing.ALGORITHM}
-
-_REQUIRED = (
-    "version",
-    "first_beginner",
-    "header_digest",
-    "mask",
-    "block_count",
-    "cipher",
-    "mode",
-    "iv",
-    "hash_alg",
-    "file_length",
-)
+_FIXED = {"version": 1, "cipher": "sm4", "mode": "cbc", "hash_alg": hashing.ALGORITHM}
+# the bytes fields, written as hex, and the exact length of each
+_HEX_SIZES = {"header_digest": hashing.DIGEST_SIZE, "mask": MASK_SIZE, "iv": CIPHER_BLOCK}
 
 
 @dataclass(frozen=True)
 class MetaFile:
+    """One file's recovery record; construction checks every field."""
+
     first_beginner: str
     header_digest: bytes
     mask: bytes
     block_count: int
     iv: bytes
     file_length: int
-    version: int = META_VERSION
 
-
-def build_meta_file(
-    first_beginner: str,
-    header_digest: bytes,
-    mask: bytes,
-    block_count: int,
-    iv: bytes,
-    file_length: int,
-) -> MetaFile:
-    if block_count < 1:
-        raise ParseError("block_count", "must be at least 1")
-    if not any(mask):
-        raise ParseError("mask", "must be nonzero")
-    if len(iv) != CIPHER_BLOCK:
-        raise ParseError("iv", f"must be {CIPHER_BLOCK} bytes")
-    return MetaFile(
-        first_beginner=first_beginner,
-        header_digest=hashing.check_digest(header_digest),
-        mask=bytes(mask),
-        block_count=block_count,
-        iv=bytes(iv),
-        file_length=file_length,
-    )
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # type() rather than isinstance(): JSON true is a bool, and so an int
+            if type(value) is not f.type:
+                raise ParseError(f.name, f"must be {f.type.__name__}, not {type(value).__name__}")
+            if f.type is str and not value:
+                raise ParseError(f.name, "must be a non-empty host:port string")
+            if f.type is int and value < 1:
+                raise ParseError(f.name, "must be a positive integer")
+            if f.type is bytes and len(value) != _HEX_SIZES[f.name]:
+                raise ParseError(f.name, f"must be {_HEX_SIZES[f.name]} bytes")
+        if not any(self.mask):
+            raise ParseError("mask", "must be nonzero")
 
 
 def serialize_meta_file(meta: MetaFile) -> bytes:
-    doc = {
-        "version": meta.version,
-        "first_beginner": meta.first_beginner,
-        "header_digest": meta.header_digest.hex(),
-        "mask": meta.mask.hex(),
-        "block_count": meta.block_count,
-        "iv": meta.iv.hex(),
-        "file_length": meta.file_length,
-        **_FIXED,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8") + b"\n"
+    doc = {name: value.hex() if name in _HEX_SIZES else value for name, value in asdict(meta).items()}
+    return json.dumps({**doc, **_FIXED}, indent=2, sort_keys=True).encode("utf-8") + b"\n"
 
 
 def parse_meta_file(text: bytes) -> MetaFile:
@@ -92,39 +62,17 @@ def parse_meta_file(text: bytes) -> MetaFile:
     if not isinstance(doc, dict):
         raise ParseError("document", "top level must be an object")
 
-    missing = [k for k in _REQUIRED if k not in doc]
-    if missing:
-        raise ParseError(missing[0], "required field missing")
-    extra = [k for k in doc if k not in _REQUIRED]
-    if extra:
-        raise ParseError(extra[0], "unknown field")
+    names = [f.name for f in fields(MetaFile)]
+    for key in [*names, *_FIXED, *doc]:
+        if (key in doc) != (key in names or key in _FIXED):
+            raise ParseError(key, "unknown field" if key in doc else "required field missing")
 
-    if doc["version"] != META_VERSION:
-        raise ParseError("version", f"unsupported version {doc['version']!r}")
-    for key in ("block_count", "file_length"):
-        if not isinstance(doc[key], int) or doc[key] < 1:
-            raise ParseError(key, "must be a positive integer")
-    if not isinstance(doc["first_beginner"], str) or not doc["first_beginner"]:
-        raise ParseError("first_beginner", "must be a non-empty host:port string")
-
-    header_digest = hashing.parse_hex_digest(doc["header_digest"], "header_digest")
-    mask = hashing.parse_hex_digest(doc["mask"], "mask")
-    if len(mask) != MASK_SIZE:
-        raise ParseError("mask", f"must be {MASK_SIZE} bytes")
-
-    try:
-        iv = bytes.fromhex(doc["iv"])
-    except (ValueError, TypeError):
-        raise ParseError("iv", "not valid hex") from None
     for key, value in _FIXED.items():
-        if doc[key] != value:
+        if type(doc[key]) is not type(value) or doc[key] != value:
             raise ParseError(key, f"unsupported value {doc[key]!r}, expected {value!r}")
-
-    return build_meta_file(
-        first_beginner=doc["first_beginner"],
-        header_digest=header_digest,
-        mask=mask,
-        block_count=doc["block_count"],
-        iv=iv,
-        file_length=doc["file_length"],
-    )
+    for key in _HEX_SIZES:
+        try:
+            doc[key] = bytes.fromhex(doc[key])
+        except (ValueError, TypeError):
+            raise ParseError(key, "not valid hex") from None
+    return MetaFile(**{name: doc[name] for name in names})

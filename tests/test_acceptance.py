@@ -25,7 +25,7 @@ from haina.errors import ParseError
 from haina.experiments import ClusterSpec, build_cluster, run_experiment
 from haina.frames import Frame, MsgType, decode_frame, encode_frame
 from haina.locking import lock_chain, unlock_block
-from haina.metafile import build_meta_file, parse_meta_file, serialize_meta_file
+from haina.metafile import MetaFile, parse_meta_file, serialize_meta_file
 from haina.metrics import rows_to_csv
 
 
@@ -257,7 +257,7 @@ def test_unit_property_suite(report):
 
     # meta file codec round-trip
     for _ in range(20):
-        meta = build_meta_file(
+        meta = MetaFile(
             "node001:9000",
             rng.randbytes(32),
             generate_mask(rng),

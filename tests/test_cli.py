@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from haina.blockstore import BlockStore
 from haina.cli import main, sim
 from haina.experiments import EXPERIMENTS
+from haina.frames import Frame, MsgType
 from haina.metafile import parse_meta_file
 from haina.metrics import rows_from_csv
 from haina.node import NodeServer, NodeService
@@ -88,6 +89,34 @@ class TestUsageErrors:
         nf.write_bytes(make_node_file(dead).canonical_bytes())
         result = _run("upload", "--file", str(data), "--blocks", "1", "--nf", str(nf), "--seed", "1")
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("header", [{"digest": "zz"}, {}], ids=["bad-hex", "missing"])
+    def test_bootstrap_bad_digest_exits_2(self, tmp_path, header):
+        class BadDigestPeer(NodeService):
+            def _on_get_nf(self, frame):
+                return Frame(MsgType.NF_DATA, header, self.nf.canonical_bytes())
+
+        addresses = []
+        for _ in range(2):
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                addresses.append(f"127.0.0.1:{probe.getsockname()[1]}")
+        peer, listen = addresses
+        roster = make_node_file(addresses)
+        nf = tmp_path / "cluster.nf"
+        nf.write_bytes(roster.canonical_bytes())
+        server = NodeServer(("127.0.0.1", int(peer.rsplit(":", 1)[1])), BadDigestPeer(peer, BlockStore(10**6), roster))
+        server.serve_background()
+        try:
+            result = _run(
+                "node", "serve", "--listen", listen, "--data-dir", str(tmp_path / "data"),
+                "--nf", str(nf), "--bootstrap", peer,
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert result.exit_code == 2, result.output
+        assert "error: digest: not valid hex" in result.output
 
 
 @pytest.fixture

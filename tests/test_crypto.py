@@ -59,7 +59,7 @@ class TestGenerateMask:
         assert generate_mask(random.Random(42)) == generate_mask(random.Random(42))
 
     def test_independent_draws_differ(self):
-        assert generate_mask() != generate_mask()
+        assert generate_mask(random.SystemRandom()) != generate_mask(random.SystemRandom())
 
 
 class TestCipher:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -27,7 +28,10 @@ class TestClusterSpec:
         + [(field, value) for field in ("quota_gb", "latency_ms", "jitter_ms", "rate")
            for value in ("1", None, [1], {"n": 1}, True)]
         + [("latency_matrix", value) for value in (["a>b", 5], "fast", 5, {"a>b": "fast"}, {"a>b": None},
-                                                   {"a>b": True}, {"a>b": [5]})],
+                                                   {"a>b": True}, {"a>b": [5]})]
+        # json reads NaN and Infinity, which no latency, jitter or quota can be
+        + [(field, value) for field in ("quota_gb", "latency_ms", "jitter_ms") for value in (math.inf, math.nan)]
+        + [("latency_matrix", {"a>b": value}) for value in (math.inf, math.nan)],
     )
     def test_invalid_value_named(self, field, value):
         doc = {"nodes": 5, "seed": 1, field: value}

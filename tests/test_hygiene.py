@@ -1,4 +1,4 @@
-"""Source hygiene checks that need no import of the package under test."""
+"""Source hygiene checks: unused imports, wrapped names and exports."""
 
 import ast
 import subprocess
@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import haina
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "haina"
@@ -41,3 +43,8 @@ def test_every_span_wrapped_name_exists():
     code = f"import sys; sys.path[:0] = {paths!r}; import spans; spans.install(spans.Tracer(), client_side=True)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_every_exported_name_exists():
+    missing = [name for name in haina.__all__ if not hasattr(haina, name)]
+    assert not missing, f"haina.__all__ names what the package does not define: {', '.join(missing)}"

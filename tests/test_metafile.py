@@ -4,7 +4,7 @@ import random
 import pytest
 
 from haina.errors import ParseError
-from haina.metafile import build_meta_file, parse_meta_file, serialize_meta_file
+from haina.metafile import MetaFile, parse_meta_file, serialize_meta_file
 
 
 def _meta(**overrides):
@@ -18,7 +18,7 @@ def _meta(**overrides):
         file_length=1234,
     )
     fields.update(overrides)
-    return build_meta_file(**fields)
+    return MetaFile(**fields)
 
 
 def test_roundtrip_identity():
@@ -52,6 +52,17 @@ def test_bad_iv_length_rejected_on_build_and_parse():
         parse_meta_file(json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize("field", ["block_count", "file_length"])
+def test_bool_count_rejected_on_build_and_parse(field):
+    # JSON true is a Python bool, and so an int
+    with pytest.raises(ParseError, match=field):
+        _meta(**{field: True})
+    doc = json.loads(serialize_meta_file(_meta()).decode())
+    doc[field] = True
+    with pytest.raises(ParseError, match=field):
+        parse_meta_file(json.dumps(doc).encode())
+
+
 @pytest.mark.parametrize("field", ["header_digest", "mask", "first_beginner", "block_count", "iv"])
 def test_missing_field_named(field):
     doc = json.loads(serialize_meta_file(_meta()).decode())
@@ -75,7 +86,7 @@ def test_malformed_hex_rejected():
 
 
 @pytest.mark.parametrize(
-    "field,value", [("hash_alg", "sha3_256"), ("cipher", "aes128"), ("mode", "ctr")]
+    "field,value", [("hash_alg", "sha3_256"), ("cipher", "aes128"), ("mode", "ctr"), ("version", True)]
 )
 def test_other_fixed_value_rejected(field, value):
     doc = json.loads(serialize_meta_file(_meta()).decode())
