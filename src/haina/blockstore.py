@@ -7,12 +7,22 @@ is written whole or not at all (temp file, then rename), and on restart
 only files whose data domain hashes to their name count as stored.
 """
 
+import math
 import os
 import threading
 
 from . import hashing
 from .chain import deserialize_block
-from .errors import IntegrityError, UsageError
+from .errors import IntegrityError, ParseError, UsageError
+
+BYTES_PER_GB = 10**9
+
+
+def quota_bytes(quota_gb) -> int:
+    """A quota in GB as whole bytes; it must come to a finite quota of at least 1 byte."""
+    if not 1 <= quota_gb * BYTES_PER_GB < math.inf:  # also false for NaN
+        raise ParseError("quota_gb", f"{quota_gb} GB is not a finite quota of at least 1 byte")
+    return int(quota_gb * BYTES_PER_GB)
 
 
 class BlockStore:

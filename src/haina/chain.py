@@ -59,6 +59,11 @@ def build_chain(payloads) -> tuple:
     )
 
 
+def chain_root(blocks) -> bytes:
+    """The digest of the blocks' content addresses in position order: it pins the whole chain."""
+    return hashing.digest(b"".join(b.current_hash for b in blocks))
+
+
 def verify_chain(blocks) -> list:
     """Recompute every data hash and report each pointer that disagrees.
 

@@ -8,7 +8,7 @@ from contextlib import closing
 import click
 
 from . import hashing
-from .blockstore import BlockStore
+from .blockstore import BlockStore, quota_bytes
 from .client import download as client_download
 from .client import upload as client_upload
 from .errors import HainaError
@@ -66,7 +66,7 @@ def node_serve(listen, data_dir, quota_gb, nf_path, bootstrap):
                 if reply.type is MsgType.NF_DATA:
                     digest = hashing.parse_hex_digest(reply.header.get("digest"), "digest")
                     nf = update_node_file(nf, digest, lambda: reply.body)
-            store = BlockStore(int(quota_gb * 10**9), data_dir=data_dir)
+            store = BlockStore(quota_bytes(quota_gb), data_dir=data_dir)
             service = NodeService(listen, store, nf, transport=net)
             server = NodeServer(parse_address(listen), service)
         except HainaError as exc:

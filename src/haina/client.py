@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from . import frames, hashing
-from .chain import build_chain, deserialize_block, serialize_block, serialized_size
+from .chain import build_chain, chain_root, deserialize_block, serialize_block, serialized_size
 from .crypto import (
     CIPHER_BLOCK,
     decrypt_file,
@@ -201,6 +201,7 @@ def upload(
         block_count=n,
         iv=iv,
         file_length=len(file),
+        chain_root=chain_root(blocks),
     )
     return UploadReport(
         meta=meta,
@@ -235,9 +236,10 @@ def _fetch(transport, addresses, holders, timeout_ms):
     `holders[i]` lists the nodes to ask for `addresses[i]`.  The first
     holder of every address is asked in one exchange; the addresses that
     missed go to their next holder in the next exchange, and so on.  A
-    reply counts only if it is BLOCK_DATA, deserializes, and its data
-    domain hashes to its address.  Returns one locked Block per address,
-    or None where no holder served it.
+    reply counts only if it is BLOCK_DATA, deserializes, and both its
+    data domain's digest and its `current_hash` (from which the chain
+    root is computed) equal its address.  Returns one locked Block per
+    address, or None where no holder served it.
     """
     blocks = [None] * len(addresses)
     rank = 0
@@ -253,7 +255,7 @@ def _fetch(transport, addresses, holders, timeout_ms):
                 block = deserialize_block(result[0].body)
             except UsageError:
                 continue
-            if hashing.digest(block.data) == addresses[i]:
+            if hashing.digest(block.data) == addresses[i] == block.current_hash:
                 blocks[i] = block
         rank += 1
 
@@ -347,6 +349,9 @@ def download(
         # a stopped cursor names its target in `missing` even when the
         # other cursor filled that position, so test the positions
         raise IncompleteChainError(result.missing)
+    if chain_root(result.blocks) != meta.chain_root:
+        # every block matches its address, but a holder that knows the mask can forge pointers
+        raise IntegrityError("the fetched blocks are not the chain the meta file records")
 
     t0 = time.perf_counter()
     key, slices = extract_key_shards([b.data for b in result.blocks])

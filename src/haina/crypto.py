@@ -7,6 +7,7 @@ shard prepended to its block's data domain.
 """
 
 import struct
+from itertools import accumulate
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -105,8 +106,8 @@ def decrypt_file(pieces, key: bytes, iv: bytes) -> bytearray:
 def split_ciphertext(ef: bytes, n: int) -> list:
     """Divide the ciphertext into n contiguous non-empty memoryview slices.
 
-    The first len(ef) mod n slices get the extra byte, so sizes differ
-    by at most one and concatenation restores the input.
+    The slice sizes are `shard_sizes(len(ef), n)`, so they differ by at
+    most one and concatenation restores the input.
     """
     if n < 1:
         raise UsageError("block count must be at least 1")
@@ -114,24 +115,18 @@ def split_ciphertext(ef: bytes, n: int) -> list:
         raise UsageError(
             f"block count {n} exceeds ciphertext length {len(ef)}; choose a smaller block count"
         )
-    base, extra = divmod(len(ef), n)
+    ends = list(accumulate(shard_sizes(len(ef), n), initial=0))
     ef = memoryview(ef)
-    slices = []
-    pos = 0
-    for j in range(n):
-        size = base + (1 if j < extra else 0)
-        slices.append(ef[pos : pos + size])
-        pos += size
-    return slices
+    return [ef[start:end] for start, end in zip(ends, ends[1:])]
 
 
-def shard_sizes(key_len: int, n: int) -> list:
-    """Bytes of key that land in each of the n blocks under round-robin sharding.
+def shard_sizes(length: int, n: int) -> list:
+    """Sizes of the n near-equal parts of `length` bytes: the first length mod n get one byte more.
 
-    Key byte i goes to block position i mod n, so the first key_len mod n
-    blocks get the extra byte.
+    These are the ciphertext slices, and the bytes of key each block gets
+    under round-robin sharding (key byte i goes to block position i mod n).
     """
-    base, extra = divmod(key_len, n)
+    base, extra = divmod(length, n)
     return [base + (1 if j < extra else 0) for j in range(n)]
 
 

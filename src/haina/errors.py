@@ -32,10 +32,7 @@ class IncompleteChainError(HainaError):
 
     def __init__(self, missing):
         self.missing = list(missing)
-        super().__init__(
-            "chain incomplete, unresolved addresses: "
-            + ", ".join(d.hex() if isinstance(d, bytes) else str(d) for d in self.missing)
-        )
+        super().__init__("chain incomplete, unresolved addresses: " + ", ".join(d.hex() for d in self.missing))
 
 
 class ParseError(HainaError):

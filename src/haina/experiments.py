@@ -9,9 +9,10 @@ Every run is a pure function of the cluster spec and its seed.
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 
-from .blockstore import BlockStore
+from .blockstore import BlockStore, quota_bytes
 from .client import download, speedup, upload
 from .errors import ParseError, UsageError
 from .metrics import MetricsRow
@@ -20,8 +21,20 @@ from .nodefile import make_node_file, node_index
 from .por import PorConfig
 from .simnet import LinkModel, SimNet
 
+_KINDS = {int: "an integer", float: "a finite number", dict: "an object"}
+# the least value of each field that has one; `rate` and `quota_gb` have ranges of their own
+_MINIMUM = {"nodes": 2, "latency_ms": 0, "jitter_ms": 0, "events": 1, "file_bytes": 1, "blocks": 1}
+
+
+def _finite(value) -> bool:
+    # json reads NaN, Infinity and -Infinity as floats
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
 @dataclass
 class ClusterSpec:
+    """One simulated cluster and its workload; construction checks every field."""
+
     nodes: int = 5
     quota_gb: float = 1.0
     latency_ms: float = 25.0
@@ -34,27 +47,21 @@ class ClusterSpec:
     latency_matrix: dict = field(default_factory=dict)  # "src>dst" -> ms
 
     def __post_init__(self):
-        if self.nodes < 2:
-            raise ParseError("nodes", "storage events need at least 2 nodes")
-        if self.quota_gb <= 0:
-            raise ParseError("quota_gb", "must be positive")
-        if self.latency_ms < 0:
-            raise ParseError("latency_ms", "cannot be negative")
-        if self.jitter_ms < 0:
-            raise ParseError("jitter_ms", "cannot be negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # type() rather than isinstance(): JSON true and false are bools, and so ints
+            if not (_finite(value) if f.type is float else type(value) is f.type):
+                raise ParseError(f.name, f"must be {_KINDS[f.type]}")
+            if f.name in _MINIMUM and value < _MINIMUM[f.name]:
+                raise ParseError(f.name, f"must be at least {_MINIMUM[f.name]}")
         if not 0 < self.rate <= 1:
             raise ParseError("rate", "must satisfy 0 < rate <= 1")
-        if self.events < 1:
-            raise ParseError("events", "must be at least 1")
-        if self.file_bytes < 1:
-            raise ParseError("file_bytes", "must be at least 1")
-        if self.blocks < 1:
-            raise ParseError("blocks", "must be at least 1")
-
-
-def _finite(value) -> bool:
-    # json reads NaN, Infinity and -Infinity as floats
-    return type(value) is int or (type(value) is float and math.isfinite(value))
+        quota_bytes(self.quota_gb)
+        for key, ms in self.latency_matrix.items():
+            if type(key) is not str or ">" not in key:
+                raise ParseError("latency_matrix", f"key {key!r} is not 'src>dst'")
+            if not _finite(ms) or ms < 0:
+                raise ParseError("latency_matrix", f"{key!r} latency must be a finite number of at least 0")
 
 
 def parse_cluster_spec(text: str) -> ClusterSpec:
@@ -64,18 +71,10 @@ def parse_cluster_spec(text: str) -> ClusterSpec:
         raise ParseError("spec", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("spec", "top level must be an object")
-    fields = ClusterSpec.__dataclass_fields__
-    for name, value in doc.items():
-        if name not in fields:
+    names = {f.name for f in fields(ClusterSpec)}
+    for name in doc:
+        if name not in names:
             raise ParseError(name, "unknown cluster spec field")
-        kind = fields[name].type
-        # type() rather than isinstance(): JSON true and false are bools, and so ints
-        if kind is int and type(value) is not int:
-            raise ParseError(name, "must be an integer")
-        if kind is float and not _finite(value):
-            raise ParseError(name, "must be a finite number")
-        if kind is dict and (type(value) is not dict or not all(map(_finite, value.values()))):
-            raise ParseError(name, "must be an object of finite numbers")
     return ClusterSpec(**doc)
 
 
@@ -87,18 +86,11 @@ def build_cluster(spec: ClusterSpec, por_cfg: PorConfig = None):
     """Build the simulated cluster: (transport, roster, address -> service)."""
     addresses = [node_address(i) for i in range(1, spec.nodes + 1)]
     nf = make_node_file(addresses)
-    matrix = {}
-    for key, ms in spec.latency_matrix.items():
-        src, sep, dst = key.partition(">")
-        if not sep:
-            raise ParseError("latency_matrix", f"key {key!r} is not 'src>dst'")
-        if ms < 0:
-            raise ParseError("latency_matrix", f"{key!r} latency cannot be negative")
-        matrix[(src, dst)] = ms
+    matrix = {tuple(key.split(">", 1)): ms for key, ms in spec.latency_matrix.items()}
     net = SimNet(LinkModel(spec.latency_ms, spec.jitter_ms, spec.seed, matrix))
     cfg = por_cfg or PorConfig(rate=spec.rate, timeout_ms=max(spec.latency_ms * 20, 1000.0))
     services = {}
-    quota = int(spec.quota_gb * 10**9)
+    quota = quota_bytes(spec.quota_gb)
     for addr in nf.addresses:
         service = NodeService(addr, BlockStore(quota), nf, por_cfg=cfg, transport=net)
         net.add_node(addr, service)
@@ -127,10 +119,7 @@ def _run_fairness(spec: ClusterSpec):
     net, nf, services, cfg = build_cluster(spec)
     rows = []
     for event_id, report, _ in _events(spec, net, nf, cfg):
-        counts = {}
-        for addr in report.placements:
-            counts[addr] = counts.get(addr, 0) + 1
-        for addr, count in sorted(counts.items()):
+        for addr, count in sorted(Counter(report.placements).items()):
             rows.append(
                 MetricsRow(
                     event_id=event_id,
@@ -156,9 +145,7 @@ def _run_decision_time(spec: ClusterSpec):
     net, nf, services, cfg = build_cluster(spec)
     rows = []
     for event_id, report, _ in _events(spec, net, nf, cfg):
-        for i, ms in enumerate(report.decision_ms):
-            if i == len(report.decision_ms) - 1:
-                continue  # the tail block triggers no election
+        for i, ms in enumerate(report.decision_ms[:-1]):  # the tail block triggers no election
             rows.append(
                 MetricsRow(
                     event_id=event_id,

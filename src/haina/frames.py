@@ -85,18 +85,25 @@ def encode_frame(frame: Frame) -> bytes:
     return HEADER_FMT.pack(MAGIC, int(frame.type), len(header), len(frame.body)) + header + frame.body
 
 
-def decode_frame(raw) -> Frame:
-    """Decode one whole frame from any bytes-like object; the body is always bytes."""
-    if len(raw) < FRAME_OVERHEAD:
-        raise ParseError("frame", f"truncated frame: {len(raw)} bytes")
-    magic, type_tag, header_len, body_len = HEADER_FMT.unpack_from(raw)
+def frame_length(raw) -> int:
+    """Check a frame's 17-byte head (magic and cap); returns the whole frame's declared length."""
+    magic, _, header_len, body_len = HEADER_FMT.unpack_from(raw)
     if magic != MAGIC:
         raise ParseError("frame", f"bad magic {magic!r}")
     total = FRAME_OVERHEAD + header_len + body_len
     if total > MAX_FRAME:
         raise ParseError("frame", f"declared frame size {total} exceeds the {MAX_FRAME} cap")
+    return total
+
+
+def decode_frame(raw) -> Frame:
+    """Decode one whole frame from any bytes-like object; the body is always bytes."""
+    if len(raw) < FRAME_OVERHEAD:
+        raise ParseError("frame", f"truncated frame: {len(raw)} bytes")
+    total = frame_length(raw)
     if len(raw) != total:
         raise ParseError("frame", f"frame length {len(raw)} != declared {total}")
+    _, type_tag, header_len, _ = HEADER_FMT.unpack_from(raw)
     try:
         msg_type = MsgType(type_tag)
     except ValueError:

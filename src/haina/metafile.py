@@ -2,9 +2,10 @@
 
 A UTF-8 JSON document carrying everything needed to recover one file:
 the first head node's address, the header block's content address, the
-pointer mask, plus block count, the cipher's IV and the original file
-length.  Its fixed fields (`_FIXED`) name the one format version, cipher
-and digest haina uses.  The document never leaves the user's hands.
+pointer mask, block count, the cipher's IV, the original file length,
+and the chain root, which pins every block's address to its position.
+Its fixed fields (`_FIXED`) name the one format version, cipher and
+digest haina uses.  The document never leaves the user's hands.
 """
 
 import json
@@ -17,9 +18,10 @@ from .locking import MASK_SIZE
 
 META_SUFFIX = ".haina.meta"
 # fields with one accepted value, written and checked byte for byte
-_FIXED = {"version": 1, "cipher": "sm4", "mode": "cbc", "hash_alg": hashing.ALGORITHM}
+_FIXED = {"version": 2, "cipher": "sm4", "mode": "cbc", "hash_alg": hashing.ALGORITHM}
 # the bytes fields, written as hex, and the exact length of each
-_HEX_SIZES = {"header_digest": hashing.DIGEST_SIZE, "mask": MASK_SIZE, "iv": CIPHER_BLOCK}
+_HEX_SIZES = {"header_digest": hashing.DIGEST_SIZE, "mask": MASK_SIZE, "iv": CIPHER_BLOCK,
+              "chain_root": hashing.DIGEST_SIZE}
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,7 @@ class MetaFile:
     block_count: int
     iv: bytes
     file_length: int
+    chain_root: bytes
 
     def __post_init__(self):
         for f in fields(self):
@@ -62,14 +65,13 @@ def parse_meta_file(text: bytes) -> MetaFile:
     if not isinstance(doc, dict):
         raise ParseError("document", "top level must be an object")
 
+    for key, value in _FIXED.items():  # first: a document of another version is rejected by its version
+        if key in doc and (type(doc[key]) is not type(value) or doc[key] != value):
+            raise ParseError(key, f"unsupported value {doc[key]!r}, expected {value!r}")
     names = [f.name for f in fields(MetaFile)]
     for key in [*names, *_FIXED, *doc]:
         if (key in doc) != (key in names or key in _FIXED):
             raise ParseError(key, "unknown field" if key in doc else "required field missing")
-
-    for key, value in _FIXED.items():
-        if type(doc[key]) is not type(value) or doc[key] != value:
-            raise ParseError(key, f"unsupported value {doc[key]!r}, expected {value!r}")
     for key in _HEX_SIZES:
         try:
             doc[key] = bytes.fromhex(doc[key])

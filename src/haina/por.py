@@ -9,6 +9,7 @@ check against its per-event tally and notifies the winner.
 
 from dataclasses import dataclass, field
 
+from .blockstore import BYTES_PER_GB
 from .errors import CampaignError, HainaError, UsageError
 from .frames import Frame, MsgType
 from .nodefile import NodeFile
@@ -64,9 +65,6 @@ def pick_first_beginner(nf: NodeFile, draw: int) -> str:
     if draw < 0:
         raise UsageError("rng draw must be non-negative")
     return nf.addresses[draw % len(nf)]
-
-
-BYTES_PER_GB = 10**9
 
 
 def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, cfg: PorConfig) -> CampaignResult:

@@ -24,7 +24,7 @@ import threading
 import time
 
 from .errors import HainaError, NetworkError, ParseError
-from .frames import FRAME_OVERHEAD, HEADER_FMT, MAGIC, MAX_FRAME, Frame, decode_frame, encode_frame
+from .frames import FRAME_OVERHEAD, Frame, decode_frame, encode_frame, frame_length
 from .nodefile import parse_address
 
 
@@ -69,13 +69,7 @@ class _Reader:
             self.got += n
             self.view = self.view[n:]
             if self.got == FRAME_OVERHEAD and not self.view:
-                magic, _, header_len, body_len = HEADER_FMT.unpack(self.raw)
-                if magic != MAGIC:
-                    raise ParseError("frame", f"bad magic {magic!r}")
-                total = FRAME_OVERHEAD + header_len + body_len
-                if total > MAX_FRAME:
-                    raise ParseError("frame", "declared frame size exceeds cap")
-                head, self.raw = self.raw, bytearray(total)
+                head, self.raw = self.raw, bytearray(frame_length(self.raw))
                 self.raw[:FRAME_OVERHEAD] = head
                 self.view = memoryview(self.raw)[FRAME_OVERHEAD:]
         return True

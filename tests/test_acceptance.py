@@ -264,6 +264,7 @@ def test_unit_property_suite(report):
             rng.randint(1, 64),
             rng.randbytes(16),
             file_length=rng.randint(1, 10**9),
+            chain_root=rng.randbytes(32),
         )
         if parse_meta_file(serialize_meta_file(meta)) != meta:
             problems.append("meta codec round-trip broken")

@@ -118,6 +118,21 @@ class TestUsageErrors:
         assert result.exit_code == 2, result.output
         assert "error: digest: not valid hex" in result.output
 
+    @pytest.mark.parametrize("quota_gb", ["inf", "1e300", "1e-10"])
+    def test_quota_that_is_not_a_byte_count_exits_2(self, tmp_path, monkeypatch, quota_gb):
+        def no_server(*args):
+            raise AssertionError("the node must not start")
+
+        monkeypatch.setattr("haina.cli.NodeServer", no_server)
+        nf = tmp_path / "cluster.nf"
+        nf.write_bytes(make_node_file(["127.0.0.1:9", "127.0.0.1:10"]).canonical_bytes())
+        result = _run(
+            "node", "serve", "--listen", "127.0.0.1:9", "--data-dir", str(tmp_path / "data"),
+            "--nf", str(nf), "--quota-gb", quota_gb,
+        )
+        assert result.exit_code == 2, result.output
+        assert "error: quota_gb:" in result.output
+
 
 @pytest.fixture
 def live_cluster(tmp_path):

@@ -3,14 +3,17 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from haina import frames
+from haina import frames, hashing
+from haina.chain import Block, deserialize_block, serialize_block
 from haina.client import USER_ADDRESS, download, speedup, upload
 from haina.errors import IncompleteChainError, IntegrityError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType
+from haina.locking import unlock_block
 from haina.metafile import parse_meta_file, serialize_meta_file
 from haina.por import run_campaign
 
@@ -91,12 +94,12 @@ class TestUploadDownloadRoundTrip:
         assert holder.store.has(report.meta.header_digest)
 
     def test_seeded_meta_file_is_byte_identical(self):
-        # SHA-256 of the meta file this seeded upload wrote before the cipher
-        # settings became constants; the format must not drift
+        # SHA-256 of the version-2 meta file this seeded upload writes; it differs
+        # from version 1's (aa190095...) only in "version" and the new "chain_root"
         net, nf, services, cfg = _cluster(seed=7)
         report = upload(random.Random(7).randbytes(1000), 8, cfg, nf, net, seed=123)
         digest = hashlib.sha256(serialize_meta_file(report.meta)).hexdigest()
-        assert digest == "aa190095f11423059d54441867755b06f405874390a7e21420f19c975bdc3c96"
+        assert digest == "43192156367ad0b6bd1a3be0eee6d80ee3a70f6367f8fa6dbb9b87cda0436074"
 
     def test_unseeded_uploads_do_not_depend_on_the_clock(self, monkeypatch):
         monkeypatch.setattr(time, "time_ns", lambda: 1_700_000_000_000_000_000)
@@ -453,6 +456,75 @@ class TestFlippedNextPointer:
         assert download(report.meta, nf, net, mode="bi").data == file
         with pytest.raises(IncompleteChainError):
             download(report.meta, nf, net, mode="uni")
+
+
+class _ForgesPointers:
+    """Byzantine holder that knows the mask: serves chosen blocks with forged fields, re-locked under it.
+
+    `forged` maps a block's address to the unlocked fields that replace its own.
+    """
+
+    def __init__(self, service, mask, forged):
+        self.service = service
+        self.mask = mask
+        self.forged = forged
+
+    def handle(self, frame):
+        reply = self.service.handle(frame)
+        if reply.type is MsgType.BLOCK_DATA:
+            block = deserialize_block(reply.body)
+            if block.current_hash in self.forged:
+                block = replace(unlock_block(block, self.mask), **self.forged[block.current_hash])
+                reply = Frame(reply.type, reply.header, serialize_block(unlock_block(block, self.mask)))
+        return reply
+
+
+class TestForgedChain:
+    """A holder that knows the mask can redirect the walk; the meta file's chain root catches it.
+
+    6,399 bytes pad to 6,400, so the slices have equal sizes: a block put in
+    another's position keeps the file's length and its last piece intact,
+    and blocks 32 and on carry no key shard.
+    """
+
+    def _upload(self, n):
+        """(net, nf, services, report, every block's address in position order)."""
+        net, nf, services, cfg = _cluster(nodes=12, latency=5.0, seed=3)
+        report = upload(random.Random(3).randbytes(6399), n, cfg, nf, net, seed=3)
+        stored = {a: s.store.get(a) for s in services.values() for a in s.store.addresses()}
+        h = [report.meta.header_digest]
+        while len(h) < n:
+            h.append(unlock_block(deserialize_block(stored[h[-1]]), report.meta.mask).next_hash)
+        return net, nf, services, report, h
+
+    @staticmethod
+    def _forge(net, services, mask, forged):
+        for address, service in services.items():
+            net.add_node(address, _ForgesPointers(service, mask, forged))
+
+    def test_uni_walk_redirected_past_a_block(self):
+        net, nf, services, report, h = self._upload(40)
+        self._forge(net, services, report.meta.mask, {h[34]: {"next_hash": h[36]}, h[39]: {"next_hash": h[39]}})
+        with pytest.raises(IntegrityError, match="not the chain the meta file records"):
+            download(report.meta, nf, net, mode="uni")
+
+    def test_bi_backward_walk_redirected_past_a_block(self):
+        net, nf, services, report, h = self._upload(64)
+        self._forge(net, services, report.meta.mask, {h[60]: {"previous_hash": h[58]}})
+        with pytest.raises(IntegrityError, match="not the chain the meta file records"):
+            download(report.meta, nf, net, mode="bi")
+
+    def test_block_claiming_the_honest_current_hash_is_refused(self):
+        # block 34's holder stores a made-up block whose current_hash field reads
+        # block 35's address and whose pointers lead back into the chain
+        net, nf, services, report, h = self._upload(40)
+        mask = report.meta.mask
+        fake = Block(h[34], h[35], h[36], random.Random(4).randbytes(160))
+        services[report.placements[34]].store.put(serialize_block(unlock_block(fake, mask)))
+        self._forge(net, services, mask, {h[34]: {"next_hash": hashing.digest(fake.data)}})
+        with pytest.raises(IncompleteChainError) as err:
+            download(report.meta, nf, net, mode="uni")
+        assert err.value.missing == [hashing.digest(fake.data)]
 
 
 class TestBidirectionalFetch:

@@ -31,12 +31,25 @@ class TestClusterSpec:
                                                    {"a>b": True}, {"a>b": [5]})]
         # json reads NaN and Infinity, which no latency, jitter or quota can be
         + [(field, value) for field in ("quota_gb", "latency_ms", "jitter_ms") for value in (math.inf, math.nan)]
-        + [("latency_matrix", {"a>b": value}) for value in (math.inf, math.nan)],
+        + [("latency_matrix", {"a>b": value}) for value in (math.inf, math.nan)]
+        # a quota must come to a finite number of at least 1 byte
+        + [("quota_gb", value) for value in (1e300, 1e-10)],
     )
     def test_invalid_value_named(self, field, value):
         doc = {"nodes": 5, "seed": 1, field: value}
         with pytest.raises(ParseError, match=field):
             parse_cluster_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("events", True), ("seed", True), ("nodes", 2.5), ("latency_ms", "5"), ("quota_gb", math.nan),
+         ("quota_gb", 1e300), ("quota_gb", 1e-10), ("latency_matrix", [1]), ("latency_matrix", {"ab": 5}),
+         ("latency_matrix", {1: 5}), ("latency_matrix", {"a>b": -1.0})],
+    )
+    def test_direct_construction_is_checked(self, field, value):
+        # tests, the acceptance suite and the benchmark build specs without parse_cluster_spec
+        with pytest.raises(ParseError, match=f"^{field}:"):
+            ClusterSpec(**{field: value})
 
     def test_not_json(self):
         with pytest.raises(ParseError):

@@ -1,13 +1,17 @@
-"""Source hygiene checks: unused imports, wrapped names and exports."""
+"""Source hygiene checks: unused imports, wrapped names, exports and validators."""
 
 import ast
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import haina
+from haina.errors import ParseError
+from haina.experiments import ClusterSpec
+from haina.metafile import MetaFile
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "haina"
@@ -48,3 +52,15 @@ def test_every_span_wrapped_name_exists():
 def test_every_exported_name_exists():
     missing = [name for name in haina.__all__ if not hasattr(haina, name)]
     assert not missing, f"haina.__all__ names what the package does not define: {', '.join(missing)}"
+
+
+# one valid instance of each validating dataclass; a new int field is checked as soon as it exists
+VALID = [MetaFile("node001:9000", bytes(32), b"\x01" * 32, 1, bytes(16), 1, bytes(32)), ClusterSpec()]
+INT_FIELDS = [(valid, f.name) for valid in VALID for f in fields(valid) if f.type is int]
+
+
+@pytest.mark.parametrize("valid,name", INT_FIELDS, ids=[f"{type(v).__name__}.{n}" for v, n in INT_FIELDS])
+def test_validators_reject_bool_for_int_fields(valid, name):
+    # JSON true is a Python bool, and so an int
+    with pytest.raises(ParseError, match=f"^{name}:"):
+        replace(valid, **{name: True})

@@ -16,6 +16,7 @@ def _meta(**overrides):
         block_count=20,
         iv=rng.randbytes(16),
         file_length=1234,
+        chain_root=rng.randbytes(32),
     )
     fields.update(overrides)
     return MetaFile(**fields)
@@ -63,7 +64,7 @@ def test_bool_count_rejected_on_build_and_parse(field):
         parse_meta_file(json.dumps(doc).encode())
 
 
-@pytest.mark.parametrize("field", ["header_digest", "mask", "first_beginner", "block_count", "iv"])
+@pytest.mark.parametrize("field", ["header_digest", "mask", "first_beginner", "block_count", "iv", "chain_root"])
 def test_missing_field_named(field):
     doc = json.loads(serialize_meta_file(_meta()).decode())
     del doc[field]
@@ -98,6 +99,15 @@ def test_other_fixed_value_rejected(field, value):
 def test_unsupported_version_rejected():
     doc = json.loads(serialize_meta_file(_meta()).decode())
     doc["version"] = 99
+    with pytest.raises(ParseError, match="version"):
+        parse_meta_file(json.dumps(doc).encode())
+
+
+def test_version_1_document_rejected_by_its_version():
+    # version 1 had no chain_root: its walk could be redirected without an error
+    doc = json.loads(serialize_meta_file(_meta()).decode())
+    del doc["chain_root"]
+    doc["version"] = 1
     with pytest.raises(ParseError, match="version"):
         parse_meta_file(json.dumps(doc).encode())
 
