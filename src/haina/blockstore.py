@@ -1,21 +1,27 @@
 """Per-node block storage with quota accounting.
 
-Blocks are keyed by content address (the data-domain hash).  With a
-data directory configured, each block lives in one file named by its
-64-hex-char address, so a restarted node finds its blocks again.  A file
-is written whole or not at all (temp file, then rename), and on restart
-only files whose data domain hashes to their name count as stored.
+Blocks are keyed by content address (the data-domain hash).  With a data
+directory configured, a node appends each block it stores to one log,
+`blocks.log`, as the serialized block it received; the block's own length
+field frames the record.  A put appends first and indexes after, and cuts
+a failed append off the log again.  Nothing is fsynced, so a crash can tear
+the last record: a restarted node indexes each whole record under its data
+domain's hash and truncates the log after the last one.  A damaged length
+field mid-log misframes every later record, and downloads of those blocks
+fail loudly.  Per-block files of older versions are not read.
 """
 
+import errno
 import math
 import os
 import threading
 
 from . import hashing
-from .chain import deserialize_block
+from .chain import BLOCK_OVERHEAD, deserialize_block, stated_size
 from .errors import IntegrityError, ParseError, UsageError
 
 BYTES_PER_GB = 10**9
+LOG_NAME = "blocks.log"
 
 
 def quota_bytes(quota_gb) -> int:
@@ -30,31 +36,31 @@ class BlockStore:
         if quota_bytes < 0:
             raise UsageError("quota cannot be negative")
         self.quota_bytes = quota_bytes
-        self.data_dir = data_dir
+        self._log = None if data_dir is None else os.path.join(data_dir, LOG_NAME)
         self._blocks = {}  # address -> serialized block
         self._used = 0
-        self._put_lock = threading.Lock()  # one quota check + insert at a time
+        self._put_lock = threading.Lock()  # one quota check + append + insert at a time
         if data_dir is not None:
             os.makedirs(data_dir, exist_ok=True)
             self._load()
 
     def _load(self):
-        for name in os.listdir(self.data_dir):
-            if len(name) != 64:
-                continue
-            try:
-                address = bytes.fromhex(name)
-            except ValueError:
-                continue
-            with open(os.path.join(self.data_dir, name), "rb") as fh:
-                raw = fh.read()
-            try:
-                if hashing.digest(deserialize_block(raw).data) != address:
-                    continue  # another block's bytes under this name
-            except UsageError:
-                continue  # truncated, or not a block at all
-            self._blocks[address] = raw
-            self._used += len(raw)
+        if not os.path.exists(self._log):
+            return  # a new data dir: the first put creates the log
+        with open(self._log, "r+b") as fh:
+            log = fh.read()
+            end = 0
+            while len(log) - end >= BLOCK_OVERHEAD:
+                raw = log[end : end + stated_size(log, end)]
+                try:
+                    block = deserialize_block(raw)
+                except UsageError:
+                    break  # a torn last record
+                self._blocks[hashing.digest(block.data)] = raw
+                end += len(raw)
+            if end < len(log):
+                fh.truncate(end)
+        self._used = end
 
     @property
     def used_bytes(self) -> int:
@@ -76,13 +82,16 @@ class BlockStore:
                 return address
             if len(raw) > self.freespace:
                 raise UsageError(f"quota exceeded: {len(raw)} bytes needed, {self.freespace} free")
+            if self._log is not None:
+                try:
+                    with open(self._log, "ab", buffering=0) as fh:
+                        if fh.write(raw) != len(raw):
+                            raise OSError(errno.ENOSPC, "short write")
+                except OSError as exc:
+                    os.truncate(self._log, self._used)  # the log holds exactly the stored blocks
+                    raise UsageError(f"block not stored: {exc}") from None
             self._blocks[address] = raw
             self._used += len(raw)
-            if self.data_dir is not None:
-                path = os.path.join(self.data_dir, address.hex())
-                with open(path + ".tmp", "wb") as fh:
-                    fh.write(raw)
-                os.replace(path + ".tmp", path)
         return address
 
     def has(self, address: bytes) -> bool:

@@ -85,12 +85,18 @@ def verify_chain(blocks) -> list:
 
 
 _LEN = struct.Struct(">Q")
-BLOCK_OVERHEAD = 3 * hashing.DIGEST_SIZE + _LEN.size  # pointer domain + length field: 104 bytes
+_LEN_AT = 3 * hashing.DIGEST_SIZE  # the length field follows the pointer domain
+BLOCK_OVERHEAD = _LEN_AT + _LEN.size  # pointer domain + length field: 104 bytes
 
 
 def serialized_size(block: Block) -> int:
     """Length of `serialize_block(block)`, without building it."""
     return BLOCK_OVERHEAD + len(block.data)
+
+
+def stated_size(buf, offset: int = 0) -> int:
+    """Length of the serialized block at `offset` in `buf`, as its length field states it."""
+    return BLOCK_OVERHEAD + _LEN.unpack_from(buf, offset + _LEN_AT)[0]
 
 
 def serialize_block(block: Block) -> bytes:
@@ -109,9 +115,9 @@ def serialize_block(block: Block) -> bytes:
 def deserialize_block(raw: bytes) -> Block:
     if len(raw) < BLOCK_OVERHEAD:
         raise UsageError(f"serialized block too short: {len(raw)} bytes")
-    (length,) = _LEN.unpack_from(raw, 96)
-    if len(raw) != BLOCK_OVERHEAD + length:
-        raise UsageError(f"serialized block length mismatch: header says {length}")
+    size = stated_size(raw)
+    if len(raw) != size:
+        raise UsageError(f"serialized block length mismatch: header says {size - BLOCK_OVERHEAD}")
     return Block(
         previous_hash=raw[0:32],
         current_hash=raw[32:64],

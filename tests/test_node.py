@@ -1,4 +1,7 @@
+import errno
 import gc
+import io
+import os
 import random
 import socket
 import socketserver
@@ -9,9 +12,9 @@ import warnings
 
 import pytest
 
-from haina import realnet
-from haina.blockstore import BlockStore
-from haina.chain import build_chain, serialize_block
+from haina import blockstore, realnet
+from haina.blockstore import LOG_NAME, BlockStore
+from haina.chain import BLOCK_OVERHEAD, build_chain, deserialize_block, serialize_block
 from haina.client import download, upload
 from haina.errors import NetworkError, ParseError, UsageError
 from haina.frames import Frame, MsgType, encode_frame
@@ -52,7 +55,9 @@ class TestBlockStore:
         store.put(raw)
         assert store.used_bytes == len(raw)
 
-    def test_concurrent_puts_never_exceed_quota(self):
+    def _race_puts(self, data_dir=None):
+        """Race 32 puts against a quota that fits 8 of them; returns (store, blocks, accepted blocks)."""
+
         class SlowCheckStore(BlockStore):
             @property
             def freespace(self):
@@ -61,8 +66,7 @@ class TestBlockStore:
                 return free
 
         raws = [serialize_block(_block(bytes([i]) * 64)) for i in range(32)]
-        quota = 8 * len(raws[0])
-        store = SlowCheckStore(quota)
+        store = SlowCheckStore(8 * len(raws[0]), data_dir)
         barrier = threading.Barrier(len(raws))
         accepted = []
 
@@ -85,8 +89,22 @@ class TestBlockStore:
         finally:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
+        return store, raws, accepted
+
+    def test_concurrent_puts_never_exceed_quota(self):
+        store, raws, accepted = self._race_puts()
         assert len(accepted) == 8
-        assert store.used_bytes == quota
+        assert store.used_bytes == store.quota_bytes
+
+    def test_concurrent_puts_append_whole_records(self, tmp_path):
+        store, raws, accepted = self._race_puts(str(tmp_path))
+        assert len(accepted) == 8
+        size = len(raws[0])
+        log = (tmp_path / LOG_NAME).read_bytes()
+        assert sorted(log[i : i + size] for i in range(0, len(log), size)) == sorted(accepted)
+        reopened = BlockStore(store.quota_bytes, data_dir=str(tmp_path))
+        assert reopened.addresses() == {deserialize_block(raw).current_hash for raw in accepted}
+        assert reopened.used_bytes == store.quota_bytes
 
     def test_persistence_roundtrip(self, tmp_path):
         raw = serialize_block(_block())
@@ -96,31 +114,69 @@ class TestBlockStore:
         assert reopened.get(address) == raw
         assert reopened.used_bytes == len(raw)
 
-    def test_truncated_block_file_is_not_stored(self, tmp_path):
+    @pytest.mark.parametrize("kept", [50, BLOCK_OVERHEAD + 3], ids=["in-pointers", "in-data"])
+    def test_torn_last_record_is_dropped_and_cut_off(self, tmp_path, kept):
+        first, second = serialize_block(_block(b"first")), serialize_block(_block(b"second"))
+        store = BlockStore(10**6, data_dir=str(tmp_path))
+        store.put(first)
+        address = store.put(second)
+        log = tmp_path / LOG_NAME
+        log.write_bytes(first + second[:kept])
+        reopened = BlockStore(10**6, data_dir=str(tmp_path))
+        assert reopened.addresses() == {_block(b"first").current_hash}
+        assert reopened.used_bytes == len(first)
+        assert log.read_bytes() == first
+        # the next put lands right after the last whole record
+        assert reopened.put(second) == address
+        assert log.read_bytes() == first + second
+        again = BlockStore(10**6, data_dir=str(tmp_path))
+        assert again.get(address) == second and again.used_bytes == len(first + second)
+
+    @pytest.mark.parametrize("garbage", [b"\x00" * 7, b"\xff" * 300], ids=["short", "huge-length"])
+    def test_trailing_garbage_is_dropped(self, tmp_path, garbage):
         raw = serialize_block(_block())
-        store = BlockStore(10**6, data_dir=str(tmp_path))
-        address = store.put(raw)
-        path = tmp_path / address.hex()
-        path.write_bytes(raw[:-1])
+        address = BlockStore(10**6, data_dir=str(tmp_path)).put(raw)
+        log = tmp_path / LOG_NAME
+        log.write_bytes(raw + garbage)
         reopened = BlockStore(10**6, data_dir=str(tmp_path))
-        assert not reopened.has(address)
-        assert reopened.used_bytes == 0
-        assert reopened.put(raw) == address
-        assert path.read_bytes() == raw
-        assert BlockStore(10**6, data_dir=str(tmp_path)).has(address)
+        assert reopened.addresses() == {address}
+        assert reopened.used_bytes == len(raw)
+        assert log.read_bytes() == raw
 
-    def test_block_file_under_another_name_is_not_stored(self, tmp_path):
+    def test_data_dir_holds_only_the_log_and_a_duplicate_appends_nothing(self, tmp_path):
         store = BlockStore(10**6, data_dir=str(tmp_path))
-        address = store.put(serialize_block(_block()))
-        other = serialize_block(_block(b"other"))
-        (tmp_path / address.hex()).write_bytes(other)
-        reopened = BlockStore(10**6, data_dir=str(tmp_path))
-        assert not reopened.has(address)
-        assert reopened.used_bytes == 0
+        raw = serialize_block(_block())
+        store.put(raw)
+        store.put(raw)
+        assert [p.name for p in tmp_path.iterdir()] == [LOG_NAME]
+        assert (tmp_path / LOG_NAME).read_bytes() == raw
 
-    def test_put_leaves_no_temp_file(self, tmp_path):
-        address = BlockStore(10**6, data_dir=str(tmp_path)).put(serialize_block(_block()))
-        assert [p.name for p in tmp_path.iterdir()] == [address.hex()]
+    @pytest.mark.parametrize("short", [False, True], ids=["enospc", "short-write"])
+    def test_failed_append_stores_nothing(self, tmp_path, monkeypatch, short):
+        kept, raw = serialize_block(_block(b"kept")), serialize_block(_block())
+        address = _block().current_hash
+        store = BlockStore(10**6, data_dir=str(tmp_path))
+        store.put(kept)
+        service = NodeService("a:1", store, make_node_file(["a:1"]))
+
+        class FullDisk(io.FileIO):
+            """A log on a disk that fills up halfway through the next write."""
+
+            def write(self, data):
+                written = super().write(data[: len(data) // 2])
+                if short:
+                    return written
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(blockstore, "open", lambda path, mode, buffering: FullDisk(path, mode), raising=False)
+        store_ready = Frame(MsgType.STORE_READY, {"next_size": "0", "elect": "0"}, raw)
+        assert service.handle(store_ready).type is MsgType.ERROR
+        assert not store.has(address)
+        assert store.used_bytes == len(kept)
+        assert (tmp_path / LOG_NAME).read_bytes() == kept
+        monkeypatch.undo()
+        assert service.handle(store_ready).type is MsgType.STORE_ACK
+        assert BlockStore(10**6, data_dir=str(tmp_path)).get(address) == raw
 
 
 def _sim_pair(quota=10**9):
@@ -592,3 +648,36 @@ class TestGarbageReplies:
             _stop(*servers)
             for service in services.values():
                 service.transport.close()
+
+
+def test_tcp_cluster_restarted_on_its_data_dirs_serves_the_file(tmp_path):
+    servers = [NodeServer(("127.0.0.1", 0), None) for _ in range(4)]
+    addresses = [f"127.0.0.1:{server.server_address[1]}" for server in servers]
+    nf = make_node_file(addresses)
+
+    def serve(server, address):
+        store = BlockStore(10**9, data_dir=str(tmp_path / address.rpartition(":")[2]))
+        server.service = NodeService(address, store, nf, PorConfig(), RealNet())
+        server.serve_background()
+        return server
+
+    def stop(servers):
+        _stop(*servers)
+        for server in servers:
+            server.service.transport.close()
+
+    net = RealNet()
+    try:
+        servers = [serve(server, address) for server, address in zip(servers, addresses)]
+        file = random.Random(11).randbytes(5000)
+        meta = upload(file, 8, PorConfig(), nf, net, seed=11).meta
+        stored = [server.service.store.addresses() for server in servers]
+        stop(servers)
+        # each node comes back on its own port and data dir
+        servers = [serve(NodeServer(("127.0.0.1", int(a.rpartition(":")[2])), None), a) for a in addresses]
+        assert [server.service.store.addresses() for server in servers] == stored
+        for mode in ("bi", "uni"):
+            assert download(meta, nf, net, mode=mode).data == file
+    finally:
+        net.close()
+        stop(servers)
