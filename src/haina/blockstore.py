@@ -48,17 +48,20 @@ class BlockStore:
         if not os.path.exists(self._log):
             return  # a new data dir: the first put creates the log
         with open(self._log, "r+b") as fh:
-            log = fh.read()
+            size = os.fstat(fh.fileno()).st_size
             end = 0
-            while len(log) - end >= BLOCK_OVERHEAD:
-                raw = log[end : end + stated_size(log, end)]
+            while True:  # one record in memory at a time; stop at a torn one
+                head = fh.read(BLOCK_OVERHEAD)
+                if len(head) < BLOCK_OVERHEAD or end + stated_size(head) > size:
+                    break
+                raw = head + fh.read(stated_size(head) - BLOCK_OVERHEAD)
                 try:
                     block = deserialize_block(raw)
                 except UsageError:
-                    break  # a torn last record
+                    break
                 self._blocks[hashing.digest(block.data)] = raw
                 end += len(raw)
-            if end < len(log):
+            if end < size:
                 fh.truncate(end)
         self._used = end
 

@@ -19,7 +19,7 @@ from .metrics import MetricsRow
 from .node import NodeService
 from .nodefile import make_node_file, node_index
 from .por import PorConfig
-from .simnet import LinkModel, SimNet
+from .simnet import SimNet
 
 _KINDS = {int: "an integer", float: "a finite number", dict: "an object"}
 # the least value of each field that has one; `rate` and `quota_gb` have ranges of their own
@@ -87,7 +87,7 @@ def build_cluster(spec: ClusterSpec, por_cfg: PorConfig = None):
     addresses = [node_address(i) for i in range(1, spec.nodes + 1)]
     nf = make_node_file(addresses)
     matrix = {tuple(key.split(">", 1)): ms for key, ms in spec.latency_matrix.items()}
-    net = SimNet(LinkModel(spec.latency_ms, spec.jitter_ms, spec.seed, matrix))
+    net = SimNet(spec.latency_ms, spec.jitter_ms, spec.seed, matrix)
     cfg = por_cfg or PorConfig(rate=spec.rate, timeout_ms=max(spec.latency_ms * 20, 1000.0))
     services = {}
     quota = quota_bytes(spec.quota_gb)

@@ -58,12 +58,13 @@ class TestUploadDownloadRoundTrip:
         assert len(report.placements) == 1
         assert download(report.meta, nf, net).data == file
 
-    def test_upload_sends_one_request_per_block(self):
+    def test_upload_sends_one_request_per_block(self, record_messages):
         # the STORE_ACK is the storage check: no second request per block
         net, nf, services, cfg = _cluster(nodes=5, seed=53)
+        messages = record_messages(net)
         rng = random.Random(53)
         upload(rng.randbytes(2000), 8, cfg, nf, net, rng=rng)
-        sent = Counter(entry[3] for entry in net.trace if entry[1] == USER_ADDRESS)
+        sent = Counter(entry[3] for entry in messages if entry[1] == USER_ADDRESS)
         assert sent == {"STORE_READY": 8, "PING": 1}
 
     def test_oversized_block_count_rejected(self):
@@ -118,13 +119,14 @@ class TestUploadDownloadRoundTrip:
             report = upload(rng.randbytes(2000), 20, cfg, nf, net, rng=rng)
             assert report.placements[-1] != report.placements[0]
 
-    def test_seeded_upload_is_reproducible(self):
+    def test_seeded_upload_is_reproducible(self, record_messages):
         outcomes = []
         for _ in range(2):
             net, nf, services, cfg = _cluster(seed=7)
+            messages = record_messages(net)
             file = random.Random(7).randbytes(1000)
             report = upload(file, 8, cfg, nf, net, seed=123)
-            outcomes.append((report.placements, report.decision_ms, report.meta, net.trace))
+            outcomes.append((report.placements, report.decision_ms, report.meta, messages))
         assert outcomes[0] == outcomes[1]
 
 
@@ -170,14 +172,15 @@ class TestFaultInjection:
         assert report.placements[0] != first_pick
         assert download(report.meta, nf, net).data == file
 
-    def test_byzantine_node_skipped_via_retry(self):
+    def test_byzantine_node_skipped_via_retry(self, record_messages):
         net, nf, services, cfg = _cluster(nodes=5, seed=13)
+        messages = record_messages(net)
         bad = nf.addresses[0]
         net.add_node(bad, _CorruptsStoredBytes(services[bad]))
         rng = random.Random(13)
         file = rng.randbytes(500)
         report = upload(file, 4, cfg, nf, net, rng=rng)
-        assert any(entry[2] == bad and entry[3] == "STORE_READY" for entry in net.trace)
+        assert any(entry[2] == bad and entry[3] == "STORE_READY" for entry in messages)
         assert bad not in report.placements
         assert download(report.meta, nf, net).data == file
 
@@ -215,13 +218,14 @@ class TestStoreRetries:
         for address in addresses:
             net.add_node(address, _CorruptsStoredBytes(services[address]))
 
-    def test_every_node_corrupt_is_an_integrity_error(self):
+    def test_every_node_corrupt_is_an_integrity_error(self, record_messages):
         net, nf, services, cfg = _cluster(nodes=3, seed=29)
+        messages = record_messages(net)
         self._corrupt(net, services, nf.addresses)
         with pytest.raises(IntegrityError, match="block 1 .* after 3 attempts") as err:
             upload(random.Random(29).randbytes(300), 4, cfg, nf, net, rng=random.Random(29))
         assert err.value.exit_code == 4
-        stores = {entry[2] for entry in net.trace if entry[3] == "STORE_READY"}
+        stores = {entry[2] for entry in messages if entry[3] == "STORE_READY"}
         assert stores == set(nf.addresses)
 
     def test_honest_node_asked_before_the_beginner_draws_run_out(self):
@@ -235,8 +239,9 @@ class TestStoreRetries:
         assert err.value.exit_code == 4
         assert services[honest].store.used_bytes > 0  # block 1 landed on it
 
-    def test_corrupting_first_draw_moves_the_header_block(self):
+    def test_corrupting_first_draw_moves_the_header_block(self, record_messages):
         net, nf, services, cfg = _cluster(nodes=5, seed=31)
+        messages = record_messages(net)
         probe = random.Random(31)
         probe.getrandbits(64)  # timestamp draw precedes the beginner draw
         probe.randbytes(32)  # mask
@@ -245,7 +250,7 @@ class TestStoreRetries:
         self._corrupt(net, services, [first_pick])
         file = random.Random(31).randbytes(2000)
         report = upload(file, 12, cfg, nf, net, seed=31)
-        assert any(entry[2] == first_pick and entry[3] == "STORE_READY" for entry in net.trace)
+        assert any(entry[2] == first_pick and entry[3] == "STORE_READY" for entry in messages)
         assert report.meta.first_beginner == report.placements[0]
         assert report.placements[0] != first_pick
         assert report.placements[-1] != report.placements[0]
@@ -424,7 +429,7 @@ class TestByzantineHolders:
                 services[copy_to].store.put(services[flipper].store.get(address))
         # both liars answer first: the resolver tries the fastest holder first
         for node in (flipper, liar):
-            net.link.matrix[("user:0", node)] = net.link.matrix[(node, "user:0")] = 1.0
+            net.matrix[("user:0", node)] = net.matrix[(node, "user:0")] = 1.0
         net.add_node(flipper, _FlipsServedBytes(services[flipper]))
         net.add_node(liar, _ClaimsEveryBlock(services[liar]))
         return net, nf, report, file, stolen
@@ -547,14 +552,15 @@ class TestBidirectionalFetch:
         assert uni.rounds == 20
 
     @pytest.mark.parametrize("n", [2, 20, 21])
-    def test_one_has_block_broadcast_per_round(self, n):
+    def test_one_has_block_broadcast_per_round(self, n, record_messages):
         net, nf, services, cfg = _cluster(nodes=7, seed=29)
         rng = random.Random(29)
         report = upload(rng.randbytes(4200), n, cfg, nf, net, rng=rng)
+        messages = record_messages(net)
         for mode, broadcasts in (("bi", -(-(n - 1) // 2)), ("uni", n - 1)):
-            net.trace.clear()
+            messages.clear()
             assert download(report.meta, nf, net, mode=mode).rounds == broadcasts
-            queries = [entry for entry in net.trace if entry[3] == "HAS_BLOCK"]
+            queries = [entry for entry in messages if entry[3] == "HAS_BLOCK"]
             assert len(queries) == broadcasts * len(nf)
 
     def test_two_block_chain_meets_immediately(self):

@@ -151,6 +151,21 @@ README_SPEC = {"nodes": 47, "blocks": 20, "events": 10, "file_bytes": 65536,
     ],
 )
 def test_readme_spec_csv_is_byte_identical(name, sha256):
-    spec = parse_cluster_spec(json.dumps(README_SPEC))
-    csv = rows_to_csv(run_experiment(spec, name))
-    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == sha256
+    assert _csv_sha256(README_SPEC, name) == sha256
+
+
+# with jitter every timing is fractional, so these also pin the seeded jitter draws
+@pytest.mark.parametrize(
+    "name,sha256",
+    [
+        ("decision_time", "8add92e384c7557e244780feda425bfab8a23f4a55f3529e2d8ec9c6abd33382"),
+        ("bdam_speedup", "f54c82bc51a026f1f3dcea9f163a6cfe744e8308db2baaff66378c8f3be4da51"),
+    ],
+)
+def test_jittered_readme_spec_csv_is_byte_identical(name, sha256):
+    assert _csv_sha256({**README_SPEC, "jitter_ms": 2.0}, name) == sha256
+
+
+def _csv_sha256(doc, name):
+    csv = rows_to_csv(run_experiment(parse_cluster_spec(json.dumps(doc)), name))
+    return hashlib.sha256(csv.encode("utf-8")).hexdigest()

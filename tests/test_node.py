@@ -8,6 +8,7 @@ import socketserver
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -23,7 +24,7 @@ from haina.nodefile import make_node_file, parse_node_file
 from haina.por import PorConfig, run_campaign
 from haina.realnet import RealNet, recv_frame, send_frame
 from haina.resolve import resolve
-from haina.simnet import LinkModel, SimNet
+from haina.simnet import SimNet
 
 
 def _block(data=b"payload"):
@@ -132,7 +133,9 @@ class TestBlockStore:
         again = BlockStore(10**6, data_dir=str(tmp_path))
         assert again.get(address) == second and again.used_bytes == len(first + second)
 
-    @pytest.mark.parametrize("garbage", [b"\x00" * 7, b"\xff" * 300], ids=["short", "huge-length"])
+    @pytest.mark.parametrize(
+        "garbage", [b"\x00" * 7, b"\xff" * 300, b"\x00" * BLOCK_OVERHEAD], ids=["short", "huge-length", "empty-record"]
+    )
     def test_trailing_garbage_is_dropped(self, tmp_path, garbage):
         raw = serialize_block(_block())
         address = BlockStore(10**6, data_dir=str(tmp_path)).put(raw)
@@ -142,6 +145,23 @@ class TestBlockStore:
         assert reopened.addresses() == {address}
         assert reopened.used_bytes == len(raw)
         assert log.read_bytes() == raw
+
+    def test_reopening_a_log_reads_it_one_record_at_a_time(self, tmp_path):
+        store = BlockStore(10**8, data_dir=str(tmp_path))
+        rng = random.Random(64)
+        for _ in range(64):
+            store.put(serialize_block(_block(rng.randbytes(128 * 1024))))
+        del store
+        size = (tmp_path / LOG_NAME).stat().st_size
+        tracemalloc.start()
+        try:
+            reopened = BlockStore(10**8, data_dir=str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reopened.addresses()) == 64 and reopened.used_bytes == size
+        # the records themselves, plus one in flight: not a second copy of the log
+        assert peak < 1.25 * size, f"reopening peaked at {peak / size:.2f}x the log"
 
     def test_data_dir_holds_only_the_log_and_a_duplicate_appends_nothing(self, tmp_path):
         store = BlockStore(10**6, data_dir=str(tmp_path))
@@ -181,7 +201,7 @@ class TestBlockStore:
 
 def _sim_pair(quota=10**9):
     nodes = ("a:1", "b:1")
-    net = SimNet(LinkModel(5.0))
+    net = SimNet(5.0)
     nf = make_node_file(nodes)
     services = {}
     for addr in nodes:
@@ -256,7 +276,7 @@ class TestNodeService:
         matrix = {}
         for n, lat in zip(nodes[1:], (20.0, 5.0, 10.0)):
             matrix[("a:1", n)] = matrix[(n, "a:1")] = lat
-        net = SimNet(LinkModel(1.0, matrix=matrix))
+        net = SimNet(1.0, matrix=matrix)
         nf = make_node_file(nodes)
         for addr in nodes:
             net.add_node(addr, NodeService(addr, BlockStore(10**9), nf, transport=net))
@@ -329,7 +349,7 @@ class TestResolve:
         for n, lat in zip(nodes, (50.0, 2.5, 25.0)):
             matrix[("u:0", n)] = lat
             matrix[(n, "u:0")] = lat
-        net = SimNet(LinkModel(10.0, matrix=matrix))
+        net = SimNet(10.0, matrix=matrix)
         nf = make_node_file(nodes)
         services = {}
         for addr in nodes:

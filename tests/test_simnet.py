@@ -1,20 +1,17 @@
-import random
-
 import pytest
 
-from haina import simnet
 from haina.blockstore import BlockStore
-from haina.client import upload
+from haina.chain import build_chain, serialize_block
 from haina.errors import NetworkError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType
 from haina.node import NodeService
 from haina.nodefile import make_node_file
-from haina.simnet import UNREACHABLE, LinkModel, SimNet
+from haina.simnet import UNREACHABLE, SimNet
 
 
 def _net(latency=25.0, jitter=0.0, seed=0, matrix=None, nodes=("a:1", "b:1")):
-    net = SimNet(LinkModel(latency, jitter, seed, matrix))
+    net = SimNet(latency, jitter, seed, matrix)
     nf = make_node_file(nodes)
     for addr in nodes:
         net.add_node(addr, NodeService(addr, BlockStore(10**9), nf, transport=net))
@@ -39,8 +36,8 @@ def test_jitter_bounded_and_seeded():
 
 
 def test_jitter_above_latency_never_makes_a_delay_negative():
-    link = LinkModel(1.0, 5.0, seed=3)
-    assert min(link.one_way("a:1", "b:1") for _ in range(1000)) == 0.0
+    net = SimNet(1.0, 5.0, seed=3)
+    assert min(net.one_way("a:1", "b:1") for _ in range(1000)) == 0.0
     net, _, _, _ = build_cluster(ClusterSpec(nodes=3, latency_ms=1, jitter_ms=5))
     for _ in range(50):
         t0 = net.clock
@@ -50,7 +47,7 @@ def test_jitter_above_latency_never_makes_a_delay_negative():
 
 def test_negative_matrix_latency_rejected():
     with pytest.raises(UsageError):
-        LinkModel(matrix={("a:1", "b:1"): -50.0})
+        SimNet(matrix={("a:1", "b:1"): -50.0})
     with pytest.raises(ParseError, match="latency_matrix"):
         build_cluster(ClusterSpec(nodes=2, latency_matrix={"node001:9000>node002:9000": -50}))
 
@@ -60,6 +57,16 @@ def test_partitioned_link_times_out():
     with pytest.raises(NetworkError):
         net.request("a:1", "b:1", Frame(MsgType.PING), timeout_ms=100.0)
     assert net.clock == 100.0
+
+
+def test_cut_return_path_times_out_after_the_node_handled_the_frame():
+    net = _net(matrix={("b:1", "a:1"): UNREACHABLE})
+    raw = serialize_block(build_chain([b"payload"])[0])
+    t0 = net.clock
+    with pytest.raises(NetworkError):
+        net.request("a:1", "b:1", Frame(MsgType.STORE_READY, {"next_size": "64", "elect": "0"}, raw), timeout_ms=300.0)
+    assert net.clock == t0 + 300.0
+    assert net.services["b:1"].store.used_bytes == len(raw)
 
 
 def test_unknown_destination_unreachable():
@@ -85,24 +92,15 @@ def test_broadcast_with_silent_member_waits_out_timeout():
     assert net.clock == 200.0
 
 
-def test_seeded_run_replays_identical_trace():
+def test_seeded_run_replays_identical_trace(record_messages):
     traces = []
     for _ in range(2):
         net = _net(latency=10.0, jitter=2.0, seed=42)
+        messages = record_messages(net)
         net.exchange("a:1", [("b:1", Frame(MsgType.PING))])
         net.request("b:1", "a:1", Frame(MsgType.GET_NF))
-        traces.append(list(net.trace))
+        traces.append(messages)
+    assert [entry[1:] for entry in traces[0]] == [("a:1", "b:1", "PING"), ("b:1", "a:1", "PONG"),
+                                                  ("b:1", "a:1", "GET_NF"), ("a:1", "b:1", "NF_DATA")]
     assert traces[0] == traces[1]
 
-
-def test_trace_keeps_only_the_latest_messages(monkeypatch):
-    monkeypatch.setattr(simnet, "TRACE_LIMIT", 200)
-    net, nf, _, cfg = build_cluster(ClusterSpec(nodes=5, latency_ms=5.0, seed=5))
-    rng = random.Random(5)
-    for _ in range(4):
-        upload(rng.randbytes(1000), 8, cfg, nf, net, rng=rng)
-        assert len(net.trace) <= 200
-    node = nf.addresses[0]
-    net.request("u:0", node, Frame(MsgType.PING))
-    assert len(net.trace) == 200  # the uploads sent more than the bound
-    assert [entry[1:] for entry in list(net.trace)[-2:]] == [("u:0", node, "PING"), (node, "u:0", "PONG")]
