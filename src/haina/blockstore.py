@@ -4,16 +4,19 @@ Blocks are keyed by content address (the data-domain hash).  With a data
 directory configured, a node appends each block it stores to one log,
 `blocks.log`, as the serialized block it received; the block's own length
 field frames the record.  A put appends first and indexes after, and cuts
-a failed append off the log again.  Nothing is fsynced, so a crash can tear
-the last record: a restarted node indexes each whole record under its data
-domain's hash and truncates the log after the last one.  A damaged length
-field mid-log misframes every later record, and downloads of those blocks
-fail loudly.  Per-block files of older versions are not read.
+a failed append off the log again.  Appends are not fsynced, so a crash can
+tear the last record: a restarted node indexes each whole record under its
+data domain's hash up to the first one it cannot frame, appends the rest of
+the log to `blocks.log.cut` (fsynced) and only then truncates the log there.
+A damaged length field mid-log so drops every later record from the store,
+but deletes none of the bytes the node wrote.  Per-block files of older
+versions are not read.
 """
 
 import errno
 import math
 import os
+import shutil
 import threading
 
 from . import hashing
@@ -62,6 +65,11 @@ class BlockStore:
                 self._blocks[hashing.digest(block.data)] = raw
                 end += len(raw)
             if end < size:
+                fh.seek(end)
+                with open(self._log + ".cut", "ab") as cut:
+                    shutil.copyfileobj(fh, cut)
+                    cut.flush()
+                    os.fsync(cut.fileno())  # the cut bytes are on disk before the log loses them
                 fh.truncate(end)
         self._used = end
 

@@ -242,11 +242,9 @@ def _fetch(transport, addresses, holders, timeout_ms):
     address, or None where no holder served it.
     """
     blocks = [None] * len(addresses)
+    asked = [i for i, nodes in enumerate(holders) if nodes]
     rank = 0
-    while True:
-        asked = [i for i, nodes in enumerate(holders) if blocks[i] is None and rank < len(nodes)]
-        if not asked:
-            return blocks
+    while asked:
         queries = [(holders[i][rank], Frame(MsgType.GET_BLOCK, {"address": addresses[i].hex()})) for i in asked]
         for i, result in zip(asked, transport.exchange(USER_ADDRESS, queries, timeout_ms)):
             if isinstance(result, HainaError) or result[0].type is not MsgType.BLOCK_DATA:
@@ -258,6 +256,8 @@ def _fetch(transport, addresses, holders, timeout_ms):
             if hashing.digest(block.data) == addresses[i] == block.current_hash:
                 blocks[i] = block
         rank += 1
+        asked = [i for i in asked if blocks[i] is None and rank < len(holders[i])]
+    return blocks
 
 
 def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors: int) -> FetchResult:

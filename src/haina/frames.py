@@ -36,7 +36,11 @@ class MsgType(IntEnum):
     ERROR = 18
 
 
-@dataclass(frozen=True)
+_TYPE_BY_TAG = {int(t): t for t in MsgType}  # tag -> member; cheaper than MsgType(tag) per decoded frame
+
+
+# slots and no freezing: a frame is built per request, and frozen construction costs twice as much
+@dataclass(slots=True)
 class Frame:
     type: MsgType
     header: dict = field(default_factory=dict)
@@ -104,10 +108,9 @@ def decode_frame(raw) -> Frame:
     if len(raw) != total:
         raise ParseError("frame", f"frame length {len(raw)} != declared {total}")
     _, type_tag, header_len, _ = HEADER_FMT.unpack_from(raw)
-    try:
-        msg_type = MsgType(type_tag)
-    except ValueError:
-        raise ParseError("frame", f"unknown message type tag {type_tag}") from None
+    msg_type = _TYPE_BY_TAG.get(type_tag)
+    if msg_type is None:
+        raise ParseError("frame", f"unknown message type tag {type_tag}")
     view = memoryview(raw)
     header = _decode_header(view[FRAME_OVERHEAD : FRAME_OVERHEAD + header_len])
     body = bytes(view[FRAME_OVERHEAD + header_len :])

@@ -30,6 +30,10 @@ def decode_candidates(text: str, nf: NodeFile, beginner: str):
     return candidates
 
 
+# built once per process: a per-instance table would slow every cluster start
+_HANDLER_NAMES = {t: f"_on_{t.name.lower()}" for t in MsgType}
+
+
 def _int_field(frame, key: str) -> int:
     try:
         return int(frame.header.get(key, "0"))
@@ -49,7 +53,7 @@ class NodeService:
 
     def handle(self, frame: Frame) -> Frame:
         try:
-            handler = getattr(self, f"_on_{frame.type.name.lower()}", None)
+            handler = getattr(self, _HANDLER_NAMES[frame.type], None)
             if handler is None:
                 return error_frame(f"unsupported message type {frame.type.name}")
             return handler(frame)

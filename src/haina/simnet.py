@@ -32,7 +32,7 @@ class SimNet:
         self.clock = 0.0
 
     def one_way(self, src: str, dst: str) -> float:
-        base = self.matrix.get((src, dst), self.latency_ms)
+        base = self.matrix.get((src, dst), self.latency_ms) if self.matrix else self.latency_ms
         if self.jitter_ms and base != UNREACHABLE:
             return max(0.0, base + self._rng.uniform(-self.jitter_ms, self.jitter_ms))
         return base

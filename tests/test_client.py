@@ -67,6 +67,23 @@ class TestUploadDownloadRoundTrip:
         sent = Counter(entry[3] for entry in messages if entry[1] == USER_ADDRESS)
         assert sent == {"STORE_READY": 8, "PING": 1}
 
+    def test_paper_cluster_operation_sends_a_fixed_message_mix(self, record_messages):
+        # 63 elections x 46 polls, and 47 HAS_BLOCKs for each of 95 resolves
+        net, nf, services, cfg = _cluster(nodes=47, seed=5)
+        messages = record_messages(net)
+        file = random.Random(5).randbytes(256 * 1024)
+        report = upload(file, 64, cfg, nf, net, seed=5)
+        assert download(report.meta, nf, net, mode="bi").data == file
+        assert download(report.meta, nf, net, mode="uni").data == file
+        # each request and its reply are logged under their own type
+        assert Counter(entry[3] for entry in messages) == {
+            "ELECTION": 2898, "TAKEPART": 2898,
+            "HAS_BLOCK": 4465, "HAS_BLOCK_REPLY": 4465,
+            "GET_BLOCK": 128, "BLOCK_DATA": 128,
+            "STORE_READY": 64, "STORE_ACK": 64,
+            "PING": 1, "PONG": 1,
+        }
+
     def test_oversized_block_count_rejected(self):
         net, nf, services, cfg = _cluster()
         with pytest.raises(UsageError, match="block count"):

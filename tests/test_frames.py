@@ -29,6 +29,18 @@ def test_roundtrip_every_type(msg_type, header, body):
     assert decode_frame(encode_frame(frame)) == frame
 
 
+@pytest.mark.parametrize("msg_type", list(MsgType))
+def test_every_type_decodes_to_its_own_member(msg_type):
+    assert decode_frame(encode_frame(Frame(msg_type))).type is msg_type
+
+
+def test_frames_do_not_share_a_header_dict():
+    first, second = Frame(MsgType.PING), Frame(MsgType.PING)
+    assert first == second and first.header is not second.header
+    first.header["k"] = "v"
+    assert second.header == {}
+
+
 def test_empty_ping_is_overhead_only():
     raw = encode_frame(Frame(MsgType.PING))
     assert len(raw) == FRAME_OVERHEAD == 17
@@ -43,9 +55,10 @@ def test_bad_magic_rejected():
 
 def test_unknown_type_tag_rejected():
     raw = bytearray(encode_frame(Frame(MsgType.PING)))
-    raw[4] = 200
-    with pytest.raises(ParseError, match="type tag"):
-        decode_frame(bytes(raw))
+    for tag in (0, 19, 200, 255):
+        raw[4] = tag
+        with pytest.raises(ParseError, match="type tag"):
+            decode_frame(bytes(raw))
 
 
 @pytest.mark.parametrize("tag", [10, 11, 12, 13])

@@ -146,6 +146,23 @@ class TestBlockStore:
         assert reopened.used_bytes == len(raw)
         assert log.read_bytes() == raw
 
+    def test_damaged_length_mid_log_moves_the_rest_to_the_cut_file(self, tmp_path):
+        store = BlockStore(10**6, data_dir=str(tmp_path))
+        for data in (b"first", b"second", b"third"):
+            store.put(serialize_block(_block(data)))
+        log, cut = tmp_path / LOG_NAME, tmp_path / (LOG_NAME + ".cut")
+        damaged = bytearray(log.read_bytes())
+        damaged[96] ^= 1  # the first record's length field, most significant byte
+        log.write_bytes(damaged)
+        reopened = BlockStore(10**6, data_dir=str(tmp_path))
+        assert reopened.addresses() == set() and reopened.used_bytes == 0
+        assert log.read_bytes() == b""
+        assert cut.read_bytes() == bytes(damaged)  # the three records, one bit off from what was written
+        # a later cut is appended, not written over the first
+        log.write_bytes(b"\x00" * 7)
+        BlockStore(10**6, data_dir=str(tmp_path))
+        assert cut.read_bytes() == bytes(damaged) + b"\x00" * 7
+
     def test_reopening_a_log_reads_it_one_record_at_a_time(self, tmp_path):
         store = BlockStore(10**8, data_dir=str(tmp_path))
         rng = random.Random(64)
@@ -252,6 +269,20 @@ class TestNodeService:
         net, _, _ = _sim_pair()
         reply, _ = net.request("u:0", "a:1", Frame(MsgType.PONG))
         assert reply.type is MsgType.ERROR
+        assert reply.header["reason"] == "unsupported message type PONG"
+
+    def test_handle_dispatches_to_overrides_and_instance_patches(self):
+        class Busy(NodeService):
+            def _on_election(self, frame):
+                return Frame(MsgType.REFUSE, {"freespace": "0"})
+
+        net, nf, services = _sim_pair()
+        net.add_node("a:1", Busy("a:1", BlockStore(10**9), nf, transport=net))
+        election = Frame(MsgType.ELECTION, {"size": "1"})
+        assert net.request("u:0", "a:1", election)[0].type is MsgType.REFUSE
+        assert net.request("u:0", "b:1", election)[0].type is MsgType.TAKEPART
+        services["b:1"]._on_pong = lambda frame: Frame(MsgType.PING)
+        assert net.request("u:0", "b:1", Frame(MsgType.PONG))[0].type is MsgType.PING
 
     @pytest.mark.parametrize(
         "frame",

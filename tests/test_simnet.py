@@ -45,6 +45,15 @@ def test_jitter_above_latency_never_makes_a_delay_negative():
         assert rtt >= 0.0 and net.clock >= t0
 
 
+def test_jitter_draws_do_not_depend_on_an_empty_or_unrelated_matrix():
+    sequences = []
+    for matrix in (None, {}, {("c:1", "d:1"): 40.0}):
+        net = SimNet(25.0, 5.0, seed=11, matrix=matrix)
+        sequences.append([net.one_way(src, dst) for src, dst in [("a:1", "b:1"), ("b:1", "a:1")] * 20])
+    assert sequences[0] == sequences[1] == sequences[2]
+    assert len(set(sequences[0])) == 40
+
+
 def test_negative_matrix_latency_rejected():
     with pytest.raises(UsageError):
         SimNet(matrix={("a:1", "b:1"): -50.0})
