@@ -11,7 +11,7 @@ from . import hashing
 from .blockstore import BlockStore, quota_bytes
 from .client import download as client_download
 from .client import upload as client_upload
-from .errors import HainaError
+from .errors import HainaError, UsageError
 from .experiments import EXPERIMENTS, parse_cluster_spec, run_experiment
 from .metafile import META_SUFFIX, parse_meta_file, serialize_meta_file
 from .metrics import MetricsRow, rows_to_csv
@@ -66,6 +66,8 @@ def node_serve(listen, data_dir, quota_gb, nf_path, bootstrap):
                 if reply.type is MsgType.NF_DATA:
                     digest = hashing.parse_hex_digest(reply.header.get("digest"), "digest")
                     nf = update_node_file(nf, digest, lambda: reply.body)
+            if listen not in nf.addresses:  # a node off its own roster is never elected, and polls itself
+                raise UsageError(f"--listen {listen} is not on the roster this node would serve")
             store = BlockStore(quota_bytes(quota_gb), data_dir=data_dir)
             service = NodeService(listen, store, nf, transport=net)
             server = NodeServer(parse_address(listen), service)

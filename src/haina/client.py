@@ -3,9 +3,9 @@
 Upload runs the whole pre-processing pipeline, places block after
 block through the election protocol, checks each store's STORE_ACK
 against the block's SHA-256 content address, and emits the meta file.
-Download walks the stored chain from the header block in one walk with
-one cursor (forward) or two (forward and backward), then reassembles
-and decrypts the file.
+Download walks the stored chain from the header block with one cursor
+(forward) or two (forward and backward), then reassembles and decrypts
+the file.
 """
 
 import math
@@ -61,7 +61,7 @@ class UploadReport:
 class FetchResult:
     blocks: list  # unlocked, by chain position; None where no cursor got through
     rounds: int
-    missing: list  # the address each stopped cursor could not fetch
+    missing: list  # the targets of the stopped cursors whose position stayed empty, each once
 
 
 @dataclass
@@ -144,10 +144,9 @@ def upload(
 
     sizes = [serialized_size(b) for b in blocks]
     # SimNet never encodes frames, so check the TCP frame cap before any block is
-    # placed: the largest frame is the largest block's BLOCK_DATA, whose 74-byte
-    # header outweighs STORE_READY's (at most 30: `next_size` < MAX_FRAME)
+    # placed: the largest frame is the largest block's BLOCK_DATA
     largest = sizes.index(max(sizes))
-    total = frames.frame_size({"address": blocks[largest].current_hash.hex()}, sizes[largest])
+    total = frames.block_data_size(sizes[largest])
     if total > frames.MAX_FRAME:
         raise UsageError(
             f"block {largest + 1} needs a {total}-byte frame, over the {frames.MAX_FRAME}-byte cap; "
@@ -260,55 +259,51 @@ def _fetch(transport, addresses, holders, timeout_ms):
     return blocks
 
 
-def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors: int) -> FetchResult:
-    """Walk the chain from the header with 1 (forward) or 2 (forward and backward) cursors.
+def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors) -> FetchResult:
+    """Walk the chain from the header with a list of (position, step) cursors.
 
-    `blocks[p]` is chain position p.  The forward cursor fills positions
-    1, 2, ... from its left neighbour's next pointer; the backward cursor
-    fills n-1, n-2, ... from its right neighbour's previous pointer.
-    Each round hands the cursors' distinct target addresses to
-    `fetcher`, which returns one locked Block or None per address.  A
-    cursor whose target was not fetched stops, and the other walks on
-    to its position.
+    `blocks[p]` is chain position p: a cursor with step 1 fills it from p-1's
+    next pointer, one with step -1 from p+1's previous pointer.  Each round
+    drops the cursors whose position is filled and hands the others' distinct
+    target addresses, in cursor order, to `fetcher`, which returns one locked
+    Block or None per address.  A cursor that got its block fills its
+    position and steps on; one that did not stops.
     """
     n = meta.block_count
     blocks = [unlock_block(header_block, meta.mask)] + [None] * (n - 1)
-    lo, hi = 1, n - 1  # the next position of the forward and of the backward cursor
-    forward, backward = True, cursors == 2
+    cursors = [(p % n, step) for p, step in cursors]
+    stopped = []  # (position, target) of each cursor that did not get its block
     rounds = 0
-    missing = []
-    while lo <= hi and (forward or backward):
-        ahead = blocks[lo - 1].next_hash if forward else None
-        behind = blocks[(hi + 1) % n].previous_hash if backward else None
-        got = fetcher([a for a in dict.fromkeys((ahead, behind)) if a is not None])
-        # the forward cursor's block is got[0], the backward one's got[-1]
-        if forward:
-            if got[0] is None:
-                forward = False
-                missing.append(ahead)
-            else:
-                blocks[lo] = unlock_block(got[0], meta.mask)
-                lo += 1
-        if backward and lo <= hi:
-            if got[-1] is None:
-                backward = False
-                if behind not in missing:
-                    missing.append(behind)
-            else:
-                blocks[hi] = unlock_block(got[-1], meta.mask)
-                hi -= 1
+    while True:
+        walking = []  # (position, step, target, the target's index in the fetcher's list)
+        asked = {}
+        for p, step in cursors:
+            if blocks[p] is None:
+                target = blocks[p - 1].next_hash if step == 1 else blocks[(p + 1) % n].previous_hash
+                walking.append((p, step, target, asked.setdefault(target, len(asked))))
+        if not walking:
+            break
+        got = fetcher(list(asked))
+        cursors = []
+        for p, step, target, i in walking:
+            if got[i] is None:
+                stopped.append((p, target))
+            elif blocks[p] is None:  # an earlier cursor of this round may have filled p
+                blocks[p] = unlock_block(got[i], meta.mask)
+                cursors.append(((p + step) % n, step))
         rounds += 1
+    missing = list(dict.fromkeys(target for p, target in stopped if blocks[p] is None))
     return FetchResult(blocks=blocks, rounds=rounds, missing=missing)
 
 
 def bdam_fetch(meta: MetaFile, header_block, fetcher) -> FetchResult:
     """Concurrent forward and backward cursor fetch of the full chain."""
-    return _fetch_chain(meta, header_block, fetcher, cursors=2)
+    return _fetch_chain(meta, header_block, fetcher, [(1, 1), (meta.block_count - 1, -1)])
 
 
 def unidirectional_fetch(meta: MetaFile, header_block, fetcher) -> FetchResult:
     """Baseline: forward cursor only."""
-    return _fetch_chain(meta, header_block, fetcher, cursors=1)
+    return _fetch_chain(meta, header_block, fetcher, [(1, 1)])
 
 
 def download(
@@ -345,9 +340,7 @@ def download(
     fetch = bdam_fetch if mode == "bi" else unidirectional_fetch
     result = fetch(meta, header_block, fetcher)
     fetch_ms = transport.now() - start
-    if None in result.blocks:
-        # a stopped cursor names its target in `missing` even when the
-        # other cursor filled that position, so test the positions
+    if result.missing:
         raise IncompleteChainError(result.missing)
     if chain_root(result.blocks) != meta.chain_root:
         # every block matches its address, but a holder that knows the mask can forge pointers

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .errors import ParseError
+from .hashing import DIGEST_SIZE
 
 MAGIC = b"HAIN"
 HEADER_FMT = struct.Struct(">4sBIQ")  # magic, type, header len, body len
@@ -76,9 +77,9 @@ def _decode_header(raw) -> dict:
     return header
 
 
-def frame_size(header: dict, body_len: int) -> int:
-    """Encoded length of a frame with this header and a body of `body_len` bytes."""
-    return FRAME_OVERHEAD + len(_encode_header(header)) + body_len
+def block_data_size(block_len: int) -> int:
+    """Encoded length of the BLOCK_DATA frame serving a serialized block: the largest frame a block travels in."""
+    return FRAME_OVERHEAD + len(_encode_header({"address": bytes(DIGEST_SIZE).hex()})) + block_len
 
 
 def encode_frame(frame: Frame) -> bytes:

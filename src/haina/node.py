@@ -10,12 +10,13 @@ import socket
 import socketserver
 import threading
 
-from . import hashing
+from . import frames, hashing
 from .blockstore import BlockStore
 from .errors import CampaignError, HainaError, ParseError
 from .frames import Frame, MsgType, error_frame
 from .nodefile import NodeFile
 from .por import PorConfig, run_campaign
+from .realnet import recv_frame, send_frame
 
 
 def decode_candidates(text: str, nf: NodeFile, beginner: str):
@@ -72,6 +73,8 @@ class NodeService:
 
     def _on_store_ready(self, frame):
         next_size = _int_field(frame, "next_size")
+        if frames.block_data_size(len(frame.body)) > frames.MAX_FRAME:  # stored, it could never be served
+            return error_frame(f"a {len(frame.body)}-byte block cannot be served under the {frames.MAX_FRAME}-byte cap")
         address = self.store.put(frame.body)
         header = {"stored": address.hex()}
         elect = frame.header.get("elect", "0") == "1"
@@ -109,8 +112,6 @@ class NodeService:
 
 class _FrameRequestHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        from .realnet import recv_frame, send_frame
-
         while True:
             try:
                 frame = recv_frame(self.request)

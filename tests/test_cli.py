@@ -20,6 +20,10 @@ def _run(*args, **kw):
     return CliRunner().invoke(main, list(args), **kw)
 
 
+def _no_server(*args):
+    raise AssertionError("the node must not start")
+
+
 def _spec_file(tmp_path, **overrides):
     doc = dict(nodes=5, seed=42, events=3, file_bytes=2000, blocks=8, latency_ms=5.0)
     doc.update(overrides)
@@ -90,40 +94,60 @@ class TestUsageErrors:
         result = _run("upload", "--file", str(data), "--blocks", "1", "--nf", str(nf), "--seed", "1")
         assert result.exit_code == 3
 
-    @pytest.mark.parametrize("header", [{"digest": "zz"}, {}], ids=["bad-hex", "missing"])
-    def test_bootstrap_bad_digest_exits_2(self, tmp_path, header):
-        class BadDigestPeer(NodeService):
-            def _on_get_nf(self, frame):
-                return Frame(MsgType.NF_DATA, header, self.nf.canonical_bytes())
+    @staticmethod
+    def _serve_from_bootstrap(tmp_path, peer_class, served=make_node_file):
+        """Run `node serve --bootstrap` against a `peer_class` node that serves `served(addresses)`.
 
+        `addresses` are the peer's and the node's; the node's own roster lists both.
+        """
         addresses = []
         for _ in range(2):
             with socket.socket() as probe:
                 probe.bind(("127.0.0.1", 0))
                 addresses.append(f"127.0.0.1:{probe.getsockname()[1]}")
         peer, listen = addresses
-        roster = make_node_file(addresses)
         nf = tmp_path / "cluster.nf"
-        nf.write_bytes(roster.canonical_bytes())
-        server = NodeServer(("127.0.0.1", int(peer.rsplit(":", 1)[1])), BadDigestPeer(peer, BlockStore(10**6), roster))
+        nf.write_bytes(make_node_file(addresses).canonical_bytes())
+        server = NodeServer(("127.0.0.1", int(peer.rsplit(":", 1)[1])), peer_class(peer, BlockStore(10**6), served(addresses)))
         server.serve_background()
         try:
-            result = _run(
+            return _run(
                 "node", "serve", "--listen", listen, "--data-dir", str(tmp_path / "data"),
                 "--nf", str(nf), "--bootstrap", peer,
             )
         finally:
             server.shutdown()
             server.server_close()
+
+    @pytest.mark.parametrize("header", [{"digest": "zz"}, {}], ids=["bad-hex", "missing"])
+    def test_bootstrap_bad_digest_exits_2(self, tmp_path, header):
+        class BadDigestPeer(NodeService):
+            def _on_get_nf(self, frame):
+                return Frame(MsgType.NF_DATA, header, self.nf.canonical_bytes())
+
+        result = self._serve_from_bootstrap(tmp_path, BadDigestPeer)
         assert result.exit_code == 2, result.output
         assert "error: digest: not valid hex" in result.output
 
+    def test_bootstrap_roster_without_the_node_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("haina.cli.NodeServer", _no_server)
+        # the peer's roster lists itself and a stranger, not the node
+        result = self._serve_from_bootstrap(tmp_path, NodeService, lambda a: make_node_file([a[0], "127.0.0.1:1"]))
+        assert result.exit_code == 2, result.output
+        assert "error: --listen" in result.output
+        assert "not on the roster" in result.output
+
+    def test_local_roster_without_the_node_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("haina.cli.NodeServer", _no_server)
+        nf = tmp_path / "cluster.nf"
+        nf.write_bytes(make_node_file(["localhost:9", "localhost:10"]).canonical_bytes())
+        result = _run("node", "serve", "--listen", "127.0.0.1:9", "--data-dir", str(tmp_path / "data"), "--nf", str(nf))
+        assert result.exit_code == 2, result.output
+        assert "error: --listen 127.0.0.1:9 is not on the roster" in result.output
+
     @pytest.mark.parametrize("quota_gb", ["inf", "1e300", "1e-10"])
     def test_quota_that_is_not_a_byte_count_exits_2(self, tmp_path, monkeypatch, quota_gb):
-        def no_server(*args):
-            raise AssertionError("the node must not start")
-
-        monkeypatch.setattr("haina.cli.NodeServer", no_server)
+        monkeypatch.setattr("haina.cli.NodeServer", _no_server)
         nf = tmp_path / "cluster.nf"
         nf.write_bytes(make_node_file(["127.0.0.1:9", "127.0.0.1:10"]).canonical_bytes())
         result = _run(

@@ -8,13 +8,14 @@ from dataclasses import replace
 import pytest
 
 from haina import frames, hashing
-from haina.chain import Block, deserialize_block, serialize_block
-from haina.client import USER_ADDRESS, download, speedup, upload
+from haina.blockstore import BlockStore
+from haina.chain import Block, build_chain, chain_root, deserialize_block, serialize_block
+from haina.client import USER_ADDRESS, bdam_fetch, download, speedup, unidirectional_fetch, upload
 from haina.errors import IncompleteChainError, IntegrityError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType
-from haina.locking import unlock_block
-from haina.metafile import parse_meta_file, serialize_meta_file
+from haina.locking import lock_chain, unlock_block
+from haina.metafile import MetaFile, parse_meta_file, serialize_meta_file
 from haina.por import run_campaign
 
 
@@ -212,6 +213,19 @@ class TestFaultInjection:
         with pytest.raises(IncompleteChainError) as err:
             download(report.meta, nf, net)
         assert set(err.value.missing) == expected_missing
+
+    def test_each_unresolved_address_named_once(self):
+        # blocks 0 and 2 share a node; the backward cursor stops on block 2, then the forward one
+        net, nf, services, cfg = _cluster(nodes=2, seed=7)
+        report = upload(random.Random(7).randbytes(300), 3, cfg, nf, net, seed=7)
+        holder = services[report.placements[0]]
+        assert report.placements[2] == report.placements[0]
+        (lost,) = holder.store.addresses() - {report.meta.header_digest}
+        kept, holder.store = holder.store, BlockStore(holder.store.quota_bytes)
+        holder.store.put(kept.get(report.meta.header_digest))
+        with pytest.raises(IncompleteChainError) as err:
+            download(report.meta, nf, net, mode="bi")
+        assert err.value.missing == [lost]
 
     def test_wrong_mask_cannot_traverse(self):
         net, nf, services, cfg = _cluster(seed=19)
@@ -610,6 +624,64 @@ class TestBidirectionalFetch:
         before = net.clock
         fetch_ms = download(report.meta, nf, net, mode=mode, timeout_ms=cfg.timeout_ms).fetch_ms
         assert net.clock - before == fetch_ms
+
+
+class _Fetcher:
+    """In-memory fetcher over a locked chain; records the positions asked in each call."""
+
+    def __init__(self, locked, lost=()):
+        self.positions = {b.current_hash: p for p, b in enumerate(locked)}
+        self.held = {b.current_hash: b for p, b in enumerate(locked) if p not in lost}
+        self.calls = []
+
+    def __call__(self, addresses):
+        self.calls.append([self.positions[a] for a in addresses])
+        return [self.held.get(a) for a in addresses]
+
+
+def _walk(n, mode, lost=()):
+    """Walk an n-block chain in memory with `lost` positions unfetchable: (chain, fetcher, FetchResult)."""
+    mask = bytes(range(1, 33))
+    chain = build_chain([bytes([p]) * 3 for p in range(n)])
+    locked = lock_chain(chain, mask)
+    meta = MetaFile("node:1", chain[0].current_hash, mask, n, bytes(16), 3 * n, chain_root(chain))
+    fetcher = _Fetcher(locked, lost)
+    fetch = bdam_fetch if mode == "bi" else unidirectional_fetch
+    return chain, fetcher, fetch(meta, locked[0], fetcher)
+
+
+class TestWalk:
+    """Pins the cursors' walk: the positions asked in each round, the rounds, and what a stop leaves."""
+
+    BI = {1: [], 2: [[1]], 3: [[1, 2]], 4: [[1, 3], [2]], 5: [[1, 4], [2, 3]],
+          21: [[1 + r, 20 - r] for r in range(10)]}
+
+    @pytest.mark.parametrize("n", sorted(BI))
+    @pytest.mark.parametrize("mode", ["bi", "uni"])
+    def test_positions_asked_in_each_round(self, n, mode):
+        chain, fetcher, result = _walk(n, mode)
+        asked = self.BI[n] if mode == "bi" else [[p] for p in range(1, n)]
+        assert fetcher.calls == asked
+        assert result.rounds == len(asked)
+        assert result.blocks == list(chain)
+        assert result.missing == []
+
+    # n = 8: bi asks [1, 7], [2, 6], [3, 5], [4]
+    @pytest.mark.parametrize(
+        "mode,lost,empty,missing",
+        [
+            ("bi", {2}, [2], [2]),  # forward target lost: backward walks down to it, then stops too
+            ("bi", {6}, [6], [6]),  # backward target lost: forward walks up to it, then stops too
+            ("bi", {2, 6}, [2, 3, 4, 5, 6], [2, 6]),
+            ("bi", {4}, [4], [4]),  # the meeting position: both cursors ask it in one round
+            ("uni", {2}, [2, 3, 4, 5, 6, 7], [2]),
+        ],
+        ids=["bi-forward", "bi-backward", "bi-both", "bi-meeting", "uni"],
+    )
+    def test_stopped_cursors_leave_their_positions_empty(self, mode, lost, empty, missing):
+        chain, fetcher, result = _walk(8, mode, lost)
+        assert [p for p, b in enumerate(result.blocks) if b is None] == empty
+        assert result.missing == [chain[p].current_hash for p in missing]
 
 
 class TestSpeedup:

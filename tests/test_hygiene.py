@@ -1,4 +1,4 @@
-"""Source hygiene checks: unused imports, wrapped names, exports and validators."""
+"""Source hygiene checks: unused and function-level imports, wrapped names, exports and validators."""
 
 import ast
 import subprocess
@@ -39,6 +39,20 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    # an import in a function runs on every call; a real cycle is better broken than hidden
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inner = [
+        node.lineno
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not inner, f"{path.name} imports inside a function at line(s) {', '.join(map(str, inner))}"
 
 
 def test_every_span_wrapped_name_exists():

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from haina import blockstore, realnet
+from haina import blockstore, frames, realnet
 from haina.blockstore import LOG_NAME, BlockStore
 from haina.chain import BLOCK_OVERHEAD, build_chain, deserialize_block, serialize_block
 from haina.client import download, upload
@@ -249,6 +249,28 @@ class TestNodeService:
         assert reply.type is MsgType.STORE_ACK
         address = block.current_hash
         assert reply.header["stored"] == address.hex()
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_block_it_could_not_serve_back_is_refused(self, monkeypatch, over):
+        # the cap fits the STORE_READY; the BLOCK_DATA that would serve the block is `over` bytes past it
+        _, _, services = _sim_pair()
+        service = services["a:1"]
+        block = _block()
+        raw = serialize_block(block)
+        served = encode_frame(Frame(MsgType.BLOCK_DATA, {"address": block.current_hash.hex()}, raw))
+        monkeypatch.setattr(frames, "MAX_FRAME", len(served) - over)
+        store_ready = Frame(MsgType.STORE_READY, {"next_size": "0", "elect": "0"}, raw)
+        encode_frame(store_ready)  # within the cap
+        reply = service.handle(store_ready)
+        if over:
+            assert reply.type is MsgType.ERROR
+            assert "cap" in reply.header["reason"]
+            assert service.store.used_bytes == 0
+            assert not service.store.has(block.current_hash)
+        else:
+            assert reply.type is MsgType.STORE_ACK
+            get = Frame(MsgType.GET_BLOCK, {"address": block.current_hash.hex()})
+            assert encode_frame(service.handle(get)) == served
 
     def test_election_refuses_when_quota_too_small(self):
         net, _, _ = _sim_pair(quota=10 * 1024 * 1024)
