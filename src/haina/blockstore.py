@@ -84,7 +84,7 @@ class BlockStore:
     def addresses(self):
         return set(self._blocks)
 
-    def put(self, raw: bytes) -> bytes:
+    def put(self, raw) -> bytes:
         """Store a serialized block; returns its content address."""
         block = deserialize_block(raw)
         address = hashing.digest(block.data)
@@ -101,7 +101,9 @@ class BlockStore:
                 except OSError as exc:
                     os.truncate(self._log, self._used)  # the log holds exactly the stored blocks
                     raise UsageError(f"block not stored: {exc}") from None
-            self._blocks[address] = raw
+            # bytes, not a view of the caller's frame buffer: a view is two objects the
+            # garbage collector tracks, so every full collection would walk each stored block
+            self._blocks[address] = bytes(raw)
             self._used += len(raw)
         return address
 

@@ -22,7 +22,7 @@ class Block:
     previous_hash: bytes
     current_hash: bytes
     next_hash: bytes
-    data: bytes
+    data: bytes  # any bytes-like: a bytearray on upload, a read-only view of the serialized block once parsed
 
     def __post_init__(self):
         hashing.check_digest(self.previous_hash)
@@ -38,9 +38,9 @@ def build_chain(payloads) -> tuple:
     Returns the blocks as a tuple indexed by chain position.  Block i
     points backward to H(payload[i-1]) and forward to H(payload[i+1])
     with wrap-around, so a single payload yields a self-referential
-    block.
+    block.  The blocks hold the payloads themselves, not copies.
     """
-    payloads = [bytes(p) for p in payloads]
+    payloads = list(payloads)
     if not payloads:
         raise UsageError("cannot build a chain from an empty payload list")
     if any(len(p) == 0 for p in payloads):
@@ -112,15 +112,17 @@ def serialize_block(block: Block) -> bytes:
     )
 
 
-def deserialize_block(raw: bytes) -> Block:
+def deserialize_block(raw) -> Block:
+    """Parse a serialized block: the pointers are copied, the data is a read-only view of `raw`."""
     if len(raw) < BLOCK_OVERHEAD:
         raise UsageError(f"serialized block too short: {len(raw)} bytes")
     size = stated_size(raw)
     if len(raw) != size:
         raise UsageError(f"serialized block length mismatch: header says {size - BLOCK_OVERHEAD}")
+    view = memoryview(raw)
     return Block(
-        previous_hash=raw[0:32],
-        current_hash=raw[32:64],
-        next_hash=raw[64:96],
-        data=raw[BLOCK_OVERHEAD:],
+        previous_hash=bytes(view[0:32]),
+        current_hash=bytes(view[32:64]),
+        next_hash=bytes(view[64:96]),
+        data=view[BLOCK_OVERHEAD:].toreadonly(),
     )

@@ -17,6 +17,7 @@ from . import frames, hashing
 from .chain import build_chain, chain_root, deserialize_block, serialize_block, serialized_size
 from .crypto import (
     CIPHER_BLOCK,
+    ciphertext_size,
     decrypt_file,
     embed_key_shards,
     encrypt_file,
@@ -126,12 +127,12 @@ def upload(
     key = generate_key(file, rng.getrandbits(64))
     mask = generate_mask(rng)
     iv = rng.randbytes(CIPHER_BLOCK)
-    ef = encrypt_file(file, key, iv)
+    domains = embed_key_shards(split_ciphertext(ciphertext_size(len(file)), n), key)
+    encrypt_file(file, key, iv, domains)  # the data domains are the only copy of the ciphertext
     encrypt_ms = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    blocks = build_chain(embed_key_shards(split_ciphertext(ef, n), key))
-    del ef  # the data domains are the only copy from here on
+    blocks = build_chain(domains)
     if len({b.current_hash for b in blocks}) < n:
         # content addressing cannot tell identical data domains apart;
         # only degenerate slice sizes (a few bytes) can collide
@@ -347,11 +348,12 @@ def download(
         raise IntegrityError("the fetched blocks are not the chain the meta file records")
 
     t0 = time.perf_counter()
-    key, slices = extract_key_shards([b.data for b in result.blocks])
+    domains = [b.data for b in result.blocks]
+    del header_block, result.blocks[:]
+    key, slices = extract_key_shards(domains)
+    del domains  # each block's bytes now live only in its slice, which decrypt_file drops once decrypted
     plaintext = decrypt_file(slices, key, meta.iv)
     decrypt_ms = (time.perf_counter() - t0) * 1000.0
-    del slices
-    result.blocks.clear()
     if len(plaintext) < meta.file_length:
         raise IntegrityError(
             f"recovered {len(plaintext)} bytes but the meta file records {meta.file_length}"

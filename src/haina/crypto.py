@@ -3,7 +3,9 @@
 The 256-bit file key is derived from the file content and a timestamp;
 only its first 16 bytes drive the cipher (SM4 takes a 128-bit key), but
 the full 32 bytes are sharded round-robin across the data blocks, each
-shard prepended to its block's data domain.
+shard prepended to its block's data domain.  The ciphertext is written
+straight into the data domains and read back from them slice by slice,
+so the client never holds it whole.
 """
 
 import struct
@@ -53,48 +55,81 @@ def _cipher(key: bytes, iv: bytes) -> Cipher:
     return Cipher(algorithms.SM4(key[:CIPHER_KEY_SIZE]), modes.CBC(iv))
 
 
-def encrypt_file(file, key: bytes, iv: bytes) -> bytearray:
-    """SM4-CBC encrypt with PKCS#7 padding into one new buffer.
+def ciphertext_size(length: int) -> int:
+    """Length of the SM4-CBC ciphertext of a `length`-byte file: PKCS#7 pads it to the next whole block."""
+    return length - length % CIPHER_BLOCK + CIPHER_BLOCK
 
-    The whole 16-byte blocks are encrypted straight from `file`; only the
-    last block, with its pad, is built separately.
+
+def encrypt_file(file, key: bytes, iv: bytes, domains) -> None:
+    """SM4-CBC encrypt `file` with PKCS#7 padding into the data domains, after each key shard.
+
+    `domains` are the buffers `embed_key_shards` lays out from the slice
+    sizes of `split_ciphertext(ciphertext_size(len(file)), n)`; the
+    ciphertext overwrites their slices in order.  Whole cipher blocks go
+    straight into a slice.  The last one or two blocks of a slice, which
+    `update_into` has no slack for there or which straddle into the next
+    slice, and the last, padded block pass through a 47-byte bounce
+    buffer, so the whole ciphertext never exists in one piece.
     """
     if not file:
         raise UsageError("cannot encrypt an empty file")
     if len(key) != KEY_SIZE:
         raise UsageError(f"file key must be {KEY_SIZE} bytes")
+    if not domains:
+        raise UsageError("need at least one data domain")
     enc = _cipher(key, iv).encryptor()
+    slices = [memoryview(d)[size:] for d, size in zip(domains, shard_sizes(KEY_SIZE, len(domains)))]
+    if sum(len(s) for s in slices) != ciphertext_size(len(file)):
+        raise UsageError(f"the data domains do not hold the {ciphertext_size(len(file))}-byte ciphertext")
     pad = CIPHER_BLOCK - len(file) % CIPHER_BLOCK
     whole = len(file) + pad - CIPHER_BLOCK  # bytes before the last, padded block
-    out = bytearray(whole + 2 * CIPHER_BLOCK - 1)  # padded length plus update_into's slack
-    with memoryview(file) as src, memoryview(out) as view:
-        done = enc.update_into(src[:whole], view)
-        done += enc.update_into(bytes(src[whole:]) + bytes((pad,)) * pad, view[done:])
+    bounce = bytearray(3 * CIPHER_BLOCK - 1)  # two cipher blocks plus update_into's slack
+    carry = b""  # enciphered bytes from the bounce that belong to the next slices
+    fed = 0  # plaintext bytes enciphered so far
+    with memoryview(file) as src:
+        for out in slices:
+            done = min(len(carry), len(out))
+            out[:done] = carry[:done]
+            carry = carry[done:]
+            # whole blocks straight into the slice, short of update_into's slack and the padded block
+            direct = min(len(out) - done - (CIPHER_BLOCK - 1), whole - fed) // CIPHER_BLOCK * CIPHER_BLOCK
+            if direct > 0:
+                done += enc.update_into(src[fed : fed + direct], out[done:])
+                fed += direct
+            rest = len(out) - done  # under 31 bytes: at most two blocks go through the bounce
+            if rest > 0:
+                need = -(-rest // CIPHER_BLOCK) * CIPHER_BLOCK
+                tail = src[fed : fed + need] if fed + need <= whole else bytes(src[fed:]) + bytes((pad,)) * pad
+                fed += enc.update_into(tail, bounce)
+                out[done:] = bounce[:rest]
+                carry = bytes(bounce[rest:need])
     enc.finalize()
-    del out[done:]
-    return out
 
 
-def decrypt_file(pieces, key: bytes, iv: bytes) -> bytearray:
-    """SM4-CBC decrypt consecutive ciphertext pieces into one new buffer.
+def decrypt_file(pieces: list, key: bytes, iv: bytes) -> bytearray:
+    """SM4-CBC decrypt consecutive ciphertext pieces into one new, growing buffer.
 
-    The pieces may split the ciphertext anywhere; a single buffer must be
-    wrapped in a list.  Bad PKCS#7 padding means a wrong key or corrupt
-    data and raises IntegrityError.
+    The pieces may split the ciphertext anywhere.  The list is emptied as
+    it is read: each piece leaves it once it is decrypted, so the bytes it
+    came from can be freed while the output grows.  Bad PKCS#7 padding
+    means a wrong key or corrupt data and raises IntegrityError.
     """
-    if isinstance(pieces, (bytes, bytearray, memoryview)):
-        raise UsageError("decrypt_file takes a sequence of ciphertext pieces, not one buffer")
+    if not isinstance(pieces, list):
+        raise UsageError("decrypt_file takes a list of ciphertext pieces, not one buffer")
     if len(key) != KEY_SIZE:
         raise UsageError(f"file key must be {KEY_SIZE} bytes")
     dec = _cipher(key, iv).decryptor()
     total = sum(len(p) for p in pieces)
     if not total or total % CIPHER_BLOCK:
         raise UsageError(f"ciphertext length must be a positive multiple of {CIPHER_BLOCK}")
-    out = bytearray(total + CIPHER_BLOCK - 1)  # update_into's slack
-    with memoryview(out) as view:
-        done = 0
-        for piece in pieces:
+    out = bytearray(CIPHER_BLOCK - 1)  # update_into's slack, kept past the end as the buffer grows
+    done = 0
+    for j in range(len(pieces)):
+        piece, pieces[j] = pieces[j], None
+        out += piece  # grows the buffer by the piece's length; the plaintext overwrites the copy
+        with memoryview(out) as view:
             done += dec.update_into(piece, view[done:])
+    pieces.clear()
     dec.finalize()
     pad = out[total - 1]
     if not 1 <= pad <= CIPHER_BLOCK or out.count(pad, total - pad, total) != pad:
@@ -103,19 +138,24 @@ def decrypt_file(pieces, key: bytes, iv: bytes) -> bytearray:
     return out
 
 
-def split_ciphertext(ef: bytes, n: int) -> list:
+def split_ciphertext(ef, n: int) -> list:
     """Divide the ciphertext into n contiguous non-empty memoryview slices.
 
     The slice sizes are `shard_sizes(len(ef), n)`, so they differ by at
-    most one and concatenation restores the input.
+    most one and concatenation restores the input.  Before the ciphertext
+    exists, `ef` may be its length alone: the sizes are then returned.
     """
+    length = ef if isinstance(ef, int) else len(ef)
     if n < 1:
         raise UsageError("block count must be at least 1")
-    if n > len(ef):
+    if n > length:
         raise UsageError(
-            f"block count {n} exceeds ciphertext length {len(ef)}; choose a smaller block count"
+            f"block count {n} exceeds ciphertext length {length}; choose a smaller block count"
         )
-    ends = list(accumulate(shard_sizes(len(ef), n), initial=0))
+    sizes = shard_sizes(length, n)
+    if isinstance(ef, int):
+        return sizes
+    ends = list(accumulate(sizes, initial=0))
     ef = memoryview(ef)
     return [ef[start:end] for start, end in zip(ends, ends[1:])]
 
@@ -131,13 +171,26 @@ def shard_sizes(length: int, n: int) -> list:
 
 
 def embed_key_shards(slices, key: bytes) -> list:
-    """Prepend each block's key shard to its ciphertext slice."""
+    """Prepend each block's key shard to its ciphertext slice, one new buffer per block.
+
+    A slice given as its size alone is that many zero bytes after the
+    shard, a writable `bytearray` for `encrypt_file` to fill.
+    """
     if len(key) != KEY_SIZE:
         raise UsageError(f"file key must be {KEY_SIZE} bytes")
     n = len(slices)
     if n < 1:
         raise UsageError("need at least one slice")
-    return [b"".join((key[j::n], slices[j])) for j in range(n)]
+    domains = []
+    for j, piece in enumerate(slices):
+        shard = key[j::n]
+        if isinstance(piece, int):
+            domain = bytearray(len(shard) + piece)
+            domain[: len(shard)] = shard
+        else:
+            domain = b"".join((shard, piece))
+        domains.append(domain)
+    return domains
 
 
 def extract_key_shards(domains):

@@ -45,7 +45,7 @@ _TYPE_BY_TAG = {int(t): t for t in MsgType}  # tag -> member; cheaper than MsgTy
 class Frame:
     type: MsgType
     header: dict = field(default_factory=dict)
-    body: bytes = b""
+    body: bytes = b""  # any bytes-like; a decoded frame's is a read-only view of the received buffer
 
 
 def _encode_header(header: dict) -> bytes:
@@ -102,7 +102,7 @@ def frame_length(raw) -> int:
 
 
 def decode_frame(raw) -> Frame:
-    """Decode one whole frame from any bytes-like object; the body is always bytes."""
+    """Decode one whole frame from any bytes-like object; the body is a read-only view of `raw`."""
     if len(raw) < FRAME_OVERHEAD:
         raise ParseError("frame", f"truncated frame: {len(raw)} bytes")
     total = frame_length(raw)
@@ -114,7 +114,7 @@ def decode_frame(raw) -> Frame:
         raise ParseError("frame", f"unknown message type tag {type_tag}")
     view = memoryview(raw)
     header = _decode_header(view[FRAME_OVERHEAD : FRAME_OVERHEAD + header_len])
-    body = bytes(view[FRAME_OVERHEAD + header_len :])
+    body = view[FRAME_OVERHEAD + header_len :].toreadonly()
     return Frame(type=msg_type, header=header, body=body)
 
 

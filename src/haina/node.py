@@ -25,8 +25,10 @@ def decode_candidates(text: str, nf: NodeFile, beginner: str):
     A beginner that named itself would hold two neighbouring blocks, and so the mask.
     """
     candidates = tuple(text.split(","))
+    followers = set(nf.addresses)  # a set: the tuple's linear scans cost more than building it
+    followers.discard(beginner)
     for address in candidates:
-        if address == beginner or address not in nf.addresses:
+        if address not in followers:
             raise ParseError("candidates", f"{address!r} is not a follower on the roster")
     return candidates
 

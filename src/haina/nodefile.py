@@ -45,9 +45,9 @@ def make_node_file(addresses) -> NodeFile:
     return NodeFile(addresses=tuple(addrs))
 
 
-def parse_node_file(raw: bytes) -> NodeFile:
+def parse_node_file(raw) -> NodeFile:
     try:
-        text = raw.decode("utf-8")
+        text = str(raw, "utf-8")
     except UnicodeDecodeError:
         raise ParseError("node_file", "not valid UTF-8") from None
     lines = [line for line in text.split("\n") if line]

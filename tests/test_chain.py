@@ -133,6 +133,14 @@ def test_block_serialization_roundtrip():
     assert back == block
 
 
+@pytest.mark.parametrize("wrap", [bytes, bytearray])
+def test_deserialized_data_is_a_read_only_view_of_the_buffer(wrap):
+    raw = wrap(serialize_block(build_chain([b"hello", b"world"])[0]))
+    block = deserialize_block(raw)
+    assert block.data.readonly and block.data.obj is raw and block.data == b"hello"
+    assert all(type(p) is bytes for p in (block.previous_hash, block.current_hash, block.next_hash))
+
+
 def test_deserialize_rejects_bad_length():
     raw = serialize_block(build_chain([b"x"])[0])
     with pytest.raises(UsageError):

@@ -158,7 +158,7 @@ def _traced_peak(op):
 
 
 class TestMemory:
-    """Upload and download each hold about twice the file: ciphertext plus one more copy."""
+    """Peak traced memory per file byte: the in-process nodes' stored copies count towards an upload's."""
 
     @pytest.mark.parametrize("size", [1 << 20, (1 << 20) + 7])
     def test_peak_is_at_most_two_and_a_half_files(self, size):
@@ -172,6 +172,17 @@ class TestMemory:
             got, peak = _traced_peak(lambda: download(report.meta, nf, net, mode=mode).data)
             assert got == file
             assert peak <= 2.5 * size, f"{mode} download peaked at {peak / size:.2f}x the file"
+
+    @pytest.mark.parametrize("mode", ["bi", "uni"])
+    @pytest.mark.parametrize("size", [1 << 20, (1 << 20) + 7])
+    def test_download_of_stored_blocks_holds_one_file(self, size, mode):
+        # the blocks are stored before tracing starts, and each is dropped once decrypted
+        net, nf, services, cfg = _cluster(nodes=5, seed=48)
+        file = random.Random(size).randbytes(size)
+        report = upload(file, 16, cfg, nf, net, seed=size)
+        got, peak = _traced_peak(lambda: download(report.meta, nf, net, mode=mode).data)
+        assert got == file
+        assert peak <= 1.3 * size, f"{mode} download peaked at {peak / size:.2f}x the file"
 
 
 class TestFaultInjection:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from cryptography.hazmat.primitives import padding
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haina.crypto import (
+    KEY_SIZE,
+    ciphertext_size,
     decrypt_file,
     embed_key_shards,
     encrypt_file,
@@ -17,6 +20,18 @@ from haina.crypto import (
     split_ciphertext,
 )
 from haina.errors import IntegrityError, UsageError
+
+
+def _domains(file, key, iv, n):
+    """The n data domains of `file`, encrypted straight into them as upload does."""
+    domains = embed_key_shards(split_ciphertext(ciphertext_size(len(file)), n), key)
+    encrypt_file(file, key, iv, domains)
+    return domains
+
+
+def _encrypt(file, key, iv):
+    """The whole ciphertext of `file`: its one data domain without the key."""
+    return _domains(file, key, iv, 1)[0][KEY_SIZE:]
 
 
 class TestGenerateKey:
@@ -76,30 +91,30 @@ class TestCipher:
         file = rng.randbytes(size)
         key = generate_key(file, 123)
         iv = rng.randbytes(16)
-        assert decrypt_file([encrypt_file(file, key, iv)], key, iv) == file
+        assert decrypt_file([_encrypt(file, key, iv)], key, iv) == file
 
     def test_padding_arithmetic(self):
         iv = b"\x01" * 16
         key = generate_key(b"a", 0)
-        assert len(encrypt_file(b"a", key, iv)) == 16
-        assert len(encrypt_file(b"a" * 16, key, iv)) == 32
+        assert len(_encrypt(b"a", key, iv)) == 16
+        assert len(_encrypt(b"a" * 16, key, iv)) == 32
 
     def test_wrong_key_raises_integrity_error(self):
         iv = b"\x02" * 16
-        ct = encrypt_file(b"secret payload", generate_key(b"f", 1), iv)
+        ct = _encrypt(b"secret payload", generate_key(b"f", 1), iv)
         with pytest.raises(IntegrityError):
             decrypt_file([ct], generate_key(b"f", 2), iv)
 
     def test_same_file_distinct_ivs_distinct_ciphertexts(self):
         key = generate_key(b"f", 1)
-        a = encrypt_file(b"f" * 100, key, b"\x01" * 16)
-        b = encrypt_file(b"f" * 100, key, b"\x02" * 16)
+        a = _encrypt(b"f" * 100, key, b"\x01" * 16)
+        b = _encrypt(b"f" * 100, key, b"\x02" * 16)
         assert a != b
 
     def test_bad_iv_length_rejected(self):
         key = generate_key(b"f", 1)
         with pytest.raises(UsageError):
-            encrypt_file(b"f", key, b"\x00" * 8)
+            _encrypt(b"f", key, b"\x00" * 8)
         with pytest.raises(UsageError):
             decrypt_file([bytes(16)], key, b"\x00" * 8)
 
@@ -111,7 +126,7 @@ def _raw_sm4_cbc(plain, key, iv):
 
 
 class TestBufferedCipher:
-    """encrypt_file and decrypt_file write one buffer; the bytes stay the reference's."""
+    """encrypt_file and decrypt_file write in place; the bytes stay the reference's."""
 
     @pytest.mark.parametrize("size", [1, 15, 16, 17, 1000, 4 * 1024 * 1024])
     def test_ciphertext_matches_reference_padder(self, size):
@@ -121,14 +136,14 @@ class TestBufferedCipher:
         iv = rng.randbytes(16)
         padder = padding.PKCS7(128).padder()
         padded = padder.update(file) + padder.finalize()
-        assert encrypt_file(file, key, iv) == _raw_sm4_cbc(padded, key, iv)
+        assert _encrypt(file, key, iv) == _raw_sm4_cbc(padded, key, iv)
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(min_size=1, max_size=300), st.lists(st.integers(min_value=0, max_value=320), max_size=8))
     def test_any_consecutive_split_decrypts_alike(self, file, cuts):
         key = generate_key(file, 5)
         iv = bytes(range(16))
-        ct = encrypt_file(file, key, iv)
+        ct = _encrypt(file, key, iv)
         bounds = [0, *sorted(c % (len(ct) + 1) for c in cuts), len(ct)]
         pieces = [memoryview(ct)[a:b] for a, b in zip(bounds, bounds[1:])]
         assert decrypt_file(pieces, key, iv) == decrypt_file([bytes(ct)], key, iv) == file
@@ -148,9 +163,68 @@ class TestBufferedCipher:
     @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
     def test_bare_buffer_rejected(self, wrap):
         key = generate_key(b"f", 1)
-        ct = encrypt_file(b"f", key, b"\x05" * 16)
+        ct = _encrypt(b"f", key, b"\x05" * 16)
         with pytest.raises(UsageError, match="pieces"):
             decrypt_file(wrap(ct), key, b"\x05" * 16)
+
+    def test_pieces_leave_the_list_as_they_are_decrypted(self):
+        key = generate_key(b"f", 1)
+        ct = _encrypt(b"f" * 100, key, b"\x06" * 16)
+        pieces = [ct[:50], ct[50:]]
+        assert decrypt_file(pieces, key, b"\x06" * 16) == b"f" * 100
+        assert pieces == []
+
+
+def _reference_domains(file, key, iv, n):
+    """The data domains by the reference steps: pad, encrypt whole, split, prepend each key shard."""
+    padder = padding.PKCS7(128).padder()
+    ciphertext = _raw_sm4_cbc(padder.update(file) + padder.finalize(), key, iv)
+    return [bytes(key[j::n]) + bytes(s) for j, s in enumerate(split_ciphertext(ciphertext, n))]
+
+
+class TestStreamedDomains:
+    """encrypt_file writes the ciphertext straight into the data domains, never whole."""
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    @pytest.mark.parametrize("size", [1, 15, 16, 17, 4 * 1024 * 1024])
+    def test_domains_equal_the_reference(self, size, n):
+        rng = random.Random(size * 31 + n)
+        file = rng.randbytes(size)
+        key, iv = generate_key(file, 7), rng.randbytes(16)
+        assert _domains(file, key, iv, n) == _reference_domains(file, key, iv, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.binary(min_size=1, max_size=300),
+        st.integers(min_value=1, max_value=320),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_block_count_equals_the_reference(self, file, n, rng):
+        # n up to the ciphertext length: slices of a few bytes straddle cipher blocks
+        n = min(n, ciphertext_size(len(file)))
+        key, iv = rng.randbytes(32), rng.randbytes(16)
+        domains = _domains(file, key, iv, n)
+        assert domains == _reference_domains(file, key, iv, n)
+        got_key, slices = extract_key_shards(domains)
+        assert got_key == key and decrypt_file(slices, key, iv) == file
+
+    def test_domains_of_the_wrong_size_rejected(self):
+        key = generate_key(b"f", 1)
+        domains = embed_key_shards(split_ciphertext(32, 2), key)  # 32 bytes: a 1-byte file needs 16
+        with pytest.raises(UsageError, match="ciphertext"):
+            encrypt_file(b"f", key, bytes(16), domains)
+
+    def test_building_the_domains_holds_one_file(self):
+        size = 4 * 1024 * 1024
+        file = random.Random(3).randbytes(size)
+        key = generate_key(file, 1)
+        tracemalloc.start()
+        try:
+            _domains(file, key, bytes(16), 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size, f"building the domains peaked at {peak / size:.2f}x the file"
 
 
 class TestSplit:

@@ -46,6 +46,13 @@ def test_empty_ping_is_overhead_only():
     assert len(raw) == FRAME_OVERHEAD == 17
 
 
+@pytest.mark.parametrize("wrap", [bytes, bytearray])
+def test_decoded_body_is_a_read_only_view_of_the_buffer(wrap):
+    raw = wrap(encode_frame(Frame(MsgType.BLOCK_DATA, {"a": "b"}, b"payload")))
+    body = decode_frame(raw).body
+    assert body.readonly and body.obj is raw and body == b"payload"
+
+
 def test_bad_magic_rejected():
     raw = bytearray(encode_frame(Frame(MsgType.PING)))
     raw[:4] = b"XXXX"

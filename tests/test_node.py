@@ -41,6 +41,14 @@ class TestBlockStore:
         assert store.get(address) == raw
         assert store.has(address)
 
+    def test_put_of_a_view_keeps_its_own_bytes(self):
+        # a received frame's body is a view of the frame buffer; the store must not alias it
+        store = BlockStore(10**6)
+        buf = bytearray(serialize_block(_block()))
+        address = store.put(memoryview(buf).toreadonly())
+        buf[-1] ^= 0xFF
+        assert type(store.get(address)) is bytes and store.get(address) == serialize_block(_block())
+
     def test_quota_accounting(self):
         raw = serialize_block(_block())
         store = BlockStore(len(raw))
