@@ -17,7 +17,7 @@ from . import hashing
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     previous_hash: bytes
     current_hash: bytes

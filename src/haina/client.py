@@ -133,6 +133,7 @@ def upload(
 
     t0 = time.perf_counter()
     blocks = build_chain(domains)
+    del domains  # from here each data domain lives in its block alone
     if len({b.current_hash for b in blocks}) < n:
         # content addressing cannot tell identical data domains apart;
         # only degenerate slice sizes (a few bytes) can collide
@@ -140,7 +141,8 @@ def upload(
             f"block count {n} produces duplicate block contents for this file; "
             "choose a smaller block count"
         )
-    blocks = lock_chain(blocks, mask)
+    root, header_digest = chain_root(blocks), blocks[0].current_hash
+    blocks = list(lock_chain(blocks, mask))  # a list, so a stored block's slot can be cleared
     chain_ms = (time.perf_counter() - t0) * 1000.0
 
     sizes = [serialized_size(b) for b in blocks]
@@ -180,6 +182,8 @@ def upload(
                 current = _pick_reachable_beginner(transport, nf, rng, cfg, excluded=failed)
             else:
                 current, _, _ = check_rate(untried, records, rate, cfg.rate)
+        # stored and checked: drop the client's copy, so client and nodes hold the file once
+        blocks[i] = block = None
         records.record(current)
         placements.append(current)
         decision_ms.append(campaign_ms)
@@ -196,12 +200,12 @@ def upload(
 
     meta = MetaFile(
         first_beginner=placements[0],
-        header_digest=blocks[0].current_hash,
+        header_digest=header_digest,
         mask=mask,
         block_count=n,
         iv=iv,
         file_length=len(file),
-        chain_root=chain_root(blocks),
+        chain_root=root,
     )
     return UploadReport(
         meta=meta,

@@ -9,7 +9,7 @@ import pytest
 
 from haina import frames, hashing
 from haina.blockstore import BlockStore
-from haina.chain import Block, build_chain, chain_root, deserialize_block, serialize_block
+from haina.chain import Block, build_chain, chain_root, deserialize_block, serialize_block, verify_chain
 from haina.client import USER_ADDRESS, bdam_fetch, download, speedup, unidirectional_fetch, upload
 from haina.errors import IncompleteChainError, IntegrityError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
@@ -173,6 +173,17 @@ class TestMemory:
             assert got == file
             assert peak <= 2.5 * size, f"{mode} download peaked at {peak / size:.2f}x the file"
 
+    @pytest.mark.parametrize("size", [1 << 20, (1 << 20) + 7])
+    def test_upload_holds_one_file_with_the_nodes(self, size):
+        # each block is dropped once its STORE_ACK checks out, so the nodes' stored copies replace it
+        net, nf, services, cfg = _cluster(nodes=5, seed=47)
+        rng = random.Random(size)
+        upload(rng.randbytes(size), 16, cfg, nf, net, rng=rng)  # warm-up
+        file = rng.randbytes(size)
+        report, peak = _traced_peak(lambda: upload(file, 16, cfg, nf, net, rng=rng))
+        assert peak <= 1.15 * size, f"upload peaked at {peak / size:.2f}x the file"
+        assert download(report.meta, nf, net).data == file
+
     @pytest.mark.parametrize("mode", ["bi", "uni"])
     @pytest.mark.parametrize("size", [1 << 20, (1 << 20) + 7])
     def test_download_of_stored_blocks_holds_one_file(self, size, mode):
@@ -212,6 +223,45 @@ class TestFaultInjection:
         assert any(entry[2] == bad and entry[3] == "STORE_READY" for entry in messages)
         assert bad not in report.placements
         assert download(report.meta, nf, net).data == file
+
+    def test_failed_store_is_resent_byte_for_byte(self):
+        # the corrupt node keeps winning elections: block 0 and four later blocks are each sent twice
+        net, nf, services, cfg = _cluster(nodes=5, seed=5)
+        bad = nf.addresses[0]
+        net.add_node(bad, _CorruptsStoredBytes(services[bad]))
+        stores = []  # (node, header, body) of every STORE_READY, in order
+        request = net.request
+
+        def recorded(origin, dst, frame, timeout_ms=1000.0):
+            if frame.type is MsgType.STORE_READY:
+                stores.append((dst, dict(frame.header), bytes(frame.body)))
+            return request(origin, dst, frame, timeout_ms)
+
+        net.request = recorded
+        rng = random.Random(5)
+        file = rng.randbytes(500)
+        report = upload(file, 8, cfg, nf, net, rng=rng)
+        failed = [i for i, (node, _, _) in enumerate(stores) if node == bad]
+        assert failed == [0, 5, 7, 9, 11] and len(stores) == 8 + len(failed)
+        for i in failed:
+            assert stores[i + 1][0] != bad
+            assert stores[i + 1][1:] == stores[i][1:]
+        assert download(report.meta, nf, net).data == file
+
+    def test_meta_file_pins_the_chain_the_nodes_hold(self):
+        net, nf, services, cfg = _cluster(nodes=5, seed=23)
+        report = upload(random.Random(23).randbytes(3000), 6, cfg, nf, net, seed=23)
+        meta = report.meta
+        address, blocks = meta.header_digest, []
+        for node in report.placements:  # walk the chain through the stores, in placement order
+            block = unlock_block(deserialize_block(services[node].store.get(address)), meta.mask)
+            assert hashing.digest(block.data) == address
+            blocks.append(block)
+            address = block.next_hash
+        assert address == meta.header_digest
+        assert verify_chain(blocks) == []
+        assert blocks[0].current_hash == meta.header_digest
+        assert chain_root(blocks) == meta.chain_root
 
     def test_offline_node_named_in_error(self):
         net, nf, services, cfg = _cluster(nodes=5, seed=17)

@@ -1,4 +1,4 @@
-"""Source hygiene checks: unused and function-level imports, wrapped names, exports and validators."""
+"""Source hygiene checks: unused and function-level imports, wrapped names, what a node imports, and validators."""
 
 import ast
 import subprocess
@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import haina
 from haina.errors import ParseError
 from haina.experiments import ClusterSpec
 from haina.metafile import MetaFile
@@ -63,9 +62,16 @@ def test_every_span_wrapped_name_exists():
     assert result.returncode == 0, result.stderr
 
 
-def test_every_exported_name_exists():
-    missing = [name for name in haina.__all__ if not hasattr(haina, name)]
-    assert not missing, f"haina.__all__ names what the package does not define: {', '.join(missing)}"
+def test_a_node_loads_no_client_code():
+    # a node never encrypts: importing it in a fresh interpreter must not load the cipher stack
+    code = (
+        f"import sys; sys.path[:0] = {[str(REPO / 'src')]!r}; import haina.node; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'cryptography' "
+        "or m in ('haina.client', 'haina.crypto')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", f"import haina.node loaded {result.stdout.strip()}"
 
 
 # one valid instance of each validating dataclass; a new int field is checked as soon as it exists
