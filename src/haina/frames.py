@@ -38,6 +38,7 @@ class MsgType(IntEnum):
 
 
 _TYPE_BY_TAG = {int(t): t for t in MsgType}  # tag -> member; cheaper than MsgType(tag) per decoded frame
+BODY_TYPES = frozenset({MsgType.STORE_READY, MsgType.BLOCK_DATA, MsgType.NF_DATA})  # the rest carry only a header
 
 
 # slots and no freezing: a frame is built per request, and frozen construction costs twice as much
@@ -90,28 +91,34 @@ def encode_frame(frame: Frame) -> bytes:
     return HEADER_FMT.pack(MAGIC, int(frame.type), len(header), len(frame.body)) + header + frame.body
 
 
-def frame_length(raw) -> int:
-    """Check a frame's 17-byte head (magic and cap); returns the whole frame's declared length."""
-    magic, _, header_len, body_len = HEADER_FMT.unpack_from(raw)
+def _unpack_head(raw):
+    """Check a frame's 17-byte head against the protocol; returns (type, header length, whole frame length)."""
+    magic, type_tag, header_len, body_len = HEADER_FMT.unpack_from(raw)
     if magic != MAGIC:
         raise ParseError("frame", f"bad magic {magic!r}")
+    msg_type = _TYPE_BY_TAG.get(type_tag)
+    if msg_type is None:
+        raise ParseError("frame", f"unknown message type tag {type_tag}")
     total = FRAME_OVERHEAD + header_len + body_len
     if total > MAX_FRAME:
         raise ParseError("frame", f"declared frame size {total} exceeds the {MAX_FRAME} cap")
-    return total
+    if body_len and msg_type not in BODY_TYPES:
+        raise ParseError("frame", f"a {msg_type.name} frame carries no body, not {body_len} bytes")
+    return msg_type, header_len, total
+
+
+def frame_length(raw) -> int:
+    """Check a frame's 17-byte head (magic, type, cap, body); returns the whole frame's declared length."""
+    return _unpack_head(raw)[2]
 
 
 def decode_frame(raw) -> Frame:
     """Decode one whole frame from any bytes-like object; the body is a read-only view of `raw`."""
     if len(raw) < FRAME_OVERHEAD:
         raise ParseError("frame", f"truncated frame: {len(raw)} bytes")
-    total = frame_length(raw)
+    msg_type, header_len, total = _unpack_head(raw)
     if len(raw) != total:
         raise ParseError("frame", f"frame length {len(raw)} != declared {total}")
-    _, type_tag, header_len, _ = HEADER_FMT.unpack_from(raw)
-    msg_type = _TYPE_BY_TAG.get(type_tag)
-    if msg_type is None:
-        raise ParseError("frame", f"unknown message type tag {type_tag}")
     view = memoryview(raw)
     header = _decode_header(view[FRAME_OVERHEAD : FRAME_OVERHEAD + header_len])
     body = view[FRAME_OVERHEAD + header_len :].toreadonly()

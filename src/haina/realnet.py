@@ -13,6 +13,8 @@ restart) costs one retry on a fresh connection, within the time left.
 A fresh connection is connected without blocking, in the same poll
 loop, so a peer that never completes the connect (a host that is down,
 or one that drops the SYN) costs only its own request.
+Client and node read a frame of up to FIRST_READ bytes with one recv and a
+larger one as it arrives; bytes past a reply's frame fail its request.
 `now()` and every round-trip read the monotonic clock.
 """
 
@@ -36,26 +38,42 @@ class _PeerClosed(ConnectionError):
     """The peer closed or reset the connection before the frame's first byte."""
 
 
-class _Reader:
-    """One frame, read from a socket as its bytes arrive: the 17-byte
-    head, then exactly as many bytes as the head declares."""
+# A frame that fits in the first read costs one recv.  Each read's buffer counts in
+# traced memory: with 64 KiB, operations on 64 KiB files peaked at 2.5 files, not 1.5.
+FIRST_READ = 4096
 
-    __slots__ = ("got", "raw", "view")
+
+class _Reader:
+    """One frame, read as its bytes arrive: up to FIRST_READ bytes until the head is in,
+    then into a buffer that doubles in place when full, up to the declared length, so
+    that each read asks for at most as many bytes as are already in."""
+
+    __slots__ = ("got", "raw", "total")
 
     def __init__(self):
         self.got = 0  # bytes read so far
-        self.raw = bytearray(FRAME_OVERHEAD)  # the head, then the whole frame
-        self.view = memoryview(self.raw)  # the part of `raw` still to read
+        self.raw = b""  # the bytes read; once the head is in, the frame's buffer
+        self.total = 0  # the frame's declared length, once the head is in
 
     def read(self, sock) -> bool:
         """Read what has arrived; True once the whole frame is in.
 
-        Raises _PeerClosed if the peer closed or reset the connection
-        before the frame's first byte.
+        Raises _PeerClosed if the peer closed or reset the connection before the
+        frame's first byte, ParseError for a head the protocol rejects or bytes past its end.
         """
-        while self.view:
+        while True:
             try:
-                n = sock.recv_into(self.view)
+                if not self.total:
+                    data = sock.recv(FIRST_READ - self.got)
+                    n = len(data)
+                else:
+                    if self.got == len(self.raw):  # full: grow to the smallest ceil(total / 2**k) above got
+                        size = self.total
+                        while (size + 1) // 2 > self.got:
+                            size = (size + 1) // 2
+                        self.raw *= 2  # allocated exactly, as it doubles, with no zero-filled temporary
+                        del self.raw[size:]
+                    n = sock.recv_into(memoryview(self.raw)[self.got :])
             except BlockingIOError:
                 return False
             except ConnectionResetError:
@@ -67,12 +85,17 @@ class _Reader:
                     raise ParseError("frame", "connection closed mid-frame")
                 raise _PeerClosed("the peer closed the connection")
             self.got += n
-            self.view = self.view[n:]
-            if self.got == FRAME_OVERHEAD and not self.view:
-                head, self.raw = self.raw, bytearray(frame_length(self.raw))
-                self.raw[:FRAME_OVERHEAD] = head
-                self.view = memoryview(self.raw)[FRAME_OVERHEAD:]
-        return True
+            if not self.total:
+                self.raw += data
+                if self.got < FRAME_OVERHEAD:
+                    continue
+                self.total = frame_length(self.raw)
+                if self.got > self.total:
+                    raise ParseError("frame", f"{self.got - self.total} bytes past the frame's end")
+                if self.got < self.total:
+                    self.raw = bytearray(self.raw)
+            if self.got == self.total:
+                return True
 
 
 def recv_frame(sock):

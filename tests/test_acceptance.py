@@ -251,7 +251,7 @@ def test_unit_property_suite(report):
     crashes = _fuzz_frames(100_000)
     if crashes:
         problems.append(f"{crashes} fuzz crashes")
-    for frame in (Frame(MsgType.PING), Frame(MsgType.GET_BLOCK, {"address": "aa" * 32}, b"x" * 99)):
+    for frame in (Frame(MsgType.PING), Frame(MsgType.BLOCK_DATA, {"address": "aa" * 32}, b"x" * 99)):
         if decode_frame(encode_frame(frame)) != frame:
             problems.append("frame codec round-trip broken")
 

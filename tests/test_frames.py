@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haina.errors import ParseError
-from haina.frames import FRAME_OVERHEAD, MAX_FRAME, Frame, MsgType, decode_frame, encode_frame
+from haina.frames import BODY_TYPES, FRAME_OVERHEAD, MAX_FRAME, Frame, MsgType, decode_frame, encode_frame, frame_length
 
 header_keys = st.text(
     alphabet=st.characters(blacklist_characters=":\n\r", blacklist_categories=("Cs",)),
@@ -26,7 +26,11 @@ header_values = st.text(
 )
 def test_roundtrip_every_type(msg_type, header, body):
     frame = Frame(msg_type, header, body)
-    assert decode_frame(encode_frame(frame)) == frame
+    if body and msg_type not in BODY_TYPES:
+        with pytest.raises(ParseError, match="carries no body"):
+            decode_frame(encode_frame(frame))
+    else:
+        assert decode_frame(encode_frame(frame)) == frame
 
 
 @pytest.mark.parametrize("msg_type", list(MsgType))
@@ -74,6 +78,22 @@ def test_reserved_type_tags_rejected(tag):
     raw[4] = tag
     with pytest.raises(ParseError, match="type tag"):
         decode_frame(bytes(raw))
+
+
+@pytest.mark.parametrize("msg_type", sorted(set(MsgType) - BODY_TYPES))
+def test_head_alone_rejects_a_body_on_a_type_without_one(msg_type):
+    head = bytearray(encode_frame(Frame(msg_type)))
+    head[9:17] = (1).to_bytes(8, "big")
+    with pytest.raises(ParseError, match="carries no body"):
+        frame_length(head)
+
+
+@pytest.mark.parametrize("tag", [0, 10, 19, 255])
+def test_head_alone_rejects_an_unknown_type_tag(tag):
+    head = bytearray(encode_frame(Frame(MsgType.PING)))
+    head[4] = tag
+    with pytest.raises(ParseError, match="type tag"):
+        frame_length(head)
 
 
 def test_truncated_frame_rejected():

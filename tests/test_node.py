@@ -673,7 +673,7 @@ class TestTransportContract:
         server, listen = _serve_raw(_ReadsLate)
         net = RealNet()
         try:
-            reply, _ = net.request("client:0", listen, Frame(MsgType.PING, body=bytes(12 * 1024 * 1024)), 5000)
+            reply, _ = net.request("client:0", listen, Frame(MsgType.STORE_READY, body=bytes(12 * 1024 * 1024)), 5000)
             assert reply.type is MsgType.PONG
         finally:
             net.close()
@@ -729,6 +729,218 @@ class TestGarbageReplies:
             _stop(*servers)
             for service in services.values():
                 service.transport.close()
+
+
+def _huge_head(msg_type):
+    """A frame head declaring the largest frame the cap allows, all of it body."""
+    return frames.HEADER_FMT.pack(frames.MAGIC, msg_type, 0, frames.MAX_FRAME - frames.FRAME_OVERHEAD)
+
+
+def _dribble(sock, frame):
+    """Send a frame one byte per send, with a pause after each, so that its reader gets the head in parts."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    for byte in encode_frame(frame):
+        sock.sendall(bytes((byte,)))
+        time.sleep(0.0005)
+
+
+_DRIBBLED = Frame(MsgType.BLOCK_DATA, {"n": "1"}, bytes(range(50)))
+
+
+class _Dribbles(socketserver.BaseRequestHandler):
+    """Answers every frame with _DRIBBLED, one byte per send."""
+
+    def handle(self):
+        while recv_frame(self.request) is not None:
+            _dribble(self.request, _DRIBBLED)
+
+
+class _OneByteTooMany(socketserver.BaseRequestHandler):
+    """Answers every frame with a PONG; one whose header asks for it gets one byte more, in the same send."""
+
+    def handle(self):
+        while (frame := recv_frame(self.request)) is not None:
+            extra = b"\0" if frame.header.get("extra") else b""
+            self.request.sendall(encode_frame(Frame(MsgType.PONG)) + extra)
+
+
+class _StallsAfterAHugeHead(socketserver.BaseRequestHandler):
+    """Answers the first frame with a head declaring a 64 MiB BLOCK_DATA, then sends nothing until the caller hangs up."""
+
+    def handle(self):
+        if recv_frame(self.request) is not None:
+            self.request.sendall(_huge_head(MsgType.BLOCK_DATA))
+            self.request.recv(1)
+
+
+class _Trickle:
+    """A socket stand-in that hands out a frame's bytes `step` at a time, recording each read's (bytes in, bytes asked)."""
+
+    def __init__(self, data, step):
+        self.data, self.step, self.at, self.asks = data, step, 0, []
+
+    def _next(self, asked):
+        self.asks.append((self.at, asked))
+        chunk = self.data[self.at : self.at + min(asked, self.step)]
+        self.at += len(chunk)
+        return chunk
+
+    def recv(self, size):
+        return self._next(size)
+
+    def recv_into(self, buffer):
+        chunk = self._next(len(buffer))
+        buffer[: len(chunk)] = chunk
+        return len(chunk)
+
+
+@pytest.fixture
+def recvs(monkeypatch):
+    """Record (local port, method name) for every recv and recv_into a socket returns from."""
+    calls = []
+
+    def counting(method):
+        def wrapper(sock, *args):
+            port = sock.getsockname()[1]
+            try:
+                return method(sock, *args)
+            finally:
+                calls.append((port, method.__name__))
+
+        return wrapper
+
+    for name in ("recv", "recv_into"):
+        monkeypatch.setattr(socket.socket, name, counting(getattr(socket.socket, name)))
+    return calls
+
+
+class TestFrameReads:
+    """Client and node read a frame with one recv when it is small, and hold only what has arrived of a large one."""
+
+    @pytest.mark.parametrize(
+        "frame",
+        [Frame(MsgType.PING), Frame(MsgType.HAS_BLOCK, {"address": "00" * 32}), Frame(MsgType.ELECTION, {"size": "10"})],
+        ids=lambda frame: frame.type.name,
+    )
+    def test_small_frame_costs_one_recv_on_each_end(self, recvs, tcp_nodes, frame):
+        (listen, *_), net = tcp_nodes
+        node = int(listen.rpartition(":")[2])
+        net.request("client:0", listen, Frame(MsgType.PING))  # connects
+        recvs.clear()
+        net.request("client:0", listen, frame)
+        calls = list(recvs)
+        assert [name for port, name in calls if port == node] == ["recv"]  # the node's blocking socket
+        assert [name for port, name in calls if port != node] == ["recv"]  # the client's non-blocking one
+
+    def test_frame_sent_a_byte_at_a_time_decodes_on_the_client(self):
+        server, listen = _serve_raw(_Dribbles)
+        net = RealNet()
+        try:
+            reply, _ = net.request("client:0", listen, Frame(MsgType.PING), 5000)
+            assert reply == _DRIBBLED
+        finally:
+            net.close()
+            _stop(server)
+
+    def test_frame_sent_a_byte_at_a_time_decodes_on_the_node(self):
+        server, listen = _serve()
+        block = _block(bytes(range(40)))
+        try:
+            with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=5) as sock:
+                _dribble(sock, Frame(MsgType.STORE_READY, {"next_size": "0", "elect": "0"}, serialize_block(block)))
+                ack = recv_frame(sock)
+            assert ack.type is MsgType.STORE_ACK and ack.header["stored"] == block.current_hash.hex()
+        finally:
+            _stop(server)
+
+    def test_megabyte_block_travels_byte_identical_in_an_exact_buffer(self, tcp_nodes):
+        (listen, *_), net = tcp_nodes
+        block = _block(random.Random(2).randbytes(1 << 20))
+        raw = serialize_block(block)
+        store = Frame(MsgType.STORE_READY, {"next_size": "0", "elect": "0"}, raw)
+        ack, _ = net.request("client:0", listen, store, 5000)
+        assert ack.header["stored"] == block.current_hash.hex()
+        reply, _ = net.request("client:0", listen, Frame(MsgType.GET_BLOCK, {"address": block.current_hash.hex()}), 5000)
+        assert reply.type is MsgType.BLOCK_DATA and reply.body == raw
+        buffer = reply.body.obj
+        assert len(buffer) == frames.block_data_size(len(raw))
+        assert sys.getsizeof(buffer) - sys.getsizeof(bytearray()) - len(buffer) <= 2  # grown to the frame, no slack
+
+    @pytest.mark.parametrize("step", [3, 1000, 1 << 20])
+    def test_each_read_asks_for_at_most_what_is_in(self, step):
+        raw = encode_frame(Frame(MsgType.BLOCK_DATA, {"n": "1"}, random.Random(3).randbytes(100_000)))
+        sock = _Trickle(raw, step)
+        reader = realnet._Reader()
+        assert reader.read(sock) and reader.raw == raw
+        assert sock.asks[0] == (0, realnet.FIRST_READ)
+        assert all(asked <= at for at, asked in sock.asks if at >= frames.FRAME_OVERHEAD)
+        assert sys.getsizeof(reader.raw) - sys.getsizeof(bytearray()) - len(raw) <= 2
+
+    def test_bytes_past_the_reply_fail_the_request_and_its_socket(self, connects):
+        server, listen = _serve_raw(_OneByteTooMany)
+        net = RealNet()
+        try:
+            with pytest.raises(ParseError, match="past the frame"):
+                net.request("client:0", listen, Frame(MsgType.PING, {"extra": "1"}))
+            reply, _ = net.request("client:0", listen, Frame(MsgType.PING))
+            assert reply.type is MsgType.PONG
+            assert len(connects) == 2  # the failed request's socket was closed, not pooled
+        finally:
+            net.close()
+            _stop(server)
+
+    def test_ping_head_declaring_a_body_drops_the_connection(self):
+        server, _ = _serve()
+        head = bytearray(encode_frame(Frame(MsgType.PING)))
+        head[9:17] = (4).to_bytes(8, "big")
+        try:
+            with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=2) as sock:
+                sock.sendall(head)  # the head alone: the node refuses it without waiting for the body
+                assert sock.recv(1) == b""
+        finally:
+            _stop(server)
+
+    def test_node_holds_only_what_arrived_of_a_declared_frame(self, monkeypatch):
+        server, _ = _serve()
+        checked = threading.Event()
+        frame_length = realnet.frame_length
+
+        def noting(raw):
+            try:
+                return frame_length(raw)
+            finally:
+                checked.set()
+
+        monkeypatch.setattr(realnet, "frame_length", noting)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=5) as sock:
+                sock.sendall(_huge_head(MsgType.STORE_READY))
+                assert checked.wait(5)
+                time.sleep(0.1)  # the node's reader is back in recv, its buffer made
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            _stop(server)
+        assert held < 1 << 20, f"the node holds {held} bytes for a 17-byte head"
+
+    def test_stalled_huge_reply_costs_the_caller_only_its_bytes(self):
+        server, listen = _serve_raw(_StallsAfterAHugeHead)
+        net = RealNet()
+        tracemalloc.start()
+        try:
+            t0 = time.monotonic()
+            (result,) = net.exchange("client:0", [(listen, Frame(MsgType.ELECTION, {"size": "10"}))], timeout_ms=300)
+            elapsed = time.monotonic() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            net.close()
+            _stop(server)
+        assert isinstance(result, NetworkError) and "timed out" in str(result)
+        assert 0.3 <= elapsed < 0.6
+        assert peak < 1 << 20, f"the caller peaked at {peak} bytes for a 17-byte head"
 
 
 def test_tcp_cluster_restarted_on_its_data_dirs_serves_the_file(tmp_path):
