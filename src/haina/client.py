@@ -11,6 +11,7 @@ the file.
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import frames, hashing
@@ -40,7 +41,7 @@ from .locking import lock_chain, unlock_block
 from .metafile import MetaFile
 from .node import decode_candidates
 from .nodefile import NodeFile
-from .por import PorConfig, ProvisionalRecords, check_rate, check_store, pick_first_beginner
+from .por import PorConfig, check_rate, check_store, pick_first_beginner
 from .resolve import resolve
 
 USER_ADDRESS = "user:0"
@@ -68,7 +69,6 @@ class FetchResult:
 @dataclass
 class DownloadReport:
     data: bytearray  # the decryption buffer itself; compares equal to bytes
-    mode: str
     fetch_ms: float  # transport.now() from before the header fetch to the end of the walk
     rounds: int
     stage_ms: dict  # header_fetch on transport.now(); decrypt wall-clock
@@ -155,7 +155,7 @@ def upload(
             f"block {largest + 1} needs a {total}-byte frame, over the {frames.MAX_FRAME}-byte cap; "
             "choose a larger block count"
         )
-    records = ProvisionalRecords(total_blocks=n)
+    counts = Counter()  # the paper's provisional records: blocks per node in this event, dropped with it
     placements, decision_ms, transfer_ms, escalations = [], [], [], []
     rate = cfg.rate
     current = _pick_reachable_beginner(transport, nf, rng, cfg)
@@ -181,10 +181,10 @@ def upload(
             if i == 0:
                 current = _pick_reachable_beginner(transport, nf, rng, cfg, excluded=failed)
             else:
-                current, _, _ = check_rate(untried, records, rate, cfg.rate)
+                current, _, _ = check_rate(untried, counts, n, rate, cfg.rate)
         # stored and checked: drop the client's copy, so client and nodes hold the file once
         blocks[i] = block = None
-        records.record(current)
+        counts[current] += 1
         placements.append(current)
         decision_ms.append(campaign_ms)
         transfer_ms.append(rtt - campaign_ms)
@@ -194,7 +194,7 @@ def upload(
                 # the last block neighbours block 0 on the circle: a node holding
                 # both would hold H(last) and H(last) xor mask, and so the mask
                 candidates = [a for a in candidates if a != placements[0]]
-            current, rate, escalated = check_rate(candidates, records, rate, cfg.rate)
+            current, rate, escalated = check_rate(candidates, counts, n, rate, cfg.rate)
             if escalated:
                 escalations.append((i + 1, rate))
 
@@ -366,7 +366,6 @@ def download(
 
     return DownloadReport(
         data=plaintext,
-        mode=mode,
         fetch_ms=fetch_ms,
         rounds=result.rounds,
         stage_ms={"header_fetch": header_ms, "decrypt": decrypt_ms},

@@ -9,7 +9,6 @@ so the client never holds it whole.
 """
 
 import struct
-from itertools import accumulate
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -138,26 +137,19 @@ def decrypt_file(pieces: list, key: bytes, iv: bytes) -> bytearray:
     return out
 
 
-def split_ciphertext(ef, n: int) -> list:
-    """Divide the ciphertext into n contiguous non-empty memoryview slices.
+def split_ciphertext(length: int, n: int) -> list:
+    """Sizes of the n contiguous, non-empty ciphertext slices of a `length`-byte ciphertext.
 
-    The slice sizes are `shard_sizes(len(ef), n)`, so they differ by at
-    most one and concatenation restores the input.  Before the ciphertext
-    exists, `ef` may be its length alone: the sizes are then returned.
+    They are `shard_sizes(length, n)`: they differ by at most one, and the
+    slices in order make up the whole ciphertext.
     """
-    length = ef if isinstance(ef, int) else len(ef)
     if n < 1:
         raise UsageError("block count must be at least 1")
     if n > length:
         raise UsageError(
             f"block count {n} exceeds ciphertext length {length}; choose a smaller block count"
         )
-    sizes = shard_sizes(length, n)
-    if isinstance(ef, int):
-        return sizes
-    ends = list(accumulate(sizes, initial=0))
-    ef = memoryview(ef)
-    return [ef[start:end] for start, end in zip(ends, ends[1:])]
+    return shard_sizes(length, n)
 
 
 def shard_sizes(length: int, n: int) -> list:
@@ -170,25 +162,22 @@ def shard_sizes(length: int, n: int) -> list:
     return [base + (1 if j < extra else 0) for j in range(n)]
 
 
-def embed_key_shards(slices, key: bytes) -> list:
-    """Prepend each block's key shard to its ciphertext slice, one new buffer per block.
+def embed_key_shards(sizes, key: bytes) -> list:
+    """Lay out each block's data domain: its key shard, then `sizes[j]` zeroed bytes of room.
 
-    A slice given as its size alone is that many zero bytes after the
-    shard, a writable `bytearray` for `encrypt_file` to fill.
+    One writable `bytearray` per block, for `encrypt_file` to fill with
+    the block's ciphertext slice.
     """
     if len(key) != KEY_SIZE:
         raise UsageError(f"file key must be {KEY_SIZE} bytes")
-    n = len(slices)
+    n = len(sizes)
     if n < 1:
         raise UsageError("need at least one slice")
     domains = []
-    for j, piece in enumerate(slices):
+    for j, size in enumerate(sizes):
         shard = key[j::n]
-        if isinstance(piece, int):
-            domain = bytearray(len(shard) + piece)
-            domain[: len(shard)] = shard
-        else:
-            domain = b"".join((shard, piece))
+        domain = bytearray(len(shard) + size)
+        domain[: len(shard)] = shard
         domains.append(domain)
     return domains
 

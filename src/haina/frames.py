@@ -3,7 +3,7 @@
 Layout (bit-exact): magic "HAIN" (4) || type tag (1) || header length
 (4, big-endian) || body length (8, big-endian) || header || body.
 The header is UTF-8 "key: value" lines; block payloads travel only in
-the binary body.  A whole frame is capped at 64 MiB.
+the binary body.  A frame is capped at 64 MiB, and its header at 64 KiB.
 """
 
 import struct
@@ -17,6 +17,8 @@ MAGIC = b"HAIN"
 HEADER_FMT = struct.Struct(">4sBIQ")  # magic, type, header len, body len
 FRAME_OVERHEAD = HEADER_FMT.size  # 17 bytes
 MAX_FRAME = 64 * 1024 * 1024
+# the longest header, a beginner's STORE_ACK naming every other member, fits: nodefile bounds the roster by it
+MAX_HEADER = 64 * 1024
 
 
 class MsgType(IntEnum):
@@ -83,11 +85,22 @@ def block_data_size(block_len: int) -> int:
     return FRAME_OVERHEAD + len(_encode_header({"address": bytes(DIGEST_SIZE).hex()})) + block_len
 
 
-def encode_frame(frame: Frame) -> bytes:
-    header = _encode_header(frame.header)
-    total = FRAME_OVERHEAD + len(header) + len(frame.body)
+def _check_sizes(msg_type: MsgType, header_len: int, body_len: int) -> int:
+    """The size rules every peer applies, to a frame it sends and to one it reads; returns the frame's length."""
+    total = FRAME_OVERHEAD + header_len + body_len
     if total > MAX_FRAME:
-        raise ParseError("frame", f"frame of {total} bytes exceeds the {MAX_FRAME} cap")
+        raise ParseError("frame", f"declared frame size {total} exceeds the {MAX_FRAME} cap")
+    if header_len > MAX_HEADER:
+        raise ParseError("frame", f"declared header size {header_len} exceeds the {MAX_HEADER} cap")
+    if body_len and msg_type not in BODY_TYPES:
+        raise ParseError("frame", f"a {msg_type.name} frame carries no body, not {body_len} bytes")
+    return total
+
+
+def encode_frame(frame: Frame) -> bytes:
+    """Encode a frame; one that a peer would refuse raises ParseError, so it is never sent."""
+    header = _encode_header(frame.header)
+    _check_sizes(frame.type, len(header), len(frame.body))
     return HEADER_FMT.pack(MAGIC, int(frame.type), len(header), len(frame.body)) + header + frame.body
 
 
@@ -99,16 +112,11 @@ def _unpack_head(raw):
     msg_type = _TYPE_BY_TAG.get(type_tag)
     if msg_type is None:
         raise ParseError("frame", f"unknown message type tag {type_tag}")
-    total = FRAME_OVERHEAD + header_len + body_len
-    if total > MAX_FRAME:
-        raise ParseError("frame", f"declared frame size {total} exceeds the {MAX_FRAME} cap")
-    if body_len and msg_type not in BODY_TYPES:
-        raise ParseError("frame", f"a {msg_type.name} frame carries no body, not {body_len} bytes")
-    return msg_type, header_len, total
+    return msg_type, header_len, _check_sizes(msg_type, header_len, body_len)
 
 
 def frame_length(raw) -> int:
-    """Check a frame's 17-byte head (magic, type, cap, body); returns the whole frame's declared length."""
+    """Check a frame's 17-byte head (magic, type, caps, body); returns the whole frame's declared length."""
     return _unpack_head(raw)[2]
 
 

@@ -9,6 +9,12 @@ from dataclasses import dataclass
 
 from . import hashing
 from .errors import IntegrityError, ParseError, UsageError
+from .frames import MAX_HEADER
+
+# A STORE_ACK's `candidates` line joins the other members with commas, so it is shorter than the
+# canonical bytes; the rest of that header is its `stored` digest and a `campaign_ms` float repr
+# of at most 24 characters.
+MAX_ROSTER_BYTES = MAX_HEADER - len("stored: \ncandidates: \ncampaign_ms: \n") - 2 * hashing.DIGEST_SIZE - 24
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,10 @@ def make_node_file(addresses) -> NodeFile:
             raise ParseError("node_file", f"address {a!r} is not host:port with a port in 1-65535")
         if "," in a:
             raise ParseError("node_file", f"address {a!r} contains ',', the candidate list separator")
-    return NodeFile(addresses=tuple(addrs))
+    nf = NodeFile(addresses=tuple(addrs))
+    if len(nf.canonical_bytes()) > MAX_ROSTER_BYTES:
+        raise ParseError("node_file", f"a roster over {MAX_ROSTER_BYTES} bytes makes a STORE_ACK pass the header cap")
+    return nf
 
 
 def parse_node_file(raw) -> NodeFile:

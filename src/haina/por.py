@@ -7,7 +7,7 @@ followers' addresses, best first.  The user applies the fairness
 check against its per-event tally and notifies the winner.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blockstore import BYTES_PER_GB
 from .errors import CampaignError, HainaError, UsageError
@@ -23,22 +23,6 @@ class PorConfig:
     def __post_init__(self):
         if not 0 < self.rate <= 1:
             raise UsageError("rate must satisfy 0 < rate <= 1")
-
-
-@dataclass
-class ProvisionalRecords:
-    """Per-event tally of blocks stored by each node; destroyed afterwards."""
-
-    total_blocks: int
-    counts: dict = field(default_factory=dict)
-
-    def count(self, address: str) -> int:
-        return self.counts.get(address, 0)
-
-    def record(self, address: str):
-        if sum(self.counts.values()) >= self.total_blocks:
-            raise UsageError("event already holds all its blocks")
-        self.counts[address] = self.counts.get(address, 0) + 1
 
 
 @dataclass(frozen=True)
@@ -103,23 +87,24 @@ def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, c
     return CampaignResult(candidates=tuple(addr for _, addr in scored), elapsed_ms=elapsed)
 
 
-def check_rate(candidates, records: ProvisionalRecords, rate: float, step: float):
+def check_rate(candidates, counts, total_blocks: int, rate: float, step: float):
     """Fairness check over value-sorted candidate addresses.
 
-    Preference order: (a) best candidate holding nothing yet; (b) best
-    candidate whose post-store share stays within `rate`; (c) fall back
-    to the top candidate and raise the threshold by `step`.
+    `counts` maps a node address to the blocks it already holds in this
+    storage event (a `Counter`: an absent node holds none).  Preference
+    order: (a) best candidate holding nothing yet; (b) best candidate
+    whose post-store share of the `total_blocks` stays within `rate`;
+    (c) fall back to the top candidate and raise the threshold by `step`.
 
     Returns (chosen address, new rate, escalated flag).
     """
     if not candidates:
         raise CampaignError("no candidate to check")
-    m = records.total_blocks
     for address in candidates:
-        if records.count(address) == 0:
+        if counts[address] == 0:
             return address, rate, False
     for address in candidates:
-        if (records.count(address) + 1) / m <= rate:
+        if (counts[address] + 1) / total_blocks <= rate:
             return address, rate, False
     return candidates[0], rate + step, True
 

@@ -43,10 +43,18 @@ class _PeerClosed(ConnectionError):
 FIRST_READ = 4096
 
 
+def _rung(total: int, least: int) -> int:
+    """The smallest ceil(total / 2**k) that is at least `least`: a frame buffer's next size."""
+    size = total
+    while (size + 1) // 2 >= least:
+        size = (size + 1) // 2
+    return size
+
+
 class _Reader:
     """One frame, read as its bytes arrive: up to FIRST_READ bytes until the head is in,
-    then into a buffer that doubles in place when full, up to the declared length, so
-    that each read asks for at most as many bytes as are already in."""
+    then into a buffer on the ceil(total / 2**k) ladder that doubles in place when full, up
+    to the declared length: each read asks for at most what is in, and no slack is left."""
 
     __slots__ = ("got", "raw", "total")
 
@@ -67,10 +75,8 @@ class _Reader:
                     data = sock.recv(FIRST_READ - self.got)
                     n = len(data)
                 else:
-                    if self.got == len(self.raw):  # full: grow to the smallest ceil(total / 2**k) above got
-                        size = self.total
-                        while (size + 1) // 2 > self.got:
-                            size = (size + 1) // 2
+                    if self.got == len(self.raw):  # full: grow to the next rung, at most twice its size
+                        size = _rung(self.total, self.got + 1)
                         self.raw *= 2  # allocated exactly, as it doubles, with no zero-filled temporary
                         del self.raw[size:]
                     n = sock.recv_into(memoryview(self.raw)[self.got :])
@@ -92,8 +98,9 @@ class _Reader:
                 self.total = frame_length(self.raw)
                 if self.got > self.total:
                     raise ParseError("frame", f"{self.got - self.total} bytes past the frame's end")
-                if self.got < self.total:
-                    self.raw = bytearray(self.raw)
+                if self.got < self.total:  # start on a rung, so that each doubling ends at most a byte past the next
+                    data, self.raw = self.raw, bytearray(_rung(self.total, self.got))
+                    self.raw[: self.got] = data
             if self.got == self.total:
                 return True
 

@@ -5,7 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haina.errors import ParseError
-from haina.frames import BODY_TYPES, FRAME_OVERHEAD, MAX_FRAME, Frame, MsgType, decode_frame, encode_frame, frame_length
+from haina.frames import (
+    BODY_TYPES,
+    FRAME_OVERHEAD,
+    MAX_FRAME,
+    MAX_HEADER,
+    Frame,
+    MsgType,
+    decode_frame,
+    encode_frame,
+    frame_length,
+)
 
 header_keys = st.text(
     alphabet=st.characters(blacklist_characters=":\n\r", blacklist_categories=("Cs",)),
@@ -86,6 +96,30 @@ def test_head_alone_rejects_a_body_on_a_type_without_one(msg_type):
     head[9:17] = (1).to_bytes(8, "big")
     with pytest.raises(ParseError, match="carries no body"):
         frame_length(head)
+
+
+@pytest.mark.parametrize("declared,refused", [(MAX_HEADER, False), (MAX_HEADER + 1, True)])
+def test_head_alone_rejects_a_header_over_the_cap(declared, refused):
+    head = bytearray(encode_frame(Frame(MsgType.PING)))
+    head[5:9] = declared.to_bytes(4, "big")
+    if refused:
+        with pytest.raises(ParseError, match="header size"):
+            frame_length(head)
+    else:
+        assert frame_length(head) == FRAME_OVERHEAD + MAX_HEADER
+
+
+@pytest.mark.parametrize(
+    "frame,reason",
+    [
+        (Frame(MsgType.PING, body=b"x"), "carries no body"),
+        (Frame(MsgType.PING, {"k": "v" * (MAX_HEADER - 3)}), "header size"),  # "k: " and "\n" make it one byte over
+    ],
+    ids=["body-on-a-ping", "header-over-the-cap"],
+)
+def test_encoding_refuses_what_every_peer_refuses(frame, reason):
+    with pytest.raises(ParseError, match=reason):
+        encode_frame(frame)
 
 
 @pytest.mark.parametrize("tag", [0, 10, 19, 255])

@@ -1,6 +1,7 @@
-"""Source hygiene checks: unused and function-level imports, wrapped names, what a node imports, and validators."""
+"""Source hygiene checks: unused and function-level imports, wrapped names and the spans they record, what a node imports, and validators."""
 
 import ast
+import json
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -60,6 +61,59 @@ def test_every_span_wrapped_name_exists():
     code = f"import sys; sys.path[:0] = {paths!r}; import spans; spans.install(spans.Tracer(), client_side=True)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+# every span name that one SimNet upload of BLOCKS blocks and one bi download record
+SIM_SPANS = [
+    "blockstore.get",
+    "blockstore.put",
+    "chain.build",
+    "chain.codec",
+    "client.decision",
+    "client.fetch",
+    "crypto.decrypt",
+    "crypto.encrypt",
+    "crypto.keygen",
+    "crypto.shard",
+    "hashing.digest",
+    "locking",
+    "node.handle",
+    "por.campaign",
+    "por.check_store",
+    "resolve",
+    "simnet.request",
+]
+BLOCKS = 8
+# the exact count of each name that several wrapped attributes share
+SHARED_SPANS = {
+    "chain.codec": 3 * BLOCKS,  # serialize_block on upload; deserialize_block in the client's fetch and the node's put
+    "client.fetch": 1,  # bdam_fetch; unidirectional_fetch is not called
+    "crypto.shard": 3,  # split_ciphertext, embed_key_shards, extract_key_shards
+    "locking": 1 + BLOCKS,  # lock_chain once, unlock_block per block
+}
+
+
+def test_every_simulator_span_fires():
+    # a refactor that calls a wrapped name directly, not through its module attribute, would zero its per-layer metric
+    paths = [str(REPO / "src"), str(REPO / "perfbench")]
+    code = f"""
+import collections, json, sys
+sys.path[:0] = {paths!r}
+import spans
+tracer = spans.Tracer()
+spans.install(tracer, client_side=True)
+from haina.client import download, upload
+from haina.experiments import ClusterSpec, build_cluster
+net, nf, _, cfg = build_cluster(ClusterSpec(nodes=5, latency_ms=5.0, seed=1))
+report = upload(bytes(range(256)) * 4, {BLOCKS}, cfg, nf, net, seed=1)
+assert download(report.meta, nf, net, mode="bi").data == bytes(range(256)) * 4
+print(json.dumps(collections.Counter(span[2] for span in tracer.spans)))
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    assert sorted(counts) == SIM_SPANS
+    assert {name: counts[name] for name in SHARED_SPANS} == SHARED_SPANS
 
 
 def test_a_node_loads_no_client_code():

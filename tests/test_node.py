@@ -18,7 +18,8 @@ from haina.blockstore import LOG_NAME, BlockStore
 from haina.chain import BLOCK_OVERHEAD, build_chain, deserialize_block, serialize_block
 from haina.client import download, upload
 from haina.errors import NetworkError, ParseError, UsageError
-from haina.frames import Frame, MsgType, encode_frame
+from haina.experiments import ClusterSpec, build_cluster
+from haina.frames import Frame, MsgType, decode_frame, encode_frame
 from haina.node import NodeServer, NodeService
 from haina.nodefile import make_node_file, parse_node_file
 from haina.por import PorConfig, run_campaign
@@ -346,6 +347,13 @@ class TestNodeService:
         ranked = run_campaign(net, "a:1", 64, nf, PorConfig()).candidates
         assert ranked == ("c:1", "d:1", "b:1")  # equal free space: the nearest follower first
         assert reply.header["candidates"] == ",".join(ranked)
+
+    def test_store_ack_naming_46_followers_travels_whole(self):
+        net, nf, _, _ = build_cluster(ClusterSpec(nodes=47, latency_ms=5.0))
+        frame = Frame(MsgType.STORE_READY, {"next_size": "64", "elect": "1"}, serialize_block(_block()))
+        ack, _ = net.request("u:0", nf.addresses[0], frame)
+        assert len(ack.header["candidates"].split(",")) == 46
+        assert decode_frame(encode_frame(ack)) == ack
 
     @pytest.mark.parametrize("stored,has", [((0,), "10"), ((1,), "01"), ((0, 1), "11"), ((), "00")])
     def test_two_address_has_block_answers_each_address(self, stored, has):
@@ -679,6 +687,12 @@ class TestTransportContract:
             net.close()
             _stop(server)
 
+    def test_frame_a_peer_would_refuse_raises_before_any_connect(self, tcp_nodes, connects):
+        (listen, *_), net = tcp_nodes
+        with pytest.raises(ParseError, match="carries no body"):
+            net.exchange("client:0", [(listen, Frame(MsgType.PING, body=b"x"))])
+        assert connects == []
+
     def test_malformed_frame_keeps_the_connection(self, tcp_nodes, connects):
         (listen, *_), net = tcp_nodes
         bad, _ = net.request("client:0", listen, Frame(MsgType.GET_BLOCK, {"address": "not hex"}))
@@ -874,6 +888,13 @@ class TestFrameReads:
         assert reader.read(sock) and reader.raw == raw
         assert sock.asks[0] == (0, realnet.FIRST_READ)
         assert all(asked <= at for at, asked in sock.asks if at >= frames.FRAME_OVERHEAD)
+        assert sys.getsizeof(reader.raw) - sys.getsizeof(bytearray()) - len(raw) <= 2
+
+    @pytest.mark.parametrize("total", [4097, 5091, 9000, 17000])
+    def test_frame_just_past_the_first_read_ends_with_no_slack(self, total):
+        raw = encode_frame(Frame(MsgType.BLOCK_DATA, {}, bytes(total - frames.FRAME_OVERHEAD)))
+        reader = realnet._Reader()
+        assert reader.read(_Trickle(raw, 1 << 20)) and reader.raw == raw  # FIRST_READ bytes, then the rest
         assert sys.getsizeof(reader.raw) - sys.getsizeof(bytearray()) - len(raw) <= 2
 
     def test_bytes_past_the_reply_fail_the_request_and_its_socket(self, connects):

@@ -1,15 +1,15 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from haina.errors import CampaignError, IntegrityError, NetworkError, ParseError, UsageError
-from haina.frames import Frame, MsgType
-from haina.nodefile import make_node_file, node_index, parse_node_file, update_node_file
+from haina.frames import Frame, MsgType, decode_frame, encode_frame
+from haina.nodefile import MAX_ROSTER_BYTES, make_node_file, node_index, parse_node_file, update_node_file
 from haina.por import (
     BYTES_PER_GB,
     PorConfig,
-    ProvisionalRecords,
     check_rate,
     judge,
     pick_first_beginner,
@@ -148,45 +148,38 @@ def _cands(*addresses):
 
 class TestCheckRate:
     def test_rule_a_prefers_empty_node(self):
-        records = ProvisionalRecords(total_blocks=20, counts={"a:1": 1})
-        chosen, rate, escalated = check_rate(_cands("a:1", "b:1"), records, 0.1, 0.1)
+        counts = Counter({"a:1": 1})
+        chosen, rate, escalated = check_rate(_cands("a:1", "b:1"), counts, 20, 0.1, 0.1)
         assert chosen == "b:1" and not escalated and rate == 0.1
 
     def test_rule_b_skips_over_threshold_node(self):
         # 20 blocks, rate 0.1: a node holding 2 would go to 3/20 > 0.1
-        records = ProvisionalRecords(total_blocks=20, counts={"a:1": 2, "b:1": 1})
-        chosen, rate, escalated = check_rate(_cands("a:1", "b:1"), records, 0.1, 0.1)
+        counts = Counter({"a:1": 2, "b:1": 1})
+        chosen, rate, escalated = check_rate(_cands("a:1", "b:1"), counts, 20, 0.1, 0.1)
         assert chosen == "b:1" and not escalated
 
     def test_rule_a_beats_rule_b(self):
-        records = ProvisionalRecords(total_blocks=20, counts={"a:1": 1})
-        chosen, _, _ = check_rate(_cands("a:1", "c:1"), records, 0.1, 0.1)
+        counts = Counter({"a:1": 1})
+        chosen, _, _ = check_rate(_cands("a:1", "c:1"), counts, 20, 0.1, 0.1)
         assert chosen == "c:1"
 
     def test_all_empty_takes_top_value(self):
-        records = ProvisionalRecords(total_blocks=20)
-        chosen, _, escalated = check_rate(_cands("a:1", "b:1"), records, 0.1, 0.1)
+        counts = Counter()
+        chosen, _, escalated = check_rate(_cands("a:1", "b:1"), counts, 20, 0.1, 0.1)
         assert chosen == "a:1" and not escalated
 
     def test_rule_c_escalates(self):
-        records = ProvisionalRecords(total_blocks=20, counts={"a:1": 2})
-        chosen, rate, escalated = check_rate(_cands("a:1"), records, 0.1, 0.1)
+        counts = Counter({"a:1": 2})
+        chosen, rate, escalated = check_rate(_cands("a:1"), counts, 20, 0.1, 0.1)
         assert chosen == "a:1" and escalated
         assert rate == pytest.approx(0.2)
 
 
-class TestProvisionalRecords:
-    def test_tally_counts_each_node(self):
-        records = ProvisionalRecords(total_blocks=3)
-        records.record("a:1")
-        records.record("a:1")
-        assert records.count("a:1") == 2
-
-    def test_cannot_exceed_event_total(self):
-        records = ProvisionalRecords(total_blocks=1)
-        records.record("a:1")
-        with pytest.raises(UsageError):
-            records.record("b:1")
+def _roster_of(size):
+    """Addresses whose canonical bytes are exactly `size` long (at least 28)."""
+    addresses = [f"n{i:07d}:9000" for i in range((size - 28) // 14)]  # 13 characters and a newline each
+    rest = size - 14 * len(addresses)  # 14 to 27 bytes: one more address
+    return addresses + ["z" * (rest - 6) + ":9000"]
 
 
 class TestNodeFile:
@@ -226,6 +219,20 @@ class TestNodeFile:
     def test_malformed_address_rejected(self, address):
         with pytest.raises(ParseError, match="node_file"):
             make_node_file(["a:1", address])
+
+    def test_largest_roster_leaves_a_store_ack_room_under_the_header_cap(self):
+        nf = make_node_file(_roster_of(MAX_ROSTER_BYTES))
+        assert len(nf.canonical_bytes()) == MAX_ROSTER_BYTES
+        beginner = min(nf.addresses, key=len)  # the longest candidate list leaves out the shortest address
+        header = {
+            "stored": "ff" * 32,
+            "candidates": ",".join(a for a in nf.addresses if a != beginner),
+            "campaign_ms": repr(-sys.float_info.max),  # a float's longest repr
+        }
+        ack = Frame(MsgType.STORE_ACK, header)
+        assert decode_frame(encode_frame(ack)) == ack
+        with pytest.raises(ParseError, match="^node_file: .*header cap"):
+            make_node_file(_roster_of(MAX_ROSTER_BYTES + 1))
 
     def test_node_index_is_one_based(self):
         nf = make_node_file(["a:1", "b:2"])
