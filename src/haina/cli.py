@@ -52,31 +52,36 @@ def node():
 
 @node.command("serve")
 @click.option("--listen", required=True, help="host:port to bind")
+@click.option(
+    "--advertise", default=None, help="host:port peers reach this node at, as the roster names it (default: --listen)"
+)
 @click.option("--data-dir", required=True, type=click.Path(), help="block storage directory")
 @click.option("--quota-gb", default=1.0, show_default=True, help="storage quota in GB")
 @click.option("--nf", "nf_path", required=True, type=click.Path(exists=True), help="node roster file")
 @click.option("--bootstrap", default=None, help="peer to synchronize the roster from")
-def node_serve(listen, data_dir, quota_gb, nf_path, bootstrap):
+def node_serve(listen, advertise, data_dir, quota_gb, nf_path, bootstrap):
     """Run the storage-node service until interrupted."""
+    name = advertise or listen  # the node's address on the roster
     with closing(RealNet()) as net:
         try:
             nf = _load_node_file(nf_path)
             if bootstrap:
-                reply, _ = net.request(listen, bootstrap, Frame(MsgType.GET_NF), 5000.0)
+                reply, _ = net.request(name, bootstrap, Frame(MsgType.GET_NF), 5000.0)
                 if reply.type is MsgType.NF_DATA:
                     digest = hashing.parse_hex_digest(reply.header.get("digest"), "digest")
                     nf = update_node_file(nf, digest, lambda: reply.body)
-            if listen not in nf.addresses:  # a node off its own roster is never elected, and polls itself
-                raise UsageError(f"--listen {listen} is not on the roster this node would serve")
+            if name not in nf.addresses:  # a node off its own roster is never elected, and polls itself
+                flag = "--advertise" if advertise else "--listen"
+                raise UsageError(f"{flag} {name} is not on the roster this node would serve")
             store = BlockStore(quota_bytes(quota_gb), data_dir=data_dir)
-            service = NodeService(listen, store, nf, transport=net)
+            service = NodeService(name, store, nf, transport=net)
             server = NodeServer(parse_address(listen), service)
         except HainaError as exc:
             _fail(exc)
         except OSError as exc:
             click.echo(f"error: cannot serve on {listen}: {exc}", err=True)
             sys.exit(3)
-        log.info("serving %s from %s", listen, data_dir)
+        log.info("serving %s on %s from %s", name, listen, data_dir)
         try:
             server.serve_forever()
         except KeyboardInterrupt:

@@ -4,8 +4,9 @@ Upload runs the whole pre-processing pipeline, places block after
 block through the election protocol, checks each store's STORE_ACK
 against the block's SHA-256 content address, and emits the meta file.
 Download walks the stored chain from the header block with one cursor
-(forward) or two (forward and backward), then reassembles and decrypts
-the file.
+(forward) or two (forward and backward), copying each block's key shard
+and ciphertext slice into place as it arrives, then decrypts the one
+ciphertext buffer in place.
 """
 
 import math
@@ -13,11 +14,13 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import frames, hashing
-from .chain import build_chain, chain_root, deserialize_block, serialize_block, serialized_size
+from .chain import BLOCK_OVERHEAD, build_chain, chain_root, deserialize_block, serialize_block, serialized_size
 from .crypto import (
     CIPHER_BLOCK,
+    KEY_SIZE,
     ciphertext_size,
     decrypt_file,
     embed_key_shards,
@@ -25,6 +28,7 @@ from .crypto import (
     extract_key_shards,
     generate_key,
     generate_mask,
+    shard_sizes,
     split_ciphertext,
 )
 from .errors import (
@@ -46,6 +50,13 @@ from .resolve import resolve
 
 USER_ADDRESS = "user:0"
 MAX_STORE_RETRIES = 3  # storage-check failures tolerated per block
+# a walk keeps each position's unlocked pointer domain: previous || current || next
+_PREVIOUS, _CURRENT, _NEXT = (slice(i * hashing.DIGEST_SIZE, (i + 1) * hashing.DIGEST_SIZE) for i in range(3))
+
+
+def _pointer_domain(block) -> bytes:
+    """A block's pointers as one string: previous || current || next."""
+    return block.previous_hash + block.current_hash + block.next_hash
 
 
 @dataclass
@@ -61,7 +72,7 @@ class UploadReport:
 
 @dataclass
 class FetchResult:
-    blocks: list  # unlocked, by chain position; None where no cursor got through
+    pointers: list  # unlocked pointer domains by chain position; None where no cursor got through
     rounds: int
     missing: list  # the targets of the stopped cursors whose position stayed empty, each once
 
@@ -141,7 +152,7 @@ def upload(
             f"block count {n} produces duplicate block contents for this file; "
             "choose a smaller block count"
         )
-    root, header_digest = chain_root(blocks), blocks[0].current_hash
+    root, header_digest = chain_root(b.current_hash for b in blocks), blocks[0].current_hash
     blocks = list(lock_chain(blocks, mask))  # a list, so a stored block's slot can be cleared
     chain_ms = (time.perf_counter() - t0) * 1000.0
 
@@ -264,18 +275,21 @@ def _fetch(transport, addresses, holders, timeout_ms):
     return blocks
 
 
-def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors) -> FetchResult:
-    """Walk the chain from the header with a list of (position, step) cursors.
+def _fetch_chain(meta: MetaFile, header, fetcher, cursors, keep) -> FetchResult:
+    """Walk the chain from the header's unlocked pointer domain with a list of (position, step) cursors.
 
-    `blocks[p]` is chain position p: a cursor with step 1 fills it from p-1's
-    next pointer, one with step -1 from p+1's previous pointer.  Each round
-    drops the cursors whose position is filled and hands the others' distinct
-    target addresses, in cursor order, to `fetcher`, which returns one locked
-    Block or None per address.  A cursor that got its block fills its
-    position and steps on; one that did not stops.
+    Each block the walk fetches is unlocked and handed to `keep(position,
+    block)`; the walk then holds only its pointer domain, `pointers[p]` for
+    chain position p (`header` is position 0's).  A cursor with step 1
+    fills p from p-1's next pointer, one with step -1 from p+1's previous
+    pointer.  Each round drops the cursors whose position is filled and
+    hands the others' distinct target addresses, in cursor order, to
+    `fetcher`, which returns one locked Block or None per address.  A
+    cursor that got its block fills its position and steps on; one that
+    did not stops.
     """
     n = meta.block_count
-    blocks = [unlock_block(header_block, meta.mask)] + [None] * (n - 1)
+    pointers = [header] + [None] * (n - 1)
     cursors = [(p % n, step) for p, step in cursors]
     stopped = []  # (position, target) of each cursor that did not get its block
     rounds = 0
@@ -283,8 +297,8 @@ def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors) -> FetchResult:
         walking = []  # (position, step, target, the target's index in the fetcher's list)
         asked = {}
         for p, step in cursors:
-            if blocks[p] is None:
-                target = blocks[p - 1].next_hash if step == 1 else blocks[(p + 1) % n].previous_hash
+            if pointers[p] is None:
+                target = pointers[p - 1][_NEXT] if step == 1 else pointers[(p + 1) % n][_PREVIOUS]
                 walking.append((p, step, target, asked.setdefault(target, len(asked))))
         if not walking:
             break
@@ -293,22 +307,25 @@ def _fetch_chain(meta: MetaFile, header_block, fetcher, cursors) -> FetchResult:
         for p, step, target, i in walking:
             if got[i] is None:
                 stopped.append((p, target))
-            elif blocks[p] is None:  # an earlier cursor of this round may have filled p
-                blocks[p] = unlock_block(got[i], meta.mask)
+            elif pointers[p] is None:  # an earlier cursor of this round may have filled p
+                block = unlock_block(got[i], meta.mask)
+                keep(p, block)
+                pointers[p] = _pointer_domain(block)
                 cursors.append(((p + step) % n, step))
+        got = block = None  # this round's blocks go before the next round's arrive
         rounds += 1
-    missing = list(dict.fromkeys(target for p, target in stopped if blocks[p] is None))
-    return FetchResult(blocks=blocks, rounds=rounds, missing=missing)
+    missing = list(dict.fromkeys(target for p, target in stopped if pointers[p] is None))
+    return FetchResult(pointers=pointers, rounds=rounds, missing=missing)
 
 
-def bdam_fetch(meta: MetaFile, header_block, fetcher) -> FetchResult:
+def bdam_fetch(meta: MetaFile, header: bytes, fetcher, keep) -> FetchResult:
     """Concurrent forward and backward cursor fetch of the full chain."""
-    return _fetch_chain(meta, header_block, fetcher, [(1, 1), (meta.block_count - 1, -1)])
+    return _fetch_chain(meta, header, fetcher, [(1, 1), (meta.block_count - 1, -1)], keep)
 
 
-def unidirectional_fetch(meta: MetaFile, header_block, fetcher) -> FetchResult:
+def unidirectional_fetch(meta: MetaFile, header: bytes, fetcher, keep) -> FetchResult:
     """Baseline: forward cursor only."""
-    return _fetch_chain(meta, header_block, fetcher, [(1, 1)])
+    return _fetch_chain(meta, header, fetcher, [(1, 1)], keep)
 
 
 def download(
@@ -327,6 +344,24 @@ def download(
     """
     if mode not in ("bi", "uni"):
         raise UsageError(f"mode must be 'bi' or 'uni', not {mode!r}")
+    n = meta.block_count
+    # position p's ciphertext slice is buf[bounds[p] : bounds[p + 1]]
+    bounds = list(accumulate(shard_sizes(ciphertext_size(meta.file_length), n), initial=0))
+    shard_lengths = shard_sizes(KEY_SIZE, n)
+    if frames.block_data_size(BLOCK_OVERHEAD + shard_lengths[0] + bounds[1]) > frames.MAX_FRAME:
+        # checked before the buffer is allocated: no block that could be served holds so long a slice
+        raise ParseError("file_length", f"{n} blocks under the frame cap cannot hold {meta.file_length} bytes")
+    shards = [None] * n
+    buf = bytearray(bounds[-1] + CIPHER_BLOCK - 1)  # the ciphertext, then update_into's slack
+    view = memoryview(buf)  # the slices are copied through it: a bytearray's own slice assignment copies twice
+
+    def keep(p, block):
+        # the block's key shard and ciphertext slice go to their places, and the block is dropped
+        data, k, start, end = block.data, shard_lengths[p], bounds[p], bounds[p + 1]
+        if len(data) != k + end - start:
+            raise IntegrityError(f"block {p + 1} has {len(data)} data bytes, not the {k + end - start} its layout gives")
+        shards[p] = bytes(data[:k])
+        view[start:end] = data[k:]
 
     def fetcher(addresses):
         # one HAS_BLOCK broadcast for the whole round, then its GET_BLOCKs at once
@@ -341,31 +376,29 @@ def download(
         if header_block is None:
             raise IncompleteChainError(header)
     header_ms = transport.now() - start
+    header_block = unlock_block(header_block, meta.mask)
+    keep(0, header_block)
+    header_pointers = _pointer_domain(header_block)
+    del header_block  # the walk starts from the pointers alone
 
     fetch = bdam_fetch if mode == "bi" else unidirectional_fetch
-    result = fetch(meta, header_block, fetcher)
+    result = fetch(meta, header_pointers, fetcher, keep)
     fetch_ms = transport.now() - start
     if result.missing:
         raise IncompleteChainError(result.missing)
-    if chain_root(result.blocks) != meta.chain_root:
+    if chain_root(p[_CURRENT] for p in result.pointers) != meta.chain_root:
         # every block matches its address, but a holder that knows the mask can forge pointers
         raise IntegrityError("the fetched blocks are not the chain the meta file records")
 
+    view.release()  # decrypt_file cuts the buffer to the file, which a live view would forbid
     t0 = time.perf_counter()
-    domains = [b.data for b in result.blocks]
-    del header_block, result.blocks[:]
-    key, slices = extract_key_shards(domains)
-    del domains  # each block's bytes now live only in its slice, which decrypt_file drops once decrypted
-    plaintext = decrypt_file(slices, key, meta.iv)
+    decrypt_file(buf, extract_key_shards(shards), meta.iv)
     decrypt_ms = (time.perf_counter() - t0) * 1000.0
-    if len(plaintext) < meta.file_length:
-        raise IntegrityError(
-            f"recovered {len(plaintext)} bytes but the meta file records {meta.file_length}"
-        )
-    del plaintext[meta.file_length :]  # in place: a slice would copy
+    if len(buf) != meta.file_length:
+        raise IntegrityError(f"recovered {len(buf)} bytes but the meta file records {meta.file_length}")
 
     return DownloadReport(
-        data=plaintext,
+        data=buf,
         fetch_ms=fetch_ms,
         rounds=result.rounds,
         stage_ms={"header_fetch": header_ms, "decrypt": decrypt_ms},

@@ -3,9 +3,9 @@
 The 256-bit file key is derived from the file content and a timestamp;
 only its first 16 bytes drive the cipher (SM4 takes a 128-bit key), but
 the full 32 bytes are sharded round-robin across the data blocks, each
-shard prepended to its block's data domain.  The ciphertext is written
-straight into the data domains and read back from them slice by slice,
-so the client never holds it whole.
+shard prepended to its block's data domain.  Upload writes the
+ciphertext straight into the data domains, so it never exists whole;
+download copies each slice into one buffer and decrypts it in place.
 """
 
 import struct
@@ -105,36 +105,32 @@ def encrypt_file(file, key: bytes, iv: bytes, domains) -> None:
     enc.finalize()
 
 
-def decrypt_file(pieces: list, key: bytes, iv: bytes) -> bytearray:
-    """SM4-CBC decrypt consecutive ciphertext pieces into one new, growing buffer.
+def decrypt_file(buf: bytearray, key: bytes, iv: bytes) -> None:
+    """SM4-CBC decrypt `buf` in place, check its PKCS#7 padding, and cut the padding off.
 
-    The pieces may split the ciphertext anywhere.  The list is emptied as
-    it is read: each piece leaves it once it is decrypted, so the bytes it
-    came from can be freed while the output grows.  Bad PKCS#7 padding
-    means a wrong key or corrupt data and raises IntegrityError.
+    `buf` holds the whole ciphertext followed by `update_into`'s
+    CIPHER_BLOCK - 1 bytes of slack; one decryptor overwrites the
+    ciphertext with the plaintext (OpenSSL allows input and output to be
+    the same bytes).  Bad padding means a wrong key or corrupt data and
+    raises IntegrityError.
     """
-    if not isinstance(pieces, list):
-        raise UsageError("decrypt_file takes a list of ciphertext pieces, not one buffer")
+    if not isinstance(buf, bytearray):
+        raise UsageError("decrypt_file decrypts a bytearray in place")
     if len(key) != KEY_SIZE:
         raise UsageError(f"file key must be {KEY_SIZE} bytes")
     dec = _cipher(key, iv).decryptor()
-    total = sum(len(p) for p in pieces)
-    if not total or total % CIPHER_BLOCK:
-        raise UsageError(f"ciphertext length must be a positive multiple of {CIPHER_BLOCK}")
-    out = bytearray(CIPHER_BLOCK - 1)  # update_into's slack, kept past the end as the buffer grows
-    done = 0
-    for j in range(len(pieces)):
-        piece, pieces[j] = pieces[j], None
-        out += piece  # grows the buffer by the piece's length; the plaintext overwrites the copy
-        with memoryview(out) as view:
-            done += dec.update_into(piece, view[done:])
-    pieces.clear()
+    total = len(buf) - (CIPHER_BLOCK - 1)
+    if total <= 0 or total % CIPHER_BLOCK:
+        raise UsageError(
+            f"the buffer must hold whole {CIPHER_BLOCK}-byte cipher blocks, then {CIPHER_BLOCK - 1} bytes of slack"
+        )
+    with memoryview(buf) as view:
+        dec.update_into(view[:total], view)
     dec.finalize()
-    pad = out[total - 1]
-    if not 1 <= pad <= CIPHER_BLOCK or out.count(pad, total - pad, total) != pad:
+    pad = buf[total - 1]
+    if not 1 <= pad <= CIPHER_BLOCK or buf.count(pad, total - pad, total) != pad:
         raise IntegrityError("bad padding on decrypt (wrong key or corrupt data)")
-    del out[total - pad :]
-    return out
+    del buf[total - pad :]
 
 
 def split_ciphertext(length: int, n: int) -> list:
@@ -182,15 +178,12 @@ def embed_key_shards(sizes, key: bytes) -> list:
     return domains
 
 
-def extract_key_shards(domains):
-    """Inverse of embed_key_shards: recover (key, memoryview ciphertext slices)."""
-    n = len(domains)
+def extract_key_shards(shards) -> bytes:
+    """Inverse of the round-robin key layout: the key from each block's shard, in chain order."""
+    n = len(shards)
     if n < 1:
-        raise UsageError("need at least one data domain")
-    slices = []
-    for j, (domain, size) in enumerate(zip(domains, shard_sizes(KEY_SIZE, n))):
-        if len(domain) < size:
-            raise IntegrityError(f"data domain {j + 1} shorter than its {size}-byte key shard")
-        slices.append(memoryview(domain)[size:])
+        raise UsageError("need at least one key shard")
+    if [len(s) for s in shards] != shard_sizes(KEY_SIZE, n):
+        raise IntegrityError(f"the key shards are not the {KEY_SIZE}-byte key's layout over {n} blocks")
     # key byte i is byte i // n of position i % n's shard
-    return bytes(domains[i % n][i // n] for i in range(KEY_SIZE)), slices
+    return bytes(shards[i % n][i // n] for i in range(KEY_SIZE))

@@ -2,8 +2,9 @@
 
 Layout (bit-exact): magic "HAIN" (4) || type tag (1) || header length
 (4, big-endian) || body length (8, big-endian) || header || body.
-The header is UTF-8 "key: value" lines; block payloads travel only in
-the binary body.  A frame is capped at 64 MiB, and its header at 64 KiB.
+The header is UTF-8 "key: value" lines, each ending in a newline and no
+key repeated; block payloads travel only in the binary body.  A frame is
+capped at 64 MiB, and its header at 64 KiB.
 """
 
 import struct
@@ -52,12 +53,13 @@ class Frame:
 
 
 def _encode_header(header: dict) -> bytes:
+    """One "key: value\n" line per entry; `_decode_header` accepts exactly these bytes."""
     lines = []
     for key, value in header.items():
         key = str(key)
         value = str(value)
-        if ":" in key or "\n" in key or "\r" in key:
-            raise ParseError("header", f"illegal character in header key {key!r}")
+        if not key or ":" in key or "\n" in key or "\r" in key:
+            raise ParseError("header", f"empty header key or illegal character in {key!r}")
         if "\n" in value or "\r" in value:
             raise ParseError("header", f"newline in header value for {key!r}")
         lines.append(f"{key}: {value}\n")
@@ -69,14 +71,19 @@ def _decode_header(raw) -> dict:
         text = str(raw, "utf-8")
     except UnicodeDecodeError:
         raise ParseError("header", "header is not valid UTF-8") from None
+    if "\r" in text:
+        raise ParseError("header", "carriage return in header")
+    lines = text.split("\n")
+    if lines.pop():
+        raise ParseError("header", "header does not end in a newline")
     header = {}
-    for line in text.split("\n"):
-        if not line:
-            continue
+    for line in lines:
         key, sep, value = line.partition(": ")
-        if not sep or not key:
+        if not sep or not key or ":" in key:
             raise ParseError("header", f"malformed header line {line!r}")
         header[key] = value
+    if len(header) != len(lines):
+        raise ParseError("header", "repeated header key")
     return header
 
 

@@ -8,6 +8,7 @@ store acknowledgement as one comma-joined address list, best first.
 
 import socket
 import socketserver
+import struct
 import threading
 
 from . import frames, hashing
@@ -32,6 +33,9 @@ def decode_candidates(text: str, nf: NodeFile, beginner: str):
             raise ParseError("candidates", f"{address!r} is not a follower on the roster")
     return candidates
 
+
+# a connection that delivers no byte for this long is closed, so a silent or stalled peer frees its thread
+IDLE_TIMEOUT_S = 60.0
 
 # built once per process: a per-instance table would slow every cluster start
 _HANDLER_NAMES = {t: f"_on_{t.name.lower()}" for t in MsgType}
@@ -114,6 +118,10 @@ class NodeService:
 
 class _FrameRequestHandler(socketserver.BaseRequestHandler):
     def handle(self):
+        # a receive timeout, not settimeout(): that would poll() before every recv
+        seconds, fraction = divmod(IDLE_TIMEOUT_S, 1)
+        timeval = struct.pack("@ll", int(seconds), int(fraction * 1_000_000))
+        self.request.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
         while True:
             try:
                 frame = recv_frame(self.request)

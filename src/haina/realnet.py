@@ -107,10 +107,12 @@ class _Reader:
 
 def recv_frame(sock):
     """Read one frame from a blocking socket; returns None if the peer
-    closed or reset the connection before the frame's first byte."""
+    closed or reset the connection before the frame's first byte, or if
+    a read outlasted the socket's receive timeout (SO_RCVTIMEO), mid-frame too."""
     reader = _Reader()
     try:
-        reader.read(sock)
+        if not reader.read(sock):  # a blocking socket would block only past its receive timeout
+            return None
     except _PeerClosed:
         return None
     return decode_frame(reader.raw)

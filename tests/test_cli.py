@@ -1,6 +1,8 @@
 import json
 import random
 import socket
+import threading
+from contextlib import closing
 
 import pytest
 from click.testing import CliRunner
@@ -144,6 +146,43 @@ class TestUsageErrors:
         result = _run("node", "serve", "--listen", "127.0.0.1:9", "--data-dir", str(tmp_path / "data"), "--nf", str(nf))
         assert result.exit_code == 2, result.output
         assert "error: --listen 127.0.0.1:9 is not on the roster" in result.output
+
+    def test_advertised_name_not_on_the_roster_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("haina.cli.NodeServer", _no_server)
+        nf = tmp_path / "cluster.nf"
+        nf.write_bytes(make_node_file(["127.0.0.1:9", "127.0.0.1:10"]).canonical_bytes())
+        result = _run(
+            "node", "serve", "--listen", "127.0.0.1:9", "--advertise", "localhost:9",
+            "--data-dir", str(tmp_path / "data"), "--nf", str(nf),
+        )
+        assert result.exit_code == 2, result.output
+        assert "error: --advertise localhost:9 is not on the roster" in result.output
+
+    def test_node_bound_to_one_address_answers_under_the_advertised_one(self, tmp_path, monkeypatch):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        advertised = f"localhost:{port}"
+        nf = tmp_path / "cluster.nf"
+        nf.write_bytes(make_node_file([advertised, "localhost:1"]).canonical_bytes())
+        replies = []
+
+        class AnswersOnePing(NodeServer):
+            def serve_forever(self):
+                serving = threading.Thread(target=super().serve_forever, daemon=True)
+                serving.start()
+                with closing(RealNet()) as net:
+                    replies.append(net.request("client:0", advertised, Frame(MsgType.PING))[0])
+                self.shutdown()
+                serving.join()
+
+        monkeypatch.setattr("haina.cli.NodeServer", AnswersOnePing)
+        result = _run(
+            "node", "serve", "--listen", f"127.0.0.1:{port}", "--advertise", advertised,
+            "--data-dir", str(tmp_path / "data"), "--nf", str(nf),
+        )
+        assert result.exit_code == 0, result.output
+        assert [(r.type, r.header["node"]) for r in replies] == [(MsgType.PONG, advertised)]
 
     @pytest.mark.parametrize("quota_gb", ["inf", "1e300", "1e-10"])
     def test_quota_that_is_not_a_byte_count_exits_2(self, tmp_path, monkeypatch, quota_gb):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -16,7 +17,10 @@ from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType
 from haina.locking import lock_chain, unlock_block
 from haina.metafile import MetaFile, parse_meta_file, serialize_meta_file
-from haina.por import run_campaign
+from haina.node import NodeServer, NodeService
+from haina.nodefile import make_node_file
+from haina.por import PorConfig, run_campaign
+from haina.realnet import RealNet
 
 
 def _cluster(nodes=5, latency=5.0, seed=0, **kw):
@@ -195,6 +199,39 @@ class TestMemory:
         assert got == file
         assert peak <= 1.3 * size, f"{mode} download peaked at {peak / size:.2f}x the file"
 
+    def test_loopback_download_holds_the_file_about_once(self):
+        # 8 loopback nodes in this process, whose handler threads are traced too; each
+        # fetched block leaves its key shard and ciphertext slice in place and is dropped
+        servers = [NodeServer(("127.0.0.1", 0), None) for _ in range(8)]
+        addresses = [f"127.0.0.1:{server.server_address[1]}" for server in servers]
+        nf = make_node_file(addresses)
+        for server, address in zip(servers, addresses):
+            server.service = NodeService(address, BlockStore(10**9), nf, PorConfig(), RealNet())
+            server.serve_background()
+        net = RealNet()
+        try:
+            file = random.Random(64).randbytes(64 * 1024)
+            meta = upload(file, 64, PorConfig(), nf, net, seed=64).meta
+            assert download(meta, nf, net).data == file  # warm-up: every connection is pooled
+            for mode in ("bi", "uni"):
+                # the least of three: node threads that happen to run at once add their buffers to one peak
+                peaks = []
+                for _ in range(3):
+                    got, peak = _traced_peak(lambda: download(meta, nf, net, mode=mode).data)
+                    assert got == file
+                    peaks.append(peak)
+                assert min(peaks) <= 2.4 * len(file), f"{mode} download peaked at {min(peaks) / len(file):.2f}x the file"
+        finally:
+            net.close()
+            stoppers = [threading.Thread(target=server.shutdown) for server in servers]
+            for stopper in stoppers:
+                stopper.start()
+            for stopper in stoppers:
+                stopper.join(timeout=5)
+            for server in servers:
+                server.server_close()
+                server.service.transport.close()
+
 
 class TestFaultInjection:
     def test_unreachable_first_beginner_retried(self):
@@ -261,7 +298,15 @@ class TestFaultInjection:
         assert address == meta.header_digest
         assert verify_chain(blocks) == []
         assert blocks[0].current_hash == meta.header_digest
-        assert chain_root(blocks) == meta.chain_root
+        assert chain_root(b.current_hash for b in blocks) == meta.chain_root
+
+    def test_meta_file_length_no_block_could_hold_is_refused_before_any_request(self, record_messages):
+        net, nf, services, cfg = _cluster(nodes=5, seed=29)
+        meta = upload(random.Random(29).randbytes(3000), 6, cfg, nf, net, seed=29).meta
+        messages = record_messages(net)
+        with pytest.raises(ParseError, match="file_length"):
+            download(replace(meta, file_length=10**15), nf, net)  # a buffer that size could not be allocated
+        assert messages == []
 
     def test_offline_node_named_in_error(self):
         net, nf, services, cfg = _cluster(nodes=5, seed=17)
@@ -701,14 +746,24 @@ class _Fetcher:
 
 
 def _walk(n, mode, lost=()):
-    """Walk an n-block chain in memory with `lost` positions unfetchable: (chain, fetcher, FetchResult)."""
+    """Walk an n-block chain in memory with `lost` positions unfetchable.
+
+    Returns (chain, fetcher, FetchResult, the unlocked blocks the walk handed on, by position).
+    """
     mask = bytes(range(1, 33))
     chain = build_chain([bytes([p]) * 3 for p in range(n)])
     locked = lock_chain(chain, mask)
-    meta = MetaFile("node:1", chain[0].current_hash, mask, n, bytes(16), 3 * n, chain_root(chain))
+    root = chain_root(b.current_hash for b in chain)
+    meta = MetaFile("node:1", chain[0].current_hash, mask, n, bytes(16), 3 * n, root)
     fetcher = _Fetcher(locked, lost)
     fetch = bdam_fetch if mode == "bi" else unidirectional_fetch
-    return chain, fetcher, fetch(meta, locked[0], fetcher)
+    kept = {0: chain[0]}  # the caller keeps the header block; the walk starts from its pointers
+    result = fetch(meta, _pointers(chain[0]), fetcher, kept.__setitem__)
+    return chain, fetcher, result, [kept.get(p) for p in range(n)]
+
+
+def _pointers(block):
+    return block.previous_hash + block.current_hash + block.next_hash
 
 
 class TestWalk:
@@ -720,11 +775,12 @@ class TestWalk:
     @pytest.mark.parametrize("n", sorted(BI))
     @pytest.mark.parametrize("mode", ["bi", "uni"])
     def test_positions_asked_in_each_round(self, n, mode):
-        chain, fetcher, result = _walk(n, mode)
+        chain, fetcher, result, kept = _walk(n, mode)
         asked = self.BI[n] if mode == "bi" else [[p] for p in range(1, n)]
         assert fetcher.calls == asked
         assert result.rounds == len(asked)
-        assert result.blocks == list(chain)
+        assert kept == list(chain)
+        assert result.pointers == [_pointers(b) for b in chain]
         assert result.missing == []
 
     # n = 8: bi asks [1, 7], [2, 6], [3, 5], [4]
@@ -740,8 +796,9 @@ class TestWalk:
         ids=["bi-forward", "bi-backward", "bi-both", "bi-meeting", "uni"],
     )
     def test_stopped_cursors_leave_their_positions_empty(self, mode, lost, empty, missing):
-        chain, fetcher, result = _walk(8, mode, lost)
-        assert [p for p, b in enumerate(result.blocks) if b is None] == empty
+        chain, fetcher, result, kept = _walk(8, mode, lost)
+        assert [p for p, b in enumerate(kept) if b is None] == empty
+        assert [p for p, d in enumerate(result.pointers) if d is None] == empty
         assert result.missing == [chain[p].current_hash for p in missing]
 
 

@@ -8,10 +8,14 @@ from haina.errors import ParseError
 from haina.frames import (
     BODY_TYPES,
     FRAME_OVERHEAD,
+    HEADER_FMT,
+    MAGIC,
     MAX_FRAME,
     MAX_HEADER,
     Frame,
     MsgType,
+    _decode_header,
+    _encode_header,
     decode_frame,
     encode_frame,
     frame_length,
@@ -128,6 +132,39 @@ def test_head_alone_rejects_an_unknown_type_tag(tag):
     head[4] = tag
     with pytest.raises(ParseError, match="type tag"):
         frame_length(head)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=40), st.text(alphabet="ab: \n\r\x00é", max_size=40).map(str.encode)))
+def test_a_decoded_header_encodes_back_to_its_bytes(raw):
+    # the decoder accepts only what the encoder writes: no repeated key, blank line, \r, ':' in a key or open last line
+    try:
+        header = _decode_header(raw)
+    except ParseError:
+        return
+    assert _encode_header(header) == raw
+
+
+@pytest.mark.parametrize(
+    "raw,reason",
+    [
+        (b"address: 00\naddress: 11\n", "repeated"),
+        (b"a: b\n\nc: d\n", "malformed"),
+        (b"a: b\r\n", "carriage return"),
+        (b"a:b: c\n", "malformed"),
+        (b"a: b", "newline"),
+    ],
+    ids=["repeated-key", "blank-line", "carriage-return", "colon-in-key", "no-last-newline"],
+)
+def test_header_the_encoder_cannot_write_rejected(raw, reason):
+    frame = HEADER_FMT.pack(MAGIC, int(MsgType.HAS_BLOCK), len(raw), 0) + raw
+    with pytest.raises(ParseError, match=reason):
+        decode_frame(frame)
+
+
+def test_empty_header_key_cannot_be_encoded():
+    with pytest.raises(ParseError, match="empty header key"):
+        encode_frame(Frame(MsgType.PING, {"": "v"}))
 
 
 def test_truncated_frame_rejected():

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from haina import blockstore, frames, realnet
+from haina import blockstore, frames, node, realnet
 from haina.blockstore import LOG_NAME, BlockStore
 from haina.chain import BLOCK_OVERHEAD, build_chain, deserialize_block, serialize_block
 from haina.client import download, upload
@@ -921,6 +921,23 @@ class TestFrameReads:
         finally:
             _stop(server)
 
+    def test_has_block_with_a_repeated_address_drops_the_connection(self):
+        server, listen = _serve()
+        header = f"address: {'00' * 32}\naddress: {'11' * 32}\n".encode()
+        frame = frames.HEADER_FMT.pack(frames.MAGIC, int(MsgType.HAS_BLOCK), len(header), 0) + header
+        try:
+            with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=2) as sock:
+                sock.sendall(frame)  # refused like any other malformed frame: no reply, the connection closed
+                assert sock.recv(1) == b""
+            net = RealNet()
+            try:
+                reply, _ = net.request("client:0", listen, Frame(MsgType.HAS_BLOCK, {"address": "00" * 32}))
+                assert reply.header["has"] == "0"
+            finally:
+                net.close()
+        finally:
+            _stop(server)
+
     def test_node_holds_only_what_arrived_of_a_declared_frame(self, monkeypatch):
         server, _ = _serve()
         checked = threading.Event()
@@ -962,6 +979,53 @@ class TestFrameReads:
         assert isinstance(result, NetworkError) and "timed out" in str(result)
         assert 0.3 <= elapsed < 0.6
         assert peak < 1 << 20, f"the caller peaked at {peak} bytes for a 17-byte head"
+
+
+class TestIdleConnections:
+    """A node closes a connection that delivers no byte for IDLE_TIMEOUT_S, here 0.2 s."""
+
+    @pytest.fixture(autouse=True)
+    def short_idle(self, monkeypatch):
+        monkeypatch.setattr(node, "IDLE_TIMEOUT_S", 0.2)
+
+    def test_idle_connection_is_closed(self):
+        server, _ = _serve()
+        try:
+            with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=5) as sock:
+                t0 = time.monotonic()
+                assert sock.recv(1) == b""  # closed by the node, without a byte sent either way
+                assert 0.15 <= time.monotonic() - t0 < 2
+        finally:
+            _stop(server)
+
+    def test_silent_and_stalled_peers_do_not_delay_another_client(self):
+        server, listen = _serve()
+        net = RealNet()
+        port = server.server_address[1]
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as idle, socket.create_connection(
+                ("127.0.0.1", port), timeout=5
+            ) as stalled:
+                stalled.sendall(encode_frame(Frame(MsgType.PING))[:9])  # half a head, then nothing
+                reply, _ = net.request("client:0", listen, Frame(MsgType.PING))
+                assert reply.type is MsgType.PONG
+                assert idle.recv(1) == b"" and stalled.recv(1) == b""  # each is closed, mid-frame or not
+        finally:
+            net.close()
+            _stop(server)
+
+    def test_pooled_socket_the_node_dropped_costs_one_retry(self, connects):
+        server, listen = _serve()
+        net = RealNet()
+        try:
+            net.request("client:0", listen, Frame(MsgType.PING))
+            time.sleep(0.5)  # the node drops the pooled connection meanwhile
+            reply, _ = net.request("client:0", listen, Frame(MsgType.PING))
+            assert reply.type is MsgType.PONG
+            assert len(connects) == 2  # the first connection, then the retry's fresh one
+        finally:
+            net.close()
+            _stop(server)
 
 
 def test_tcp_cluster_restarted_on_its_data_dirs_serves_the_file(tmp_path):
