@@ -34,8 +34,14 @@ def decode_candidates(text: str, nf: NodeFile, beginner: str):
     return candidates
 
 
-# a connection that delivers no byte for this long is closed, so a silent or stalled peer frees its thread
+# a connection that delivers no byte for this long, or takes none of a reply
+# for this long, is closed, so a silent, stalled or non-reading peer frees its thread
 IDLE_TIMEOUT_S = 60.0
+
+# connections past this many live ones are closed at once, so peers cannot
+# start threads without bound; 8 clients running at once on 8 loopback nodes
+# kept at most 51 open on one node
+MAX_CONNECTIONS = 512
 
 # built once per process: a per-instance table would slow every cluster start
 _HANDLER_NAMES = {t: f"_on_{t.name.lower()}" for t in MsgType}
@@ -118,10 +124,11 @@ class NodeService:
 
 class _FrameRequestHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        # a receive timeout, not settimeout(): that would poll() before every recv
+        # socket timeouts, not settimeout(): that would poll() before every recv and send
         seconds, fraction = divmod(IDLE_TIMEOUT_S, 1)
         timeval = struct.pack("@ll", int(seconds), int(fraction * 1_000_000))
         self.request.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+        self.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
         while True:
             try:
                 frame = recv_frame(self.request)
@@ -142,6 +149,8 @@ class NodeServer(socketserver.ThreadingTCPServer):
     Clients keep their connections open between requests, so
     `server_close()` also shuts down every live connection: a stopped
     node answers nothing more, not even on a connection opened earlier.
+    Each connection has its own thread, and one past MAX_CONNECTIONS live
+    ones is closed unanswered.
     """
 
     allow_reuse_address = True
@@ -155,7 +164,12 @@ class NodeServer(socketserver.ThreadingTCPServer):
 
     def process_request(self, request, client_address):
         with self._live_lock:
-            self._live.add(request)
+            refused = len(self._live) >= MAX_CONNECTIONS
+            if not refused:
+                self._live.add(request)
+        if refused:
+            self.shutdown_request(request)  # closed unanswered, before it gets a thread
+            return
         super().process_request(request, client_address)
 
     def shutdown_request(self, request):

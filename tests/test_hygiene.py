@@ -128,6 +128,18 @@ def test_a_node_loads_no_client_code():
     assert result.stdout.strip() == "[]", f"import haina.node loaded {result.stdout.strip()}"
 
 
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps to list loaded libraries")
+def test_a_node_maps_no_libgcrypt():
+    # libgcrypt decrypts for the client only; a node process never loads it
+    code = (
+        f"import sys; sys.path[:0] = {[str(REPO / 'src')]!r}; import haina.node; "
+        "print('libgcrypt' in open('/proc/self/maps').read())"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 # one valid instance of each validating dataclass; a new int field is checked as soon as it exists
 VALID = [MetaFile("node001:9000", bytes(32), b"\x01" * 32, 1, bytes(16), 1, bytes(32)), ClusterSpec()]
 INT_FIELDS = [(valid, f.name) for valid in VALID for f in fields(valid) if f.type is int]

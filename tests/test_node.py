@@ -982,7 +982,7 @@ class TestFrameReads:
 
 
 class TestIdleConnections:
-    """A node closes a connection that delivers no byte for IDLE_TIMEOUT_S, here 0.2 s."""
+    """A node closes a connection that delivers no byte, or takes none, for IDLE_TIMEOUT_S, here 0.2 s."""
 
     @pytest.fixture(autouse=True)
     def short_idle(self, monkeypatch):
@@ -1026,6 +1026,50 @@ class TestIdleConnections:
         finally:
             net.close()
             _stop(server)
+
+
+    def test_peer_that_never_reads_its_reply_frees_the_node_thread(self):
+        # a 12 MiB reply fills the node's send buffer and the peer's small receive buffer
+        server, listen = _serve()
+        block = _block(random.Random(5).randbytes(12 * 1024 * 1024))
+        server.service.store.put(serialize_block(block))
+        net = RealNet()
+        try:
+            with socket.socket() as reader:
+                reader.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+                reader.connect(server.server_address)
+                reader.sendall(encode_frame(Frame(MsgType.GET_BLOCK, {"address": block.current_hash.hex()})))
+                assert reader.recv(1, socket.MSG_PEEK)  # the node is sending; nothing is taken off the socket
+                deadline = time.monotonic() + 5
+                while server._live and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert not server._live, "the node still holds the connection of a peer that reads nothing"
+                reply, _ = net.request("client:0", listen, Frame(MsgType.PING))
+                assert reply.type is MsgType.PONG
+        finally:
+            net.close()
+            _stop(server)
+
+
+def test_connection_past_the_cap_is_closed_unanswered(monkeypatch):
+    monkeypatch.setattr(node, "MAX_CONNECTIONS", 2)
+    server, _ = _serve()
+    address = server.server_address
+    try:
+        with socket.create_connection(address, timeout=5) as first, socket.create_connection(
+            address, timeout=5
+        ) as second:
+            for sock in (first, second):  # each answered, so each is live before the third connects
+                send_frame(sock, Frame(MsgType.PING))
+                assert recv_frame(sock).type is MsgType.PONG
+            with socket.create_connection(address, timeout=5) as third:
+                assert third.recv(1) == b""
+            assert len(server._live) == 2
+            for sock in (first, second):
+                send_frame(sock, Frame(MsgType.PING))
+                assert recv_frame(sock).type is MsgType.PONG
+    finally:
+        _stop(server)
 
 
 def test_tcp_cluster_restarted_on_its_data_dirs_serves_the_file(tmp_path):
