@@ -79,10 +79,8 @@ class BlockStore:
 
     @property
     def freespace(self) -> int:
-        return max(self.quota_bytes - self._used, 0)
-
-    def addresses(self):
-        return set(self._blocks)
+        free = self.quota_bytes - self._used  # read on every election poll: a conditional, not max()
+        return free if free > 0 else 0
 
     def put(self, raw) -> bytes:
         """Store a serialized block; returns its content address."""

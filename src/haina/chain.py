@@ -64,26 +64,6 @@ def chain_root(addresses) -> bytes:
     return hashing.digest(b"".join(addresses))
 
 
-def verify_chain(blocks) -> list:
-    """Recompute every data hash and report each pointer that disagrees.
-
-    Returns (block index, "previous" | "current" | "next") pairs, none
-    for a valid chain.  Defined on unlocked pointers only: a locked
-    chain reports every neighbour pointer.
-    """
-    m = len(blocks)
-    digests = [hashing.digest(b.data) for b in blocks]
-    violations = []
-    for i, block in enumerate(blocks):
-        if block.previous_hash != digests[(i - 1) % m]:
-            violations.append((i, "previous"))
-        if block.current_hash != digests[i]:
-            violations.append((i, "current"))
-        if block.next_hash != digests[(i + 1) % m]:
-            violations.append((i, "next"))
-    return violations
-
-
 _LEN = struct.Struct(">Q")
 _LEN_AT = 3 * hashing.DIGEST_SIZE  # the length field follows the pointer domain
 BLOCK_OVERHEAD = _LEN_AT + _LEN.size  # pointer domain + length field: 104 bytes

@@ -140,6 +140,22 @@ def decode_frame(raw) -> Frame:
     return Frame(type=msg_type, header=header, body=body)
 
 
+def int_field(frame: Frame, key: str) -> int:
+    """A header field's non-negative integer, in exactly the digits `str()` writes; an absent field is 0.
+
+    `int()` alone would also take "+5", " 5", "5_000", "007", "-1" and non-ASCII digits.
+    """
+    value = frame.header.get(key, "0")
+    try:
+        # ASCII digits with no leading zero: of digit strings, only those that start with "0" sort
+        # below "1"; `>=` also refuses bytes, whose isdigit() and isascii() would pass
+        if value.isdigit() and value.isascii() and (value >= "1" or value == "0"):
+            return int(value)  # a ValueError past int()'s digit limit
+    except (AttributeError, TypeError, ValueError):
+        pass
+    raise ParseError(key, f"{value!r} is not a non-negative integer as str() writes it")
+
+
 def error_frame(reason: str) -> Frame:
     return Frame(MsgType.ERROR, {"reason": reason})
 

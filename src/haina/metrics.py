@@ -40,18 +40,3 @@ def rows_to_csv(rows) -> str:
         writer.writerow([row.event_id, row.kind, _format_value(row.value), context])
     return out.getvalue()
 
-
-def rows_from_csv(text: str):
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if tuple(header or ()) != COLUMNS:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    rows = []
-    for event_id, kind, value, context in reader:
-        ctx = {}
-        if context:
-            for pair in context.split(";"):
-                key, _, val = pair.partition("=")
-                ctx[key] = val
-        rows.append(MetricsRow(event_id=event_id, kind=kind, value=float(value), context=ctx))
-    return rows

@@ -14,7 +14,7 @@ import threading
 from . import frames, hashing
 from .blockstore import BlockStore
 from .errors import CampaignError, HainaError, ParseError
-from .frames import Frame, MsgType, error_frame
+from .frames import Frame, MsgType, error_frame, int_field
 from .nodefile import NodeFile
 from .por import PorConfig, run_campaign
 from .realnet import recv_frame, send_frame
@@ -47,11 +47,8 @@ MAX_CONNECTIONS = 512
 _HANDLER_NAMES = {t: f"_on_{t.name.lower()}" for t in MsgType}
 
 
-def _int_field(frame, key: str) -> int:
-    try:
-        return int(frame.header.get(key, "0"))
-    except (TypeError, ValueError):
-        raise ParseError(key, "not an integer") from None
+# bound once: each `MsgType.X` lookup costs about ten times a global's, and every poll builds a reply
+_TAKEPART, _REFUSE = MsgType.TAKEPART, MsgType.REFUSE
 
 
 class NodeService:
@@ -84,7 +81,7 @@ class NodeService:
         )
 
     def _on_store_ready(self, frame):
-        next_size = _int_field(frame, "next_size")
+        next_size = int_field(frame, "next_size")
         if frames.block_data_size(len(frame.body)) > frames.MAX_FRAME:  # stored, it could never be served
             return error_frame(f"a {len(frame.body)}-byte block cannot be served under the {frames.MAX_FRAME}-byte cap")
         address = self.store.put(frame.body)
@@ -100,11 +97,9 @@ class NodeService:
         return Frame(MsgType.STORE_ACK, header)
 
     def _on_election(self, frame):
-        size = _int_field(frame, "size")
+        size = int_field(frame, "size")  # refuses a negative size
         free = self.store.freespace
-        if free >= size and size >= 0:
-            return Frame(MsgType.TAKEPART, {"freespace": str(free)})
-        return Frame(MsgType.REFUSE, {"freespace": str(free)})
+        return Frame(_TAKEPART if free >= size else _REFUSE, {"freespace": str(free)})
 
     def _on_get_block(self, frame):
         address = hashing.parse_hex_digest(frame.header.get("address"), "address")

@@ -8,10 +8,11 @@ check against its per-event tally and notifies the winner.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .blockstore import BYTES_PER_GB
-from .errors import CampaignError, HainaError, UsageError
-from .frames import Frame, MsgType
+from .errors import CampaignError, HainaError, ParseError, UsageError
+from .frames import Frame, MsgType, int_field
 from .nodefile import NodeFile
 
 
@@ -39,7 +40,7 @@ def judge(nc_gb: float, rtt_ms: float) -> float:
     """
     if nc_gb < 0:
         raise UsageError("free capacity cannot be negative")
-    return nc_gb / max(rtt_ms, 1.0)
+    return nc_gb / (1.0 if rtt_ms < 1.0 else rtt_ms)  # max(rtt_ms, 1.0), without a builtin call per poll
 
 
 def pick_first_beginner(nf: NodeFile, draw: int) -> str:
@@ -56,35 +57,36 @@ def run_campaign(transport, beginner: str, next_block_size: int, nf: NodeFile, c
 
     A node appears in the result only if it answered within the timeout
     with enough free space; refusals, silence, errors and a `freespace`
-    that is not an integer drop it for this round.  Ties in value keep
-    node-file order.
+    that is not a non-negative integer as `str()` writes it drop it for
+    this round.  Ties in value keep node-file order.
     """
-    followers = [a for a in nf.addresses if a != beginner]
-    if not followers:
-        raise CampaignError("no follower to poll: node file has a single member")
     election = Frame(MsgType.ELECTION, {"size": str(next_block_size)})
+    polls = [(addr, election) for addr in nf.addresses if addr != beginner]
+    if not polls:
+        raise CampaignError("no follower to poll: node file has a single member")
     t0 = transport.now()
-    results = transport.exchange(beginner, [(addr, election) for addr in followers], cfg.timeout_ms)
+    results = transport.exchange(beginner, polls, cfg.timeout_ms)
     elapsed = transport.now() - t0
 
     scored = []  # (value, address), in roster order
-    for addr, result in zip(followers, results):
+    takepart = MsgType.TAKEPART  # one member lookup per campaign, not per poll
+    for (addr, _), result in zip(polls, results):
         if isinstance(result, HainaError):
             continue
         frame, rtt = result
-        if frame.type is not MsgType.TAKEPART:
+        if frame.type is not takepart:
             continue
         try:
-            freespace = int(frame.header.get("freespace", "0"))
-        except ValueError:
+            freespace = int_field(frame, "freespace")
+        except ParseError:
             continue
         if freespace < next_block_size:
             continue
         scored.append((judge(freespace / BYTES_PER_GB, rtt), addr))
     if not scored:
         raise CampaignError(f"no candidate can hold a {next_block_size}-byte block")
-    scored.sort(key=lambda s: -s[0])  # stable: equal values keep roster order
-    return CampaignResult(candidates=tuple(addr for _, addr in scored), elapsed_ms=elapsed)
+    scored.sort(key=itemgetter(0), reverse=True)  # a reversed sort is still stable: equal values keep roster order
+    return CampaignResult(candidates=tuple([addr for _, addr in scored]), elapsed_ms=elapsed)
 
 
 def check_rate(candidates, counts, total_blocks: int, rate: float, step: float):

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from haina.chain import Block, build_chain, verify_chain
+from haina.chain import Block, build_chain
 from haina.client import download, upload
 from haina.crypto import (
     KEY_SIZE,
@@ -27,6 +27,8 @@ from haina.frames import Frame, MsgType, decode_frame, encode_frame
 from haina.locking import lock_chain, unlock_block
 from haina.metafile import MetaFile, parse_meta_file, serialize_meta_file
 from haina.metrics import rows_to_csv
+
+from oracles import verify_chain
 
 
 @pytest.fixture

@@ -12,10 +12,11 @@ from haina.cli import main, sim
 from haina.experiments import EXPERIMENTS
 from haina.frames import Frame, MsgType
 from haina.metafile import parse_meta_file
-from haina.metrics import rows_from_csv
 from haina.node import NodeServer, NodeService
 from haina.nodefile import make_node_file
 from haina.realnet import RealNet
+
+from oracles import rows_from_csv
 
 
 def _run(*args, **kw):

@@ -10,7 +10,7 @@ import pytest
 
 from haina import frames, hashing
 from haina.blockstore import BlockStore
-from haina.chain import Block, build_chain, chain_root, deserialize_block, serialize_block, verify_chain
+from haina.chain import Block, build_chain, chain_root, deserialize_block, serialize_block
 from haina.client import USER_ADDRESS, bdam_fetch, download, speedup, unidirectional_fetch, upload
 from haina.errors import IncompleteChainError, IntegrityError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
@@ -21,6 +21,8 @@ from haina.node import NodeServer, NodeService
 from haina.nodefile import make_node_file
 from haina.por import PorConfig, run_campaign
 from haina.realnet import RealNet
+
+from oracles import stored_addresses, verify_chain
 
 
 def _cluster(nodes=5, latency=5.0, seed=0, **kw):
@@ -314,7 +316,7 @@ class TestFaultInjection:
         report = upload(rng.randbytes(800), 4, cfg, nf, net, rng=rng)
         victim = report.placements[2]
         assert victim != report.placements[0]
-        expected_missing = services[victim].store.addresses()
+        expected_missing = stored_addresses(services[victim].store)
         net.remove_node(victim)
         with pytest.raises(IncompleteChainError) as err:
             download(report.meta, nf, net)
@@ -326,7 +328,7 @@ class TestFaultInjection:
         report = upload(random.Random(7).randbytes(300), 3, cfg, nf, net, seed=7)
         holder = services[report.placements[0]]
         assert report.placements[2] == report.placements[0]
-        (lost,) = holder.store.addresses() - {report.meta.header_digest}
+        (lost,) = stored_addresses(holder.store) - {report.meta.header_digest}
         kept, holder.store = holder.store, BlockStore(holder.store.quota_bytes)
         holder.store.put(kept.get(report.meta.header_digest))
         with pytest.raises(IncompleteChainError) as err:
@@ -560,7 +562,7 @@ class TestByzantineHolders:
         flipper = report.placements[0]  # holds the header, so both fetch paths meet it
         liar = next(a for a in nf.addresses if a != flipper)
         copy_to = next(a for a in nf.addresses if a not in (flipper, liar))
-        stolen = services[flipper].store.addresses()
+        stolen = stored_addresses(services[flipper].store)
         if honest_copy:
             for address in stolen:
                 services[copy_to].store.put(services[flipper].store.get(address))
@@ -633,7 +635,7 @@ class TestForgedChain:
         """(net, nf, services, report, every block's address in position order)."""
         net, nf, services, cfg = _cluster(nodes=12, latency=5.0, seed=3)
         report = upload(random.Random(3).randbytes(6399), n, cfg, nf, net, seed=3)
-        stored = {a: s.store.get(a) for s in services.values() for a in s.store.addresses()}
+        stored = {a: s.store.get(a) for s in services.values() for a in stored_addresses(s.store)}
         h = [report.meta.header_digest]
         while len(h) < n:
             h.append(unlock_block(deserialize_block(stored[h[-1]]), report.meta.mask).next_hash)

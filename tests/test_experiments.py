@@ -6,7 +6,9 @@ import pytest
 
 from haina.errors import ParseError, UsageError
 from haina.experiments import ClusterSpec, parse_cluster_spec, run_experiment
-from haina.metrics import MetricsRow, rows_from_csv, rows_to_csv
+from haina.metrics import MetricsRow, rows_to_csv
+
+from oracles import rows_from_csv
 
 
 class TestClusterSpec:

@@ -19,6 +19,7 @@ from haina.frames import (
     decode_frame,
     encode_frame,
     frame_length,
+    int_field,
 )
 
 header_keys = st.text(
@@ -200,3 +201,24 @@ def test_mutation_fuzz_never_crashes():
         except ParseError:
             continue
         assert isinstance(frame, Frame)
+
+
+@pytest.mark.parametrize("number", [0, 1, 10, 4200, 10**18])
+def test_int_field_reads_what_str_writes(number):
+    assert int_field(Frame(MsgType.ELECTION, {"size": str(number)}), "size") == number
+
+
+def test_int_field_reads_an_absent_field_as_zero():
+    assert int_field(Frame(MsgType.ELECTION), "size") == 0
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["", "00", "1.5", "5 ", "\u00b2", "9" * 5000, b"5", 5, None],
+    ids=["empty", "double-zero", "decimal-point", "trailing-space", "superscript", "past-int-digit-limit", "bytes", "int", "none"],
+)
+def test_int_field_refuses_every_other_form(value):
+    # the forms int() reads are tested where nodes and campaigns parse; an in-process
+    # SimNet frame can carry any object, and a ParseError is still the only failure
+    with pytest.raises(ParseError, match="^size:"):
+        int_field(Frame(MsgType.ELECTION, {"size": value}), "size")

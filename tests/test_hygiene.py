@@ -55,6 +55,20 @@ def test_no_import_inside_a_function(path):
     assert not inner, f"{path.name} imports inside a function at line(s) {', '.join(map(str, inner))}"
 
 
+PYTHON_FILES = sorted(p for d in ("src", "perfbench", "tests") for p in (REPO / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(REPO)))
+def test_every_file_parses_as_python_3_10(path):
+    # CI also runs 3.10, which may not be installed where the tests run: check its grammar here
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_3_10_grammar_check_rejects_3_11_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
 def test_every_span_wrapped_name_exists():
     # perfbench/spans.py wraps haina's layer boundaries by name, so a deleted or renamed one fails here
     paths = [str(REPO / "src"), str(REPO / "perfbench")]

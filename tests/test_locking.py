@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from haina.chain import build_chain, verify_chain
+from haina.chain import build_chain
 from haina.crypto import generate_mask
 from haina.errors import UsageError
 from haina.locking import lock_chain, unlock_block
+
+from oracles import verify_chain
 
 
 def test_lock_unlock_roundtrip_bytewise():

@@ -27,6 +27,8 @@ from haina.realnet import RealNet, recv_frame, send_frame
 from haina.resolve import resolve
 from haina.simnet import SimNet
 
+from oracles import NON_CANONICAL_INTS, stored_addresses
+
 
 def _block(data=b"payload"):
     chain = build_chain([data])
@@ -113,7 +115,7 @@ class TestBlockStore:
         log = (tmp_path / LOG_NAME).read_bytes()
         assert sorted(log[i : i + size] for i in range(0, len(log), size)) == sorted(accepted)
         reopened = BlockStore(store.quota_bytes, data_dir=str(tmp_path))
-        assert reopened.addresses() == {deserialize_block(raw).current_hash for raw in accepted}
+        assert stored_addresses(reopened) == {deserialize_block(raw).current_hash for raw in accepted}
         assert reopened.used_bytes == store.quota_bytes
 
     def test_persistence_roundtrip(self, tmp_path):
@@ -133,7 +135,7 @@ class TestBlockStore:
         log = tmp_path / LOG_NAME
         log.write_bytes(first + second[:kept])
         reopened = BlockStore(10**6, data_dir=str(tmp_path))
-        assert reopened.addresses() == {_block(b"first").current_hash}
+        assert stored_addresses(reopened) == {_block(b"first").current_hash}
         assert reopened.used_bytes == len(first)
         assert log.read_bytes() == first
         # the next put lands right after the last whole record
@@ -151,7 +153,7 @@ class TestBlockStore:
         log = tmp_path / LOG_NAME
         log.write_bytes(raw + garbage)
         reopened = BlockStore(10**6, data_dir=str(tmp_path))
-        assert reopened.addresses() == {address}
+        assert stored_addresses(reopened) == {address}
         assert reopened.used_bytes == len(raw)
         assert log.read_bytes() == raw
 
@@ -164,7 +166,7 @@ class TestBlockStore:
         damaged[96] ^= 1  # the first record's length field, most significant byte
         log.write_bytes(damaged)
         reopened = BlockStore(10**6, data_dir=str(tmp_path))
-        assert reopened.addresses() == set() and reopened.used_bytes == 0
+        assert stored_addresses(reopened) == set() and reopened.used_bytes == 0
         assert log.read_bytes() == b""
         assert cut.read_bytes() == bytes(damaged)  # the three records, one bit off from what was written
         # a later cut is appended, not written over the first
@@ -185,7 +187,7 @@ class TestBlockStore:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(reopened.addresses()) == 64 and reopened.used_bytes == size
+        assert len(stored_addresses(reopened)) == 64 and reopened.used_bytes == size
         # the records themselves, plus one in flight: not a second copy of the log
         assert peak < 1.25 * size, f"reopening peaked at {peak / size:.2f}x the log"
 
@@ -325,6 +327,11 @@ class TestNodeService:
             Frame(MsgType.HAS_BLOCK, {"address": "00" * 32, "address2": "00" * 31}),
             Frame(MsgType.ELECTION, {"size": "1.5"}),
             Frame(MsgType.STORE_READY, {"next_size": "ten", "elect": "1"}, serialize_block(_block())),
+            *[Frame(MsgType.ELECTION, {"size": value}) for value in NON_CANONICAL_INTS],
+            *[
+                Frame(MsgType.STORE_READY, {"next_size": value, "elect": "1"}, serialize_block(_block()))
+                for value in NON_CANONICAL_INTS
+            ],
         ],
     )
     def test_malformed_frame_yields_error(self, frame):
@@ -731,7 +738,7 @@ class TestGarbageReplies:
             meta = upload(file, 6, PorConfig(), nf, net, seed=7).meta
             first = meta.first_beginner  # the header's recorded holder: asked first
             second = next(a for a in addresses if a != first)
-            for address in services[first].store.addresses():
+            for address in stored_addresses(services[first].store):
                 services[second].store.put(services[first].store.get(address))
             i = addresses.index(first)
             _stop(servers[i])
@@ -1093,11 +1100,11 @@ def test_tcp_cluster_restarted_on_its_data_dirs_serves_the_file(tmp_path):
         servers = [serve(server, address) for server, address in zip(servers, addresses)]
         file = random.Random(11).randbytes(5000)
         meta = upload(file, 8, PorConfig(), nf, net, seed=11).meta
-        stored = [server.service.store.addresses() for server in servers]
+        stored = [stored_addresses(server.service.store) for server in servers]
         stop(servers)
         # each node comes back on its own port and data dir
         servers = [serve(NodeServer(("127.0.0.1", int(a.rpartition(":")[2])), None), a) for a in addresses]
-        assert [server.service.store.addresses() for server in servers] == stored
+        assert [stored_addresses(server.service.store) for server in servers] == stored
         for mode in ("bi", "uni"):
             assert download(meta, nf, net, mode=mode).data == file
     finally:

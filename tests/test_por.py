@@ -5,7 +5,9 @@ from collections import Counter
 import pytest
 
 from haina.errors import CampaignError, IntegrityError, NetworkError, ParseError, UsageError
+from haina.blockstore import BlockStore
 from haina.frames import Frame, MsgType, decode_frame, encode_frame
+from haina.node import NodeService
 from haina.nodefile import MAX_ROSTER_BYTES, make_node_file, node_index, parse_node_file, update_node_file
 from haina.por import (
     BYTES_PER_GB,
@@ -15,6 +17,9 @@ from haina.por import (
     pick_first_beginner,
     run_campaign,
 )
+from haina.simnet import UNREACHABLE, SimNet
+
+from oracles import NON_CANONICAL_IDS, NON_CANONICAL_INTS
 
 
 class TestJudge:
@@ -136,10 +141,49 @@ class TestRunCampaign:
         assert result.candidates == ("yes:1",)
         assert result.elapsed_ms == PorConfig().timeout_ms  # waited out the silent node
 
+    @pytest.mark.parametrize("value", NON_CANONICAL_INTS, ids=NON_CANONICAL_IDS)
+    def test_freespace_in_a_form_no_encoder_writes_drops_the_follower(self, value):
+        nf = make_node_file(["b:1", "odd:1", "plain:1"])
+        transport = StubTransport({"odd:1": (value, 1.0), "plain:1": (BYTES_PER_GB, 1.0)})
+        assert run_campaign(transport, "b:1", 1, nf, PorConfig()).candidates == ("plain:1",)
+
     def test_zero_candidates_raises(self):
         nf = make_node_file(["b:1", "no:1"])
         with pytest.raises(CampaignError):
             run_campaign(StubTransport({"no:1": "refuse"}), "b:1", 1, nf, PorConfig())
+
+
+class _UnreadableFreespace(NodeService):
+    def _on_election(self, frame):
+        return Frame(MsgType.TAKEPART, {"freespace": "garbage"})
+
+
+def test_campaigns_on_a_jittered_47_node_net_are_bit_identical():
+    # pins ranks, virtual times and the rng stream, so a faster poll cannot move a placement
+    nodes = [f"10.0.{i // 8}.{i % 8}:7000" for i in range(47)]
+    nf = make_node_file(nodes)
+    beginner = nodes[0]
+    matrix = {}
+    for i in range(1, 47):
+        matrix[(beginner, nodes[i])] = 1.0 + (i * 7) % 13
+        matrix[(nodes[i], beginner)] = 0.5 + (i * 5) % 11
+    matrix[(nodes[9], beginner)] = UNREACHABLE  # node 9's reply never reaches node 0
+    net = SimNet(5.0, jitter_ms=1.5, seed=28, matrix=matrix)
+    for i, address in enumerate(nodes):
+        store = BlockStore(100 if i == 17 else 10**9 + (i * 37 % 11) * 10**8)  # node 17 refuses 4,200 bytes
+        service = (_UnreadableFreespace if i == 31 else NodeService)(address, store, nf, transport=net)
+        net.add_node(address, service)
+    results = [run_campaign(net, b, 4200, nf, PorConfig()) for b in (beginner, nodes[1], beginner)]
+    assert [[nodes.index(a) for a in r.candidates] for r in results] == [
+        [41, 38, 43, 19, 13, 30, 27, 45, 8, 16, 2, 18, 28, 26, 7, 32, 34, 15, 5, 40, 10, 4,
+         29, 21, 39, 1, 20, 23, 25, 6, 42, 44, 12, 36, 14, 3, 46, 33, 22, 35, 24, 11, 37],
+        [21, 16, 41, 19, 32, 8, 38, 26, 30, 2, 13, 46, 7, 5, 23, 24, 29, 10, 40, 4, 37, 27,
+         43, 35, 18, 42, 34, 15, 20, 36, 9, 39, 45, 28, 25, 12, 14, 33, 22, 6, 3, 11, 44, 0],
+        [41, 30, 8, 32, 19, 43, 38, 27, 5, 21, 13, 18, 42, 40, 45, 29, 10, 4, 2, 15, 34, 7,
+         36, 16, 26, 23, 12, 28, 1, 44, 39, 20, 14, 25, 6, 33, 3, 46, 24, 22, 35, 11, 37],
+    ]
+    assert [r.elapsed_ms for r in results] == [1000.0, 12.674058607221014, 1000.0]
+    assert net._rng.random() == 0.5792844176494271
 
 
 def _cands(*addresses):
