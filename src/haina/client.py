@@ -352,7 +352,7 @@ def download(
         # checked before the buffer is allocated: no block that could be served holds so long a slice
         raise ParseError("file_length", f"{n} blocks under the frame cap cannot hold {meta.file_length} bytes")
     shards = [None] * n
-    buf = bytearray(bounds[-1] + CIPHER_BLOCK - 1)  # the ciphertext, then update_into's slack
+    buf = bytearray(bounds[-1])  # the ciphertext
     view = memoryview(buf)  # the slices are copied through it: a bytearray's own slice assignment copies twice
 
     def keep(p, block):

@@ -18,7 +18,7 @@ from .locking import MASK_SIZE
 
 META_SUFFIX = ".haina.meta"
 # fields with one accepted value, written and checked byte for byte
-_FIXED = {"version": 2, "cipher": "sm4", "mode": "cbc", "hash_alg": hashing.ALGORITHM}
+_FIXED = {"version": 2, "cipher": "sm4", "mode": "ctr", "hash_alg": hashing.ALGORITHM}
 # the bytes fields, written as hex, and the exact length of each
 _HEX_SIZES = {"header_digest": hashing.DIGEST_SIZE, "mask": MASK_SIZE, "iv": CIPHER_BLOCK,
               "chain_root": hashing.DIGEST_SIZE}

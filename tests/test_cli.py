@@ -19,6 +19,23 @@ from haina.realnet import RealNet
 from oracles import rows_from_csv
 
 
+# the meta file a seeded upload wrote while the cipher was SM4-CBC, byte for byte
+PRE_CTR_META = """{
+  "block_count": 8,
+  "chain_root": "192c93e9b0ad51d798459135f4348da4fdfd0bd95267ede279f8fc51e0b75d24",
+  "cipher": "sm4",
+  "file_length": 1000,
+  "first_beginner": "node005:9000",
+  "hash_alg": "sha256",
+  "header_digest": "471abc16a7eb0727ae8043d07e5d7d0f15a33f1080df3dac51fd49b7381ccd5b",
+  "iv": "5570c409d54a0e617c8944898d1ef48f",
+  "mask": "aedd51167c53dac407ff4068f3de3c440a3e921b952aa8d632f8b4e68f94f4df",
+  "mode": "cbc",
+  "version": 2
+}
+"""
+
+
 def _run(*args, **kw):
     return CliRunner().invoke(main, list(args), **kw)
 
@@ -83,6 +100,17 @@ class TestUsageErrors:
         nf.write_bytes(make_node_file(["h:1"]).canonical_bytes())
         result = _run("download", "--meta", str(meta), "--nf", str(nf), "--out", str(tmp_path / "out"))
         assert result.exit_code == 2
+
+    def test_meta_file_of_the_cbc_format_exits_2(self, tmp_path):
+        # a meta file written while the cipher was SM4-CBC; its ciphertext would not decrypt under CTR
+        meta = tmp_path / "f.haina.meta"
+        meta.write_text(PRE_CTR_META)
+        nf = tmp_path / "cluster.nf"
+        nf.write_bytes(make_node_file(["h:1"]).canonical_bytes())
+        result = _run("download", "--meta", str(meta), "--nf", str(nf), "--out", str(tmp_path / "out"))
+        assert result.exit_code == 2
+        assert "error: mode: unsupported value 'cbc', expected 'ctr'" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_unreachable_cluster_exits_3(self, tmp_path):
         dead = []

@@ -119,12 +119,13 @@ class TestUploadDownloadRoundTrip:
         assert holder.store.has(report.meta.header_digest)
 
     def test_seeded_meta_file_is_byte_identical(self):
-        # SHA-256 of the version-2 meta file this seeded upload writes; it differs
-        # from version 1's (aa190095...) only in "version" and the new "chain_root"
+        # SHA-256 of the version-2 meta file this seeded upload writes under SM4-CTR.
+        # Under SM4-CBC it was 43192156...: "mode", and with the ciphertext the
+        # header digest and chain root, changed.  Version 1's was aa190095...
         net, nf, services, cfg = _cluster(seed=7)
         report = upload(random.Random(7).randbytes(1000), 8, cfg, nf, net, seed=123)
         digest = hashlib.sha256(serialize_meta_file(report.meta)).hexdigest()
-        assert digest == "43192156367ad0b6bd1a3be0eee6d80ee3a70f6367f8fa6dbb9b87cda0436074"
+        assert digest == "6d50aa3a13968b18763b78a9e12b9c9a4262ee53b66af59067915fc6da503b26"
 
     def test_unseeded_uploads_do_not_depend_on_the_clock(self, monkeypatch):
         monkeypatch.setattr(time, "time_ns", lambda: 1_700_000_000_000_000_000)

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import random
 import subprocess
 import sys
@@ -42,10 +43,31 @@ def _encrypt(file, key, iv):
 
 
 def _decrypt(ciphertext, key, iv):
-    """`decrypt_file` on a copy of `ciphertext` followed by its 15 bytes of slack; returns that buffer."""
-    buf = bytearray(ciphertext) + bytearray(15)
+    """`decrypt_file` on a copy of `ciphertext`; returns that buffer."""
+    buf = bytearray(ciphertext)
     decrypt_file(buf, key, iv)
     return buf
+
+
+# the SM4-CTR kernel this host selected (libgcrypt where it passed its checks), and the fallback
+KERNELS = {"selected": crypto._libgcrypt, "fallback": None}
+
+
+@pytest.fixture(params=sorted(KERNELS))
+def kernel(request, monkeypatch):
+    monkeypatch.setattr(crypto, "_libgcrypt", KERNELS[request.param])
+
+
+def _domains_by_each_kernel(file, key, iv, n):
+    """{kernel name: the data domains `_domains` builds through that kernel}."""
+    built, selected = {}, crypto._libgcrypt
+    try:
+        for name, kernel in KERNELS.items():
+            crypto._libgcrypt = kernel
+            built[name] = _domains(file, key, iv, n)
+    finally:
+        crypto._libgcrypt = selected
+    return built
 
 
 class TestGenerateKey:
@@ -94,7 +116,7 @@ class TestGenerateMask:
 class TestCipher:
     def test_sm4_known_answer_single_block(self):
         # standard SM4 vector: one raw ECB block, checked against the
-        # library primitive directly so our CBC wrapper shares the core
+        # library primitive directly so our CTR wrapper shares the core
         key = bytes.fromhex("0123456789abcdeffedcba9876543210")
         enc = Cipher(algorithms.SM4(key), modes.ECB()).encryptor()
         assert enc.update(key).hex() == "681edf34d206965e86b3e94f536e4246"
@@ -133,10 +155,16 @@ class TestCipher:
             _decrypt(bytes(16), key, b"\x00" * 8)
 
 
-def _raw_sm4_cbc(plain, key, iv):
-    """Encrypt whole blocks with no padding, to build a ciphertext with any pad bytes."""
-    enc = Cipher(algorithms.SM4(key[:16]), modes.CBC(iv)).encryptor()
+def _raw_sm4_ctr(plain, key, iv):
+    """SM4-CTR with no padding, in one `cryptography` pass: builds a ciphertext with any pad bytes."""
+    enc = Cipher(algorithms.SM4(key[:16]), modes.CTR(iv)).encryptor()
     return enc.update(plain) + enc.finalize()
+
+
+def _reference_ciphertext(file, key, iv):
+    """The ciphertext by the reference steps: `cryptography`'s PKCS#7 padder, then one SM4-CTR pass."""
+    padder = padding.PKCS7(128).padder()
+    return _raw_sm4_ctr(padder.update(file) + padder.finalize(), key, iv)
 
 
 class TestBufferedCipher:
@@ -151,9 +179,7 @@ class TestBufferedCipher:
         file = rng.randbytes(size)
         key = generate_key(file, 99)
         iv = rng.randbytes(16)
-        padder = padding.PKCS7(128).padder()
-        padded = padder.update(file) + padder.finalize()
-        assert _encrypt(file, key, iv) == _raw_sm4_cbc(padded, key, iv)
+        assert _encrypt(file, key, iv) == _reference_ciphertext(file, key, iv)
 
     @pytest.mark.parametrize("size", [1, 15, 16, 17, 1000, 4 * 1024 * 1024])
     def test_in_place_decryption_matches_reference_padder(self, size):
@@ -161,9 +187,7 @@ class TestBufferedCipher:
         file = rng.randbytes(size)
         key = generate_key(file, 98)
         iv = rng.randbytes(16)
-        padder = padding.PKCS7(128).padder()
-        ct = _raw_sm4_cbc(padder.update(file) + padder.finalize(), key, iv)
-        buf = bytearray(ct) + bytearray(15)
+        buf = bytearray(_reference_ciphertext(file, key, iv))
         assert decrypt_file(buf, key, iv) is None
         assert buf == file
 
@@ -177,7 +201,7 @@ class TestBufferedCipher:
         iv = b"\x03" * 16
         plain = b"p" * (32 - len(tail)) + tail
         with pytest.raises(IntegrityError):
-            _decrypt(_raw_sm4_cbc(plain, key, iv), key, iv)
+            _decrypt(_raw_sm4_ctr(plain, key, iv), key, iv)
 
     @pytest.mark.parametrize("wrap", [bytes, memoryview])
     def test_bare_buffer_rejected(self, wrap):
@@ -185,27 +209,30 @@ class TestBufferedCipher:
         key = generate_key(b"f", 1)
         ct = _encrypt(b"f", key, b"\x05" * 16)
         with pytest.raises(UsageError, match="bytearray"):
-            decrypt_file(wrap(bytes(ct) + bytes(15)), key, b"\x05" * 16)
+            decrypt_file(wrap(bytes(ct)), key, b"\x05" * 16)
 
-    @pytest.mark.parametrize("slack", [0, 14, 16])
-    def test_buffer_without_the_slack_rejected(self, slack):
+    @pytest.mark.parametrize("length", [0, 14, 17])
+    def test_buffer_of_part_blocks_rejected(self, length):
+        # the ciphertext is whole cipher blocks: PKCS#7 always pads, by 1 to 16 bytes
         key = generate_key(b"f", 1)
         ct = _encrypt(b"f" * 20, key, b"\x06" * 16)
-        with pytest.raises(UsageError, match="slack"):
-            decrypt_file(bytearray(ct) + bytearray(slack), key, b"\x06" * 16)
+        with pytest.raises(UsageError, match="whole"):
+            decrypt_file(bytearray(ct[:length]), key, b"\x06" * 16)
 
 
 def _reference_domains(file, key, iv, n):
     """The data domains by the reference steps: pad, encrypt whole, split, prepend each key shard."""
-    padder = padding.PKCS7(128).padder()
-    ciphertext = _raw_sm4_cbc(padder.update(file) + padder.finalize(), key, iv)
+    ciphertext = _reference_ciphertext(file, key, iv)
     base, extra = divmod(len(ciphertext), n)  # the first `extra` slices get one byte more
     ends = [j * base + min(j, extra) for j in range(n + 1)]
     return [bytes(key[j::n]) + ciphertext[ends[j] : ends[j + 1]] for j in range(n)]
 
 
 class TestStreamedDomains:
-    """encrypt_file writes the ciphertext straight into the data domains, never whole."""
+    """encrypt_file writes the ciphertext straight into the data domains, never whole.
+
+    Each kernel builds the domains, and each must equal the reference's.
+    """
 
     @pytest.mark.parametrize("n", [1, 3, 16])
     @pytest.mark.parametrize("size", [1, 15, 16, 17, 4 * 1024 * 1024])
@@ -213,7 +240,8 @@ class TestStreamedDomains:
         rng = random.Random(size * 31 + n)
         file = rng.randbytes(size)
         key, iv = generate_key(file, 7), rng.randbytes(16)
-        assert _domains(file, key, iv, n) == _reference_domains(file, key, iv, n)
+        expected = _reference_domains(file, key, iv, n)
+        assert _domains_by_each_kernel(file, key, iv, n) == {name: expected for name in KERNELS}
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -225,8 +253,8 @@ class TestStreamedDomains:
         # n up to the ciphertext length: slices of a few bytes straddle cipher blocks
         n = min(n, ciphertext_size(len(file)))
         key, iv = rng.randbytes(32), rng.randbytes(16)
-        domains = _domains(file, key, iv, n)
-        assert domains == _reference_domains(file, key, iv, n)
+        domains = _reference_domains(file, key, iv, n)
+        assert _domains_by_each_kernel(file, key, iv, n) == {name: domains for name in KERNELS}
         shards = shard_sizes(KEY_SIZE, n)
         assert extract_key_shards([d[:k] for d, k in zip(domains, shards)]) == key
         assert _decrypt(b"".join(d[k:] for d, k in zip(domains, shards)), key, iv) == file
@@ -324,24 +352,15 @@ class TestKeyShards:
             extract_key_shards([domains[0][:10], domains[1][:16]])  # shorter than its 16-byte shard
 
 
-# the decryption kernel this host selected (libgcrypt where it passed its checks), and the fallback
-KERNELS = {"selected": crypto._libgcrypt, "fallback": None}
-
-
-@pytest.fixture(params=sorted(KERNELS))
-def kernel(request, monkeypatch):
-    monkeypatch.setattr(crypto, "_libgcrypt", KERNELS[request.param])
-
-
 class _StubLibgcrypt:
-    """A stand-in for libgcrypt: each function returns what the test set, and decrypt writes `plain`."""
+    """A stand-in for libgcrypt: each function returns what the test set, and encrypt writes `output`."""
 
-    def __init__(self, version=b"1.10.1", algo=318, decrypt_rc=0, plain=None):
+    def __init__(self, version=b"1.10.1", algo=318, encrypt_rc=0, output=None):
         self.closed = 0
 
-        def decrypt(handle, out, outlen, inp, inlen):
-            ctypes.memmove(out, plain or bytes(outlen), outlen)
-            return decrypt_rc
+        def encrypt(handle, out, outlen, inp, inlen):
+            ctypes.memmove(out, output or bytes(outlen), outlen)
+            return encrypt_rc
 
         def close(handle):
             self.closed += 1
@@ -350,14 +369,14 @@ class _StubLibgcrypt:
         self.gcry_cipher_map_name = lambda name: algo
         self.gcry_cipher_open = lambda handle, algo, mode, flags: 0
         self.gcry_cipher_setkey = lambda handle, key, length: 0
-        self.gcry_cipher_setiv = lambda handle, iv, length: 0
-        self.gcry_cipher_decrypt = decrypt
+        self.gcry_cipher_setctr = lambda handle, ctr, length: 0
+        self.gcry_cipher_encrypt = encrypt
         self.gcry_cipher_close = close
 
 
 @pytest.mark.usefixtures("kernel")
 class TestKernels:
-    """Both decryption kernels give the same bytes and the same errors."""
+    """Both SM4-CTR kernels give the same bytes and the same errors, in both directions."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(min_value=1, max_value=5000), st.randoms(use_true_random=False))
@@ -374,18 +393,18 @@ class TestKernels:
     def test_plaintext_matches_the_reference(self):
         file, key, iv = b"k" * 100, generate_key(b"k", 5), b"\x07" * 16
         padded = file + bytes((12,)) * 12
-        assert _decrypt(_raw_sm4_cbc(padded, key, iv), key, iv) == file
+        assert _decrypt(_raw_sm4_ctr(padded, key, iv), key, iv) == file
 
     def test_any_bytes_like_key_and_iv(self):
         file, key, iv = b"bytes-like", generate_key(b"b", 3), b"\x08" * 16
-        buf = bytearray(_encrypt(file, key, iv)) + bytearray(15)
+        buf = bytearray(_encrypt(file, key, iv))
         decrypt_file(buf, bytearray(key), memoryview(iv))
         assert buf == file
 
     def test_corrupt_padding_raises_integrity_error(self):
         key, iv = generate_key(b"f", 1), b"\x03" * 16
         with pytest.raises(IntegrityError):
-            _decrypt(_raw_sm4_cbc(b"p" * 30 + b"\x02\x03", key, iv), key, iv)
+            _decrypt(_raw_sm4_ctr(b"p" * 30 + b"\x02\x03", key, iv), key, iv)
 
     def test_wrong_key_raises_integrity_error(self):
         iv = b"\x02" * 16
@@ -393,20 +412,112 @@ class TestKernels:
         with pytest.raises(IntegrityError):
             _decrypt(ct, generate_key(b"f", 2), iv)
 
+    @pytest.mark.parametrize(
+        "wrap",
+        [bytearray, lambda b: memoryview(bytearray(b"..." + b))[3:], lambda b: memoryview(b"..." + b)[3:]],
+        ids=["bytearray", "memoryview-of-bytearray", "read-only-memoryview"],
+    )
+    def test_the_file_is_read_where_it_lies(self, wrap):
+        # a view at an offset: a kernel that mis-addresses its source, or copies it, fails here
+        size = (1 << 20) + 5
+        rng = random.Random(size)
+        plain, key, iv = rng.randbytes(size), rng.randbytes(KEY_SIZE), rng.randbytes(16)
+        file = wrap(plain)
+        domains = embed_key_shards(split_ciphertext(ciphertext_size(size), 16), key)
+        tracemalloc.start()
+        try:
+            encrypt_file(file, key, iv, domains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert domains == _reference_domains(plain, key, iv, 16)
+        assert file == plain
+        assert peak < 64 * 1024, f"encrypting a {size}-byte file allocated {peak} bytes"
+
+    def test_the_counter_carries_across_all_128_bits(self):
+        # counters 2**128 - 2, 2**128 - 1, 0 and 1: each keystream block is one SM4 block of its counter
+        key, iv = generate_key(b"c", 4), b"\xff" * 15 + b"\xfe"
+        file = bytes(range(63))  # 4 cipher blocks with its 1 byte of padding
+        ecb = Cipher(algorithms.SM4(key[:16]), modes.ECB()).encryptor()
+        counters = [(1 << 128) - 2, (1 << 128) - 1, 0, 1]
+        keystream = b"".join(ecb.update(c.to_bytes(16, "big")) for c in counters)
+        expected = bytes(p ^ k for p, k in zip(file + b"\x01", keystream))
+        assert _encrypt(file, key, iv) == expected
+        assert _decrypt(expected, key, iv) == file
+
+    @pytest.mark.parametrize(
+        "key,iv,message",
+        [(bytes(KEY_SIZE), bytes(8), "iv must be 16 bytes"), (bytes(16), bytes(16), "file key must be 32 bytes")],
+        ids=["short-iv", "short-key"],
+    )
+    def test_a_wrong_length_iv_or_key_is_a_usage_error(self, key, iv, message):
+        domains = embed_key_shards(split_ciphertext(ciphertext_size(5), 2), bytes(KEY_SIZE))
+        with pytest.raises(UsageError, match=message):
+            encrypt_file(b"plain", key, iv, domains)
+        with pytest.raises(UsageError, match=message):
+            decrypt_file(bytearray(16), key, iv)
+
+    def test_encrypting_leaves_nothing_allocated(self):
+        # no reference cycle and no cached ctypes type per slice length: with gc off, every byte comes back
+        file, key = random.Random(64).randbytes(64 * 1024), generate_key(b"m", 6)
+        domains = embed_key_shards(split_ciphertext(ciphertext_size(len(file)), 64), key)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            encrypt_file(file, key, bytes(16), domains)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left < 1024, f"encrypt_file left {left} bytes allocated"
+
+
+class _SlackDemandingCipher:
+    """`Cipher` as `cryptography` releases with the Python OpenSSL backend behave (38, for one):
+    `update_into` refuses an output shorter than its input plus 15 bytes, even in CTR."""
+
+    def __init__(self, algorithm, mode):
+        self.cipher = Cipher(algorithm, mode)
+
+    def encryptor(self):
+        inner = self.cipher.encryptor()
+
+        class Context:
+            update, finalize = inner.update, inner.finalize
+
+            def update_into(self, data, buf):
+                if len(buf) < len(data) + 15:
+                    raise ValueError(f"buffer must be at least {len(data) + 15} bytes for this payload")
+                return inner.update_into(data, buf)
+
+        return Context()
+
+
+def test_the_fallback_needs_no_slack_in_update_into(monkeypatch):
+    monkeypatch.setattr(crypto, "_libgcrypt", None)
+    monkeypatch.setattr(crypto, "Cipher", _SlackDemandingCipher)
+    file, key, iv = random.Random(7).randbytes(100_003), generate_key(b"s", 7), bytes(range(16))
+    domains = _domains(file, key, iv, 16)
+    assert domains == _reference_domains(file, key, iv, 16)
+    buf = bytearray().join(d[size:] for d, size in zip(domains, shard_sizes(KEY_SIZE, 16)))
+    decrypt_file(buf, key, iv)
+    assert buf == file
+
 
 class TestKernelSelection:
     def test_known_answer_decrypts_right_through_a_stub(self):
-        # the stub that writes the right plaintext is accepted: the checks below fail for their reason only
-        assert crypto._vet_libgcrypt(_StubLibgcrypt(plain=crypto._SM4_KNOWN_KEY)) is not None
+        # the stub that writes the right keystream is accepted: the checks below fail for their reason only
+        assert crypto._vet_libgcrypt(_StubLibgcrypt(output=crypto._SM4_KNOWN_CIPHERTEXT)) is not None
 
     @pytest.mark.parametrize(
         "stub",
         [
             _StubLibgcrypt(),
-            _StubLibgcrypt(plain=bytes(range(16))),
-            _StubLibgcrypt(version=None, plain=crypto._SM4_KNOWN_KEY),
-            _StubLibgcrypt(algo=0, plain=crypto._SM4_KNOWN_KEY),
-            _StubLibgcrypt(decrypt_rc=1, plain=crypto._SM4_KNOWN_KEY),
+            _StubLibgcrypt(output=bytes(range(16))),
+            _StubLibgcrypt(version=None, output=crypto._SM4_KNOWN_CIPHERTEXT),
+            _StubLibgcrypt(algo=0, output=crypto._SM4_KNOWN_CIPHERTEXT),
+            _StubLibgcrypt(encrypt_rc=1, output=crypto._SM4_KNOWN_CIPHERTEXT),
         ],
         ids=["zero-bytes", "wrong-bytes", "older-than-1.9", "no-sm4", "decrypt-error"],
     )
@@ -414,7 +525,7 @@ class TestKernelSelection:
         assert crypto._vet_libgcrypt(stub) is None
 
     def test_the_fallback_is_chosen_when_the_library_decrypts_wrong(self, monkeypatch):
-        monkeypatch.setattr(crypto.ctypes, "CDLL", lambda name: _StubLibgcrypt(plain=bytes(range(16))))
+        monkeypatch.setattr(crypto.ctypes, "CDLL", lambda name: _StubLibgcrypt(output=bytes(range(16))))
         assert crypto._load_libgcrypt() is None
 
     def test_the_fallback_is_chosen_without_the_library(self, monkeypatch):
@@ -425,13 +536,13 @@ class TestKernelSelection:
         assert crypto._load_libgcrypt() is None
 
     def test_a_failed_decrypt_closes_its_handle_and_frees_the_buffer(self, monkeypatch):
-        stub = _StubLibgcrypt(plain=crypto._SM4_KNOWN_KEY)
+        stub = _StubLibgcrypt(output=crypto._SM4_KNOWN_CIPHERTEXT)
         kernel = crypto._vet_libgcrypt(stub)
-        stub.gcry_cipher_decrypt = lambda *args: 0x4C  # any nonzero gcry_error_t
+        stub.gcry_cipher_encrypt = lambda *args: 0x4C  # any nonzero gcry_error_t
         monkeypatch.setattr(crypto, "_libgcrypt", kernel)
-        buf = bytearray(16 + 15)
+        buf = bytearray(32)
         closed = stub.closed
-        with pytest.raises(HainaError, match="cipher_decrypt"):
+        with pytest.raises(HainaError, match="cipher_encrypt"):
             decrypt_file(buf, bytes(KEY_SIZE), bytes(16))
         assert stub.closed == closed + 1
         del buf[16:]  # no export is left: the buffer can still be cut
@@ -442,7 +553,7 @@ class TestKernelSelection:
             "key, iv = bytes(32), bytes(16); "
             "domains = crypto.embed_key_shards([crypto.ciphertext_size(5)], key); "
             "crypto.encrypt_file(b'plain', key, iv, domains); "
-            "buf = bytearray(domains[0][32:]) + bytearray(15); crypto.decrypt_file(buf, key, iv); "
+            "buf = bytearray(domains[0][32:]); crypto.decrypt_file(buf, key, iv); "
             "assert buf == b'plain'"
         )
         result = subprocess.run([sys.executable, "-X", "dev", "-c", code], capture_output=True, text=True, timeout=60)

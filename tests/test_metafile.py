@@ -87,7 +87,7 @@ def test_malformed_hex_rejected():
 
 
 @pytest.mark.parametrize(
-    "field,value", [("hash_alg", "sha3_256"), ("cipher", "aes128"), ("mode", "ctr"), ("version", True)]
+    "field,value", [("hash_alg", "sha3_256"), ("cipher", "aes128"), ("mode", "cbc"), ("version", True)]
 )
 def test_other_fixed_value_rejected(field, value):
     doc = json.loads(serialize_meta_file(_meta()).decode())
