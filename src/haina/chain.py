@@ -24,13 +24,6 @@ class Block:
     next_hash: bytes
     data: bytes  # any bytes-like: a bytearray on upload, a read-only view of the serialized block once parsed
 
-    def __post_init__(self):
-        hashing.check_digest(self.previous_hash)
-        hashing.check_digest(self.current_hash)
-        hashing.check_digest(self.next_hash)
-        if not self.data:
-            raise UsageError("block data domain must be non-empty")
-
 
 def build_chain(payloads) -> tuple:
     """Build an unlocked circular chain over the given data-domain payloads.
@@ -93,12 +86,19 @@ def serialize_block(block: Block) -> bytes:
 
 
 def deserialize_block(raw) -> Block:
-    """Parse a serialized block: the pointers are copied, the data is a read-only view of `raw`."""
+    """Parse a serialized block: the pointers are copied, the data is a read-only view of `raw`.
+
+    The one check of a block's form, where its bytes arrive from a peer or
+    the disk: a length field that frames `raw` exactly, and a non-empty
+    data domain.
+    """
     if len(raw) < BLOCK_OVERHEAD:
         raise UsageError(f"serialized block too short: {len(raw)} bytes")
     size = stated_size(raw)
     if len(raw) != size:
         raise UsageError(f"serialized block length mismatch: header says {size - BLOCK_OVERHEAD}")
+    if size == BLOCK_OVERHEAD:
+        raise UsageError("block data domain must be non-empty")
     view = memoryview(raw)
     return Block(
         previous_hash=bytes(view[0:32]),

@@ -69,7 +69,7 @@ def node_serve(listen, advertise, data_dir, quota_gb, nf_path, bootstrap):
                 reply, _ = net.request(name, bootstrap, Frame(MsgType.GET_NF), 5000.0)
                 if reply.type is MsgType.NF_DATA:
                     digest = hashing.parse_hex_digest(reply.header.get("digest"), "digest")
-                    nf = update_node_file(nf, digest, lambda: reply.body)
+                    nf = update_node_file(nf, digest, reply.body)
             if name not in nf.addresses:  # a node off its own roster is never elected, and polls itself
                 flag = "--advertise" if advertise else "--listen"
                 raise UsageError(f"{flag} {name} is not on the roster this node would serve")

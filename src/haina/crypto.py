@@ -3,11 +3,13 @@
 The 256-bit file key is derived from the file content and a timestamp;
 only its first 16 bytes drive the cipher (SM4 takes a 128-bit key), but
 the full 32 bytes are sharded round-robin across the data blocks, each
-shard prepended to its block's data domain.  Upload writes the
-ciphertext straight into the data domains, so it never exists whole;
-download copies each slice into one buffer and decrypts it in place.
+shard prepended to its block's data domain.  Upload copies the padded
+file into the data domains and enciphers them in place, so the
+ciphertext never exists whole; download copies each slice into one
+buffer and deciphers it in place.
 
-The cipher is SM4-CTR over the PKCS#7-padded file, in both directions.
+The cipher is SM4-CTR over the PKCS#7-padded file, in both directions,
+and always in place, on a list of writable views taken as one stream.
 It runs on the system's libgcrypt (1.9 or later) where it is installed
 and passes a known-answer check, and on `cryptography` otherwise; both
 give the same bytes and the same errors.
@@ -56,46 +58,6 @@ _GCRY_SIGNATURES = {
 }
 
 
-class _PyBuffer(ctypes.Structure):
-    """CPython's Py_buffer, which PyObject_GetBuffer fills in."""
-
-    _fields_ = [
-        ("buf", ctypes.c_void_p),
-        ("obj", ctypes.c_void_p),
-        ("len", ctypes.c_ssize_t),
-        ("itemsize", ctypes.c_ssize_t),
-        ("readonly", ctypes.c_int),
-        ("ndim", ctypes.c_int),
-        ("format", ctypes.c_char_p),
-        ("shape", ctypes.c_void_p),
-        ("strides", ctypes.c_void_p),
-        ("suboffsets", ctypes.c_void_p),
-        ("internal", ctypes.c_void_p),
-    ]
-
-
-# prototypes of their own, so that the shared `ctypes.pythonapi` functions keep their types
-_get_buffer = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.POINTER(_PyBuffer), ctypes.c_int)(
-    ("PyObject_GetBuffer", ctypes.pythonapi)
-)
-_release_buffer = ctypes.PYFUNCTYPE(None, ctypes.POINTER(_PyBuffer))(("PyBuffer_Release", ctypes.pythonapi))
-_PYBUF_WRITABLE = 1
-
-
-def _address(view: memoryview, flags: int = 0) -> int:
-    """The address of the first byte of contiguous `view`; `view` must stay alive while it is used.
-
-    Read-only buffers such as `bytes` have an address too, which ctypes'
-    `from_buffer` would refuse; and no ctypes array type is made, which
-    ctypes would cache for every new length.
-    """
-    info = _PyBuffer()
-    _get_buffer(view, ctypes.byref(info), flags)  # raises what the exporter raises, e.g. for a read-only view
-    address = info.buf
-    _release_buffer(ctypes.byref(info))  # `view` itself keeps the bytes in place
-    return address
-
-
 def _gcry_check(rc: int, call: str) -> None:
     if rc:
         raise HainaError(f"libgcrypt {call} failed with error code {rc:#x}")
@@ -108,11 +70,11 @@ class _Libgcrypt:
         self.lib = lib
         self.algo = algo
 
-    def ctr(self, key: bytes, iv: bytes, runs) -> None:
-        """Encipher each (out, src) pair of `runs` in order as one SM4-CTR stream from counter `iv`.
+    def ctr(self, key: bytes, iv: bytes, views) -> None:
+        """Encipher each writable view of `views` in place, in order, as one SM4-CTR stream from counter `iv`.
 
-        A run may end inside a cipher block: libgcrypt carries the rest of
-        its keystream block into the next run.
+        A view may end inside a cipher block: libgcrypt carries the rest of
+        its keystream block into the next view.
         """
         lib = self.lib
         handle = ctypes.c_void_p()
@@ -120,9 +82,13 @@ class _Libgcrypt:
         try:
             _gcry_check(lib.gcry_cipher_setkey(handle, key, len(key)), "cipher_setkey")
             _gcry_check(lib.gcry_cipher_setctr(handle, iv, len(iv)), "cipher_setctr")
-            for out, src in runs:
-                rc = lib.gcry_cipher_encrypt(handle, _address(out, _PYBUF_WRITABLE), len(out), _address(src), len(src))
-                _gcry_check(rc, "cipher_encrypt")
+            for view in views:
+                if not view:  # from_buffer refuses an empty buffer
+                    continue
+                # a c_char, not an array type, which ctypes would cache for every new length;
+                # in = NULL, inlen = 0 is libgcrypt's in-place form
+                address = ctypes.addressof(ctypes.c_char.from_buffer(view))
+                _gcry_check(lib.gcry_cipher_encrypt(handle, address, len(view), None, 0), "cipher_encrypt")
         finally:
             lib.gcry_cipher_close(handle)
 
@@ -140,7 +106,7 @@ def _vet_libgcrypt(lib):
     kernel = _Libgcrypt(lib, algo)
     block = bytearray(CIPHER_BLOCK)
     try:
-        kernel.ctr(_SM4_KNOWN_KEY, _SM4_KNOWN_KEY, [(memoryview(block), memoryview(block))])
+        kernel.ctr(_SM4_KNOWN_KEY, _SM4_KNOWN_KEY, [memoryview(block)])
     except HainaError:
         return None
     return kernel if block == _SM4_KNOWN_CIPHERTEXT else None
@@ -187,23 +153,28 @@ def generate_mask(rng) -> bytes:
             return mask
 
 
-def _sm4_ctr(key: bytes, iv: bytes, runs) -> None:
-    """Encipher each (out, src) pair of `runs` in order as one SM4-CTR stream under the key's first 16 bytes.
+def _sm4_ctr(key: bytes, iv: bytes, views) -> None:
+    """Encipher each writable view of `views` in place, in order, as one SM4-CTR stream under the key's first 16 bytes.
 
-    The counter starts at `iv`.  Each `out` is a writable view as long as
-    its `src`, or the same bytes.  SM4-CTR is the only cipher haina uses;
+    The counter starts at `iv`.  SM4-CTR is the only cipher haina uses;
     libgcrypt runs it where it passed its checks, else `cryptography`.
     """
-    if len(iv) != CIPHER_BLOCK:
-        raise UsageError(f"iv must be {CIPHER_BLOCK} bytes, got {len(iv)}")
     if _libgcrypt is not None:
-        _libgcrypt.ctr(bytes(key[:CIPHER_KEY_SIZE]), bytes(iv), runs)  # ctypes passes bytes only
+        _libgcrypt.ctr(bytes(key[:CIPHER_KEY_SIZE]), bytes(iv), views)  # ctypes passes bytes only
         return
     enc = Cipher(algorithms.SM4(key[:CIPHER_KEY_SIZE]), modes.CTR(iv)).encryptor()
-    for out, src in runs:
-        for at in range(0, len(src), _FALLBACK_CHUNK):
-            out[at : at + _FALLBACK_CHUNK] = enc.update(src[at : at + _FALLBACK_CHUNK])
+    for view in views:
+        for at in range(0, len(view), _FALLBACK_CHUNK):
+            view[at : at + _FALLBACK_CHUNK] = enc.update(view[at : at + _FALLBACK_CHUNK])
     enc.finalize()
+
+
+def _check_key_and_iv(key: bytes, iv: bytes) -> None:
+    """Refuse a key or IV of the wrong length before any buffer is touched."""
+    if len(key) != KEY_SIZE:
+        raise UsageError(f"file key must be {KEY_SIZE} bytes")
+    if len(iv) != CIPHER_BLOCK:
+        raise UsageError(f"iv must be {CIPHER_BLOCK} bytes, got {len(iv)}")
 
 
 def ciphertext_size(length: int) -> int:
@@ -211,44 +182,32 @@ def ciphertext_size(length: int) -> int:
     return length - length % CIPHER_BLOCK + CIPHER_BLOCK
 
 
-def _encryption_runs(src: memoryview, padding: bytes, slices):
-    """(out, src) pairs that fill `slices` in order with the plaintext `src`, then `padding`.
-
-    One pair per slice, and one more where a slice takes both the file's
-    last bytes and the padding, or the padding straddles slices.
-    """
-    pieces = [src, memoryview(padding)]
-    for out in slices:
-        while out:
-            piece = pieces[0]
-            take = min(len(out), len(piece))
-            yield out[:take], piece[:take]
-            out, pieces[0] = out[take:], piece[take:]
-            if not pieces[0]:
-                del pieces[0]
-
-
 def encrypt_file(file, key: bytes, iv: bytes, domains) -> None:
     """SM4-CTR encrypt `file` with PKCS#7 padding into the data domains, after each key shard.
 
     `domains` are the buffers `embed_key_shards` lays out from the slice
     sizes of `split_ciphertext(ciphertext_size(len(file)), n)`; the
-    ciphertext overwrites their slices in order.  Each slice is enciphered
-    straight from the file into the domain, so the whole ciphertext never
-    exists in one piece.
+    ciphertext overwrites their slices in order.  The file's bytes and the
+    padding are copied into the slices, which are then enciphered in
+    place as one stream, so the whole ciphertext never exists in one piece.
     """
     if not file:
         raise UsageError("cannot encrypt an empty file")
-    if len(key) != KEY_SIZE:
-        raise UsageError(f"file key must be {KEY_SIZE} bytes")
+    _check_key_and_iv(key, iv)
     if not domains:
         raise UsageError("need at least one data domain")
     slices = [memoryview(d)[size:] for d, size in zip(domains, shard_sizes(KEY_SIZE, len(domains)))]
     if sum(len(s) for s in slices) != ciphertext_size(len(file)):
         raise UsageError(f"the data domains do not hold the {ciphertext_size(len(file))}-byte ciphertext")
     pad = CIPHER_BLOCK - len(file) % CIPHER_BLOCK
+    at = 0
     with memoryview(file) as src:
-        _sm4_ctr(key, iv, _encryption_runs(src, bytes((pad,)) * pad, slices))
+        for out in slices:
+            part = src[at : at + len(out)]
+            out[: len(part)] = part
+            out[len(part) :] = bytes((pad,)) * (len(out) - len(part))
+            at += len(out)
+    _sm4_ctr(key, iv, slices)
 
 
 def decrypt_file(buf: bytearray, key: bytes, iv: bytes) -> None:
@@ -261,13 +220,12 @@ def decrypt_file(buf: bytearray, key: bytes, iv: bytes) -> None:
     """
     if not isinstance(buf, bytearray):
         raise UsageError("decrypt_file decrypts a bytearray in place")
-    if len(key) != KEY_SIZE:
-        raise UsageError(f"file key must be {KEY_SIZE} bytes")
+    _check_key_and_iv(key, iv)
     total = len(buf)
     if total == 0 or total % CIPHER_BLOCK:
         raise UsageError(f"the buffer must hold whole {CIPHER_BLOCK}-byte cipher blocks")
     with memoryview(buf) as view:
-        _sm4_ctr(key, iv, [(view, view)])
+        _sm4_ctr(key, iv, [view])
     pad = buf[total - 1]
     if not 1 <= pad <= CIPHER_BLOCK or buf.count(pad, total - pad, total) != pad:
         raise IntegrityError("bad padding on decrypt (wrong key or corrupt data)")

@@ -7,7 +7,7 @@ the algorithm as "sha256" and no other value is accepted.
 
 import hashlib
 
-from .errors import ParseError, UsageError
+from .errors import ParseError
 
 DIGEST_SIZE = 32
 ALGORITHM = "sha256"  # the name the meta file records
@@ -16,14 +16,6 @@ ALGORITHM = "sha256"  # the name the meta file records
 def digest(data: bytes) -> bytes:
     """SHA-256 digest of `data`."""
     return hashlib.sha256(data).digest()
-
-
-def check_digest(value: bytes) -> bytes:
-    if not isinstance(value, (bytes, bytearray)):
-        raise UsageError(f"digest must be {DIGEST_SIZE} bytes, got {type(value).__name__}")
-    if len(value) != DIGEST_SIZE:
-        raise UsageError(f"digest must be exactly {DIGEST_SIZE} bytes, got {len(value)}")
-    return bytes(value)
 
 
 def parse_hex_digest(text: str, field: str = "digest") -> bytes:

@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 from . import hashing
-from .crypto import CIPHER_BLOCK
+from .crypto import CIPHER_BLOCK, ciphertext_size
 from .errors import ParseError
 from .locking import MASK_SIZE
 
@@ -50,6 +50,8 @@ class MetaFile:
                 raise ParseError(f.name, f"must be {_HEX_SIZES[f.name]} bytes")
         if not any(self.mask):
             raise ParseError("mask", "must be nonzero")
+        if self.block_count > ciphertext_size(self.file_length):  # upload's split_ciphertext rule
+            raise ParseError("block_count", f"exceeds the {ciphertext_size(self.file_length)}-byte ciphertext")
 
 
 def serialize_meta_file(meta: MetaFile) -> bytes:

@@ -63,16 +63,15 @@ def parse_node_file(raw) -> NodeFile:
     return make_node_file(lines)
 
 
-def update_node_file(local: NodeFile, remote_digest: bytes, fetch_remote) -> NodeFile:
+def update_node_file(local: NodeFile, remote_digest: bytes, raw) -> NodeFile:
     """Digest-compare-and-replace synchronization with one peer.
 
-    `fetch_remote` is called only on digest mismatch and must return
-    the remote roster's canonical bytes; the replacement is verified
+    `raw` is the remote roster's canonical bytes, as its `NF_DATA` body
+    carries them; it is parsed only on digest mismatch, and verified
     against the claimed digest before adoption.
     """
     if local.digest == remote_digest:
         return local
-    raw = fetch_remote()
     if hashing.digest(raw) != remote_digest:
         raise IntegrityError("remote node file does not match its claimed digest")
     replacement = parse_node_file(raw)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haina.chain import (
+    BLOCK_OVERHEAD,
     Block,
     build_chain,
     deserialize_block,
@@ -117,12 +118,6 @@ def test_equal_data_equal_address():
     assert c1[0].current_hash == c2[0].current_hash
 
 
-@pytest.mark.parametrize("pointer", [None, b"\x01" * 31, "00" * 32])
-def test_malformed_pointer_is_a_usage_error(pointer):
-    with pytest.raises(UsageError, match="digest must be"):
-        Block(pointer, H(b"x"), H(b"x"), b"x")
-
-
 def test_block_serialization_roundtrip():
     chain = build_chain([b"hello", b"world"])
     block = chain[1]
@@ -148,3 +143,9 @@ def test_deserialize_rejects_bad_length():
         deserialize_block(raw + b"z")
     with pytest.raises(UsageError):
         deserialize_block(raw[:50])
+
+
+def test_deserialize_rejects_an_empty_data_domain():
+    empty = serialize_block(build_chain([b"x"])[0])[:BLOCK_OVERHEAD - 8] + bytes(8)
+    with pytest.raises(UsageError, match="data domain must be non-empty"):
+        deserialize_block(empty)

@@ -418,7 +418,7 @@ class TestKernels:
         ids=["bytearray", "memoryview-of-bytearray", "read-only-memoryview"],
     )
     def test_the_file_is_read_where_it_lies(self, wrap):
-        # a view at an offset: a kernel that mis-addresses its source, or copies it, fails here
+        # a view at an offset: copying from the wrong place, or through a second copy of the file, fails here
         size = (1 << 20) + 5
         rng = random.Random(size)
         plain, key, iv = rng.randbytes(size), rng.randbytes(KEY_SIZE), rng.randbytes(16)
@@ -433,6 +433,17 @@ class TestKernels:
         assert domains == _reference_domains(plain, key, iv, 16)
         assert file == plain
         assert peak < 64 * 1024, f"encrypting a {size}-byte file allocated {peak} bytes"
+
+    @pytest.mark.parametrize("sizes", [[0, 16], [8, 0, 8], [16, 0]], ids=["first", "middle", "last"])
+    def test_an_empty_slice_is_skipped(self, sizes):
+        # embed_key_shards takes any sizes: an empty slice holds no ciphertext, and the stream runs on past it
+        file, key, iv = b"plain", generate_key(b"e", 8), bytes(range(16))
+        domains = embed_key_shards(sizes, key)
+        encrypt_file(file, key, iv, domains)
+        ciphertext = _reference_ciphertext(file, key, iv)
+        ends = [sum(sizes[:j]) for j in range(len(sizes) + 1)]
+        n = len(sizes)
+        assert domains == [bytes(key[j::n]) + ciphertext[ends[j] : ends[j + 1]] for j in range(n)]
 
     def test_the_counter_carries_across_all_128_bits(self):
         # counters 2**128 - 2, 2**128 - 1, 0 and 1: each keystream block is one SM4 block of its counter

@@ -64,6 +64,17 @@ def test_bool_count_rejected_on_build_and_parse(field):
         parse_meta_file(json.dumps(doc).encode())
 
 
+def test_block_count_past_the_ciphertext_rejected_on_build_and_parse():
+    # upload gives each block at least one ciphertext byte, and 1234 bytes pad to 1248
+    assert _meta(block_count=1248).block_count == 1248
+    with pytest.raises(ParseError, match="block_count"):
+        _meta(block_count=1249)
+    doc = json.loads(serialize_meta_file(_meta()).decode())
+    doc["block_count"] = 10**12  # a download would size its lists by it before fetching a block
+    with pytest.raises(ParseError, match="block_count"):
+        parse_meta_file(json.dumps(doc).encode())
+
+
 @pytest.mark.parametrize("field", ["header_digest", "mask", "first_beginner", "block_count", "iv", "chain_root"])
 def test_missing_field_named(field):
     doc = json.loads(serialize_meta_file(_meta()).decode())

@@ -35,6 +35,11 @@ def _block(data=b"payload"):
     return chain[0]
 
 
+def _empty_record():
+    """A serialized block whose length field states 0 data bytes."""
+    return serialize_block(_block())[: BLOCK_OVERHEAD - 8] + bytes(8)
+
+
 class TestBlockStore:
     def test_put_get_roundtrip(self):
         store = BlockStore(10**6)
@@ -174,6 +179,15 @@ class TestBlockStore:
         BlockStore(10**6, data_dir=str(tmp_path))
         assert cut.read_bytes() == bytes(damaged) + b"\x00" * 7
 
+    def test_a_record_with_no_data_cuts_the_log(self, tmp_path):
+        first, second = serialize_block(_block(b"first")), serialize_block(_block(b"second"))
+        log, cut = tmp_path / LOG_NAME, tmp_path / (LOG_NAME + ".cut")
+        log.write_bytes(first + _empty_record() + second)
+        reopened = BlockStore(10**6, data_dir=str(tmp_path))
+        assert stored_addresses(reopened) == {_block(b"first").current_hash}
+        assert reopened.used_bytes == len(first) and log.read_bytes() == first
+        assert cut.read_bytes() == _empty_record() + second
+
     def test_reopening_a_log_reads_it_one_record_at_a_time(self, tmp_path):
         store = BlockStore(10**8, data_dir=str(tmp_path))
         rng = random.Random(64)
@@ -260,6 +274,14 @@ class TestNodeService:
         assert reply.type is MsgType.STORE_ACK
         address = block.current_hash
         assert reply.header["stored"] == address.hex()
+
+    def test_block_with_no_data_is_refused_and_stores_nothing(self):
+        net, _, services = _sim_pair()
+        frame = Frame(MsgType.STORE_READY, {"next_size": "0", "elect": "0"}, _empty_record())
+        reply, _ = net.request("u:0", "a:1", frame)
+        assert reply.type is MsgType.ERROR
+        assert "non-empty" in reply.header["reason"]
+        assert services["a:1"].store.used_bytes == 0 and stored_addresses(services["a:1"].store) == set()
 
     @pytest.mark.parametrize("over", [0, 1])
     def test_block_it_could_not_serve_back_is_refused(self, monkeypatch, over):
