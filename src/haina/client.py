@@ -49,7 +49,7 @@ from .por import PorConfig, check_rate, check_store, pick_first_beginner
 from .resolve import resolve
 
 USER_ADDRESS = "user:0"
-MAX_STORE_RETRIES = 3  # storage-check failures tolerated per block
+MAX_STORE_RETRIES = 3  # failed stores (an ERROR reply, no reply, a failed storage check) tolerated per block
 # a walk keeps each position's unlocked pointer domain: previous || current || next
 _PREVIOUS, _CURRENT, _NEXT = (slice(i * hashing.DIGEST_SIZE, (i + 1) * hashing.DIGEST_SIZE) for i in range(3))
 
@@ -86,7 +86,7 @@ class DownloadReport:
 
 
 def _place_block(transport, node, block, next_size, elect, cfg, nf):
-    """Send one STORE_READY; returns (STORE_ACK, candidates or None, campaign ms, rtt)."""
+    """Send one STORE_READY; returns (STORE_ACK, candidates or None, campaign ms, rtt), or raises NetworkError."""
     header = {"next_size": str(next_size), "elect": "1" if elect else "0"}
     frame = Frame(MsgType.STORE_READY, header, serialize_block(block))
     # a store round-trip nests the campaign, so it needs headroom
@@ -126,6 +126,12 @@ def upload(
     key timestamp, mask, IV, and first-beginner draws all come from the
     injected randomness, in that order.  Without either, every draw
     comes from the OS entropy source.
+
+    A store fails on an ERROR reply, a refused connect or a timeout
+    (NetworkError), or a STORE_ACK that fails `check_store`; the block
+    then moves to an untried node, chosen as on the first try.  Past
+    MAX_STORE_RETRIES retries, or with no untried node left, upload
+    raises the last attempt's error class.
     """
     if not file:
         raise UsageError("cannot upload an empty file")
@@ -169,30 +175,36 @@ def upload(
     counts = Counter()  # the paper's provisional records: blocks per node in this event, dropped with it
     placements, decision_ms, transfer_ms, escalations = [], [], [], []
     rate = cfg.rate
-    current = _pick_reachable_beginner(transport, nf, rng, cfg)
     candidates = nf.addresses  # the nodes that may hold the current block
 
     for i, block in enumerate(blocks):
         elect = i < n - 1
-        failed = set()
+        failed = set()  # the nodes this block's store failed on
         while True:
-            ack, elected, campaign_ms, rtt = _place_block(
-                transport, current, block, sizes[(i + 1) % n], elect, cfg, nf
-            )
-            if check_store(ack, block.current_hash):
-                break
-            # a failed check moves the block to a node not yet tried: a new
-            # reachable draw for block 0, the next fair candidate after it
-            failed.add(current)
-            untried = [a for a in candidates if a not in failed]
-            if len(failed) > MAX_STORE_RETRIES or not untried:
-                raise IntegrityError(
-                    f"block {i + 1} failed storage verification on {current} after {len(failed)} attempts"
-                )
+            # every try picks an untried node the same way: a roster draw for
+            # block 0, the fairness check over the election's candidates after it
             if i == 0:
-                current = _pick_reachable_beginner(transport, nf, rng, cfg, excluded=failed)
+                current = pick_first_beginner(nf, rng.getrandbits(32))
+                while current in failed:
+                    current = pick_first_beginner(nf, rng.getrandbits(32))
             else:
-                current, _, _ = check_rate(untried, counts, n, rate, cfg.rate)
+                untried = [a for a in candidates if a not in failed] if failed else candidates  # no copy on a first try
+                current, rate, escalated = check_rate(untried, counts, n, rate, cfg.rate)
+                if escalated:
+                    escalations.append((i, rate))
+            try:
+                ack, elected, campaign_ms, rtt = _place_block(
+                    transport, current, block, sizes[(i + 1) % n], elect, cfg, nf
+                )
+            except NetworkError as exc:  # an ERROR reply, a refused connect or a timeout
+                error = exc
+            else:
+                if check_store(ack, block.current_hash):
+                    break
+                error = IntegrityError(f"{current} failed the storage check")
+            failed.add(current)
+            if len(failed) > MAX_STORE_RETRIES or failed.issuperset(candidates):
+                raise type(error)(f"block {i + 1} not stored after {len(failed)} attempts; the last: {error}")
         # stored and checked: drop the client's copy, so client and nodes hold the file once
         blocks[i] = block = None
         counts[current] += 1
@@ -205,9 +217,6 @@ def upload(
                 # the last block neighbours block 0 on the circle: a node holding
                 # both would hold H(last) and H(last) xor mask, and so the mask
                 candidates = [a for a in candidates if a != placements[0]]
-            current, rate, escalated = check_rate(candidates, counts, n, rate, cfg.rate)
-            if escalated:
-                escalations.append((i + 1, rate))
 
     meta = MetaFile(
         first_beginner=placements[0],
@@ -227,22 +236,6 @@ def upload(
         escalations=escalations,
         block_sizes=sizes,
     )
-
-
-def _pick_reachable_beginner(transport, nf, rng, cfg, excluded=()):
-    """Draw roster nodes outside `excluded` (never the whole roster) until one answers PING."""
-    last_error = None
-    for _ in range((MAX_STORE_RETRIES + 1) * len(nf)):  # one PING each
-        candidate = pick_first_beginner(nf, rng.getrandbits(32))
-        while candidate in excluded:
-            candidate = pick_first_beginner(nf, rng.getrandbits(32))
-        try:
-            reply, _ = transport.request(USER_ADDRESS, candidate, Frame(MsgType.PING), cfg.timeout_ms)
-            if reply.type is MsgType.PONG:
-                return candidate
-        except NetworkError as exc:
-            last_error = exc
-    raise NetworkError(f"no reachable first beginner found: {last_error}")
 
 
 def _fetch(transport, addresses, holders, timeout_ms):

@@ -103,8 +103,7 @@ class NodeService:
 
     def _on_get_block(self, frame):
         address = hashing.parse_hex_digest(frame.header.get("address"), "address")
-        if not self.store.has(address):
-            return error_frame(f"no block stored at {address.hex()}")
+        # a miss raises IntegrityError, which `handle` answers with an ERROR frame
         return Frame(MsgType.BLOCK_DATA, {"address": address.hex()}, self.store.get(address))
 
     def _on_has_block(self, frame):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import socket
 import threading
 import time
 import tracemalloc
@@ -12,9 +13,9 @@ from haina import frames, hashing
 from haina.blockstore import BlockStore
 from haina.chain import Block, build_chain, chain_root, deserialize_block, serialize_block
 from haina.client import USER_ADDRESS, bdam_fetch, download, speedup, unidirectional_fetch, upload
-from haina.errors import IncompleteChainError, IntegrityError, ParseError, UsageError
+from haina.errors import IncompleteChainError, IntegrityError, NetworkError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
-from haina.frames import Frame, MsgType
+from haina.frames import Frame, MsgType, error_frame
 from haina.locking import lock_chain, unlock_block
 from haina.metafile import MetaFile, parse_meta_file, serialize_meta_file
 from haina.node import NodeServer, NodeService
@@ -72,7 +73,7 @@ class TestUploadDownloadRoundTrip:
         rng = random.Random(53)
         upload(rng.randbytes(2000), 8, cfg, nf, net, rng=rng)
         sent = Counter(entry[3] for entry in messages if entry[1] == USER_ADDRESS)
-        assert sent == {"STORE_READY": 8, "PING": 1}
+        assert sent == {"STORE_READY": 8}
 
     def test_paper_cluster_operation_sends_a_fixed_message_mix(self, record_messages):
         # 63 elections x 46 polls, and 47 HAS_BLOCKs for each of 95 resolves
@@ -88,7 +89,6 @@ class TestUploadDownloadRoundTrip:
             "HAS_BLOCK": 4465, "HAS_BLOCK_REPLY": 4465,
             "GET_BLOCK": 128, "BLOCK_DATA": 128,
             "STORE_READY": 64, "STORE_ACK": 64,
-            "PING": 1, "PONG": 1,
         }
 
     def test_oversized_block_count_rejected(self):
@@ -351,7 +351,7 @@ class TestFaultInjection:
 
 
 class TestStoreRetries:
-    """A failed storage check moves the block on; when no node is left, upload raises IntegrityError."""
+    """A failed store moves the block on; when the budget or the untried nodes run out, upload raises."""
 
     @staticmethod
     def _corrupt(net, services, addresses):
@@ -370,7 +370,7 @@ class TestStoreRetries:
 
     def test_honest_node_asked_before_the_beginner_draws_run_out(self):
         # with this seed, once both corrupt nodes failed block 1, the next 16
-        # draws land on them again; they send no PING, so they spend no budget
+        # draws land on them again; a draw of a failed node sends nothing, so spends no budget
         net, nf, services, cfg = _cluster(nodes=3, seed=0)
         honest = nf.addresses[2]
         self._corrupt(net, services, nf.addresses[:2])
@@ -395,6 +395,99 @@ class TestStoreRetries:
         assert report.placements[0] != first_pick
         assert report.placements[-1] != report.placements[0]
         assert download(report.meta, nf, net).data == file
+
+
+    @staticmethod
+    def _first_draw(nf, seed):
+        """The node `upload(..., seed=seed)` draws first for block 0."""
+        probe = random.Random(seed)
+        probe.getrandbits(64)  # key timestamp
+        probe.randbytes(32)  # mask
+        probe.randbytes(16)  # iv
+        return nf.addresses[probe.getrandbits(32) % len(nf)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_first_draw_moves_the_header_block(self, seed):
+        net, nf, services, cfg = _cluster(nodes=5, seed=seed)
+        full = self._first_draw(nf, seed)
+        services[full].store = BlockStore(10)  # answers the STORE_READY with "quota exceeded"
+        file = random.Random(seed).randbytes(2000)
+        report = upload(file, 8, cfg, nf, net, seed=seed)
+        assert full not in report.placements
+        assert download(report.meta, nf, net).data == file
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_elected_node_answering_stores_with_an_error_is_skipped(self, seed, record_messages):
+        # its quota stays untouched, so it tops every election and is asked first
+        net, nf, services, cfg = _cluster(nodes=5, seed=seed)
+        messages = record_messages(net)
+        refuser = nf.addresses[seed % len(nf)]
+        net.add_node(refuser, _RefusesStores(services[refuser]))
+        file = random.Random(seed).randbytes(3000)
+        report = upload(file, 12, cfg, nf, net, seed=seed)
+        asked = [i for i, entry in enumerate(messages) if entry[2] == refuser and entry[3] == "STORE_READY"]
+        assert asked and all(messages[i + 1][3] == "ERROR" for i in asked)
+        assert refuser not in report.placements
+        assert download(report.meta, nf, net).data == file
+
+    def test_every_node_refusing_is_a_network_error(self):
+        net, nf, services, cfg = _cluster(nodes=5, seed=37)
+        for address in nf.addresses:
+            net.add_node(address, _RefusesStores(services[address]))
+        with pytest.raises(NetworkError, match="block 1 not stored after 4 attempts") as err:
+            upload(random.Random(37).randbytes(300), 4, cfg, nf, net, seed=37)
+        assert err.value.exit_code == 3
+
+    def test_a_retry_that_escalates_records_it(self):
+        # replaying the recorded escalations over the placements, no node holds
+        # more than one block past the rate in force when it took the block
+        n = 30
+        for seed in range(40):
+            net, nf, services, cfg = _cluster(nodes=5, seed=seed)
+            self._corrupt(net, services, nf.addresses[:1])
+            rng = random.Random(seed)
+            report = upload(rng.randbytes(3000), n, cfg, nf, net, rng=rng)
+            rate, escalations, counts = cfg.rate, dict(report.escalations), Counter()
+            for i, node in enumerate(report.placements):
+                rate = escalations.get(i, rate)
+                counts[node] += 1
+                assert counts[node] <= rate * n + 1, f"seed {seed}: block {i + 1} is {node}'s {counts[node]}th"
+
+    def test_loopback_first_draw_on_a_closed_port_moves_the_header_block(self):
+        servers = [NodeServer(("127.0.0.1", 0), None) for _ in range(3)]
+        with socket.socket() as probe:  # bound after the servers, so none of them can have its port
+            probe.bind(("127.0.0.1", 0))
+            closed = f"127.0.0.1:{probe.getsockname()[1]}"
+        nf = make_node_file([f"127.0.0.1:{server.server_address[1]}" for server in servers] + [closed])
+        for server in servers:
+            address = f"127.0.0.1:{server.server_address[1]}"
+            server.service = NodeService(address, BlockStore(10**9), nf, PorConfig(), RealNet())
+            server.serve_background()
+        seed = next(s for s in range(100) if self._first_draw(nf, s) == closed)
+        net = RealNet()
+        try:
+            file = random.Random(seed).randbytes(500)
+            report = upload(file, 4, PorConfig(), nf, net, seed=seed)
+            assert closed not in report.placements
+            assert download(report.meta, nf, net).data == file
+        finally:
+            net.close()
+            for server in servers:
+                server.shutdown()
+                server.server_close()
+                server.service.transport.close()
+
+
+class _RefusesStores:
+    """Faulty node: answers every STORE_READY with an ERROR, as a node whose disk fails would."""
+
+    def __init__(self, service):
+        self.service = service
+
+    def handle(self, frame):
+        if frame.type is MsgType.STORE_READY:
+            return error_frame("block not stored: disk failing")
+        return self.service.handle(frame)
 
 
 class _CorruptsStoredBytes:

@@ -160,8 +160,8 @@ def test_readme_spec_csv_is_byte_identical(name, sha256):
 @pytest.mark.parametrize(
     "name,sha256",
     [
-        ("decision_time", "8add92e384c7557e244780feda425bfab8a23f4a55f3529e2d8ec9c6abd33382"),
-        ("bdam_speedup", "f54c82bc51a026f1f3dcea9f163a6cfe744e8308db2baaff66378c8f3be4da51"),
+        ("decision_time", "6a3564a4f8c4e8bfa7918d246f933238f6d9e3944d52cc202acf6e0fe3b4f60d"),
+        ("bdam_speedup", "a8ca8ef0349998c46afbe038b619561ac644c6d65f541b3ff20cac5566839ec3"),
     ],
 )
 def test_jittered_readme_spec_csv_is_byte_identical(name, sha256):
