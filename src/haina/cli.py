@@ -101,11 +101,13 @@ def _write_csv(path, rows):
 @click.option("--blocks", "n", default=20, show_default=True, help="data block count")
 @click.option("--nf", "nf_path", required=True, type=click.Path(exists=True))
 @click.option("--rate", default=0.1, show_default=True, help="fairness threshold")
-@click.option("--seed", default=None, type=int, help="reproducible randomness")
+@click.option("--seed", default=None, type=int, help="reproducible randomness, for tests: one seed, one file key and IV")
 @click.option("--meta-out", default=None, type=click.Path(), help="meta file path")
 @click.option("--csv-out", default=None, type=click.Path(), help="metrics CSV path")
 def upload(file_path, n, nf_path, rate, seed, meta_out, csv_out):
     """Encrypt, shard, and place a file on the cluster; write its meta file."""
+    if seed is not None:
+        click.echo(f"warning: --seed {seed} fixes the file key and IV, so files uploaded under it share a keystream", err=True)
     try:
         with open(file_path, "rb") as fh:
             data = fh.read()

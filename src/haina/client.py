@@ -123,15 +123,18 @@ def upload(
     """Encrypt, shard, chain, lock, and place a file on the cluster.
 
     With `seed` (or an explicit `rng`) the whole run is reproducible:
-    key timestamp, mask, IV, and first-beginner draws all come from the
-    injected randomness, in that order.  Without either, every draw
-    comes from the OS entropy source.
+    the 32-byte file key, the mask, the IV and the first-beginner draws
+    all come from the injected randomness, in that order.  Without
+    either, every draw comes from the OS entropy source.  One seed gives
+    every file the same key and IV, and so the same SM4-CTR keystream.
 
     A store fails on an ERROR reply, a refused connect or a timeout
     (NetworkError), or a STORE_ACK that fails `check_store`; the block
-    then moves to an untried node, chosen as on the first try.  Past
-    MAX_STORE_RETRIES retries, or with no untried node left, upload
-    raises the last attempt's error class.
+    then moves to an untried node, chosen as on the first try.  A node
+    whose store failed is passed over for the rest of the upload while
+    any other untried candidate is left.  Past MAX_STORE_RETRIES retries
+    of one block, or with no untried node left, upload raises the last
+    attempt's error class.
     """
     if not file:
         raise UsageError("cannot upload an empty file")
@@ -141,7 +144,7 @@ def upload(
         rng = random.SystemRandom() if seed is None else random.Random(seed)
 
     t0 = time.perf_counter()
-    key = generate_key(file, rng.getrandbits(64))
+    key = generate_key(rng)
     mask = generate_mask(rng)
     iv = rng.randbytes(CIPHER_BLOCK)
     domains = embed_key_shards(split_ciphertext(ciphertext_size(len(file)), n), key)
@@ -176,6 +179,7 @@ def upload(
     placements, decision_ms, transfer_ms, escalations = [], [], [], []
     rate = cfg.rate
     candidates = nf.addresses  # the nodes that may hold the current block
+    shunned = set()  # the nodes a store of this upload failed on
 
     for i, block in enumerate(blocks):
         elect = i < n - 1
@@ -189,7 +193,9 @@ def upload(
                     current = pick_first_beginner(nf, rng.getrandbits(32))
             else:
                 untried = [a for a in candidates if a not in failed] if failed else candidates  # no copy on a first try
-                current, rate, escalated = check_rate(untried, counts, n, rate, cfg.rate)
+                # a node that failed an earlier block goes last: only when no other untried candidate is left
+                fresh = [a for a in untried if a not in shunned] if shunned else untried
+                current, rate, escalated = check_rate(fresh or untried, counts, n, rate, cfg.rate)
                 if escalated:
                     escalations.append((i, rate))
             try:
@@ -203,6 +209,7 @@ def upload(
                     break
                 error = IntegrityError(f"{current} failed the storage check")
             failed.add(current)
+            shunned.add(current)
             if len(failed) > MAX_STORE_RETRIES or failed.issuperset(candidates):
                 raise type(error)(f"block {i + 1} not stored after {len(failed)} attempts; the last: {error}")
         # stored and checked: drop the client's copy, so client and nodes hold the file once

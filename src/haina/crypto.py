@@ -1,12 +1,12 @@
 """File encryption, ciphertext blocking, and key sharding.
 
-The 256-bit file key is derived from the file content and a timestamp;
-only its first 16 bytes drive the cipher (SM4 takes a 128-bit key), but
-the full 32 bytes are sharded round-robin across the data blocks, each
-shard prepended to its block's data domain.  Upload copies the padded
-file into the data domains and enciphers them in place, so the
-ciphertext never exists whole; download copies each slice into one
-buffer and deciphers it in place.
+The 256-bit file key is drawn at random for each upload, so no pass
+over the file is spent on it; only its first 16 bytes drive the cipher
+(SM4 takes a 128-bit key), but the full 32 bytes are sharded round-robin
+across the data blocks, each shard prepended to its block's data domain.
+Upload copies the padded file into the data domains and enciphers them
+in place, so the ciphertext never exists whole; download copies each
+slice into one buffer and deciphers it in place.
 
 The cipher is SM4-CTR over the PKCS#7-padded file, in both directions,
 and always in place, on a list of writable views taken as one stream.
@@ -16,11 +16,9 @@ give the same bytes and the same errors.
 """
 
 import ctypes
-import struct
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from . import hashing
 from .errors import HainaError, IntegrityError, UsageError
 from .locking import MASK_SIZE
 
@@ -126,19 +124,15 @@ def _load_libgcrypt():
 _libgcrypt = _load_libgcrypt()
 
 
-def generate_key(file: bytes, timestamp: int) -> bytes:
-    """Derive the 32-byte file key: H(timestamp || H(file)).
+def generate_key(rng) -> bytes:
+    """Draw the 32-byte file key from `rng`.
 
-    The timestamp, any unsigned 64-bit value (`upload` draws it at
-    random), is encoded as 8 big-endian bytes, so repeated uploads of the
-    same file get distinct keys.
+    `rng` is a `random.Random` for reproducible runs, or a
+    `random.SystemRandom` for the OS entropy source.  The key does not
+    depend on the file, so a guess of the file cannot be checked against
+    the key or its shards.
     """
-    if not file:
-        raise UsageError("cannot derive a key for an empty file")
-    if not 0 <= timestamp < 1 << 64:
-        raise UsageError("timestamp must fit an unsigned 64-bit value")
-    inner = hashing.digest(file)
-    return hashing.digest(struct.pack(">Q", timestamp) + inner)
+    return rng.randbytes(KEY_SIZE)
 
 
 def generate_mask(rng) -> bytes:

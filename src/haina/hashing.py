@@ -1,7 +1,8 @@
 """SHA-256 digest helpers.
 
 Every digest in haina is SHA-256: a block's content address, the chain
-pointers, the file key and the roster digest.  The meta file records
+pointers, the chain root and the roster digest.  The file key is drawn
+at random, not hashed from the file.  The meta file records
 the algorithm as "sha256" and no other value is accepted.
 """
 

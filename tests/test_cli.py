@@ -278,3 +278,13 @@ class TestLiveRoundTrip:
             assert out.read_bytes() == payload
             clocks = {r.context["stage"]: r.context["clock"] for r in rows_from_csv(csv_path.read_text())}
             assert clocks == {f"fetch_{mode}": "wall", "header_fetch": "wall", "decrypt": "wall"}
+
+    def test_a_seeded_upload_warns_on_stderr_that_it_fixes_the_key(self, tmp_path, live_cluster):
+        src = tmp_path / "file.bin"
+        src.write_bytes(b"payload" * 100)
+        warning = "warning: --seed 3 fixes the file key and IV, so files uploaded under it share a keystream"
+        for seed, stderr in ((["--seed", "3"], [warning]), ([], [])):
+            result = _run("upload", "--file", str(src), "--blocks", "4", "--nf", live_cluster, *seed)
+            assert result.exit_code == 0, result.output
+            assert result.stderr.splitlines() == stderr
+            assert "warning" not in result.stdout

@@ -13,6 +13,7 @@ from haina import frames, hashing
 from haina.blockstore import BlockStore
 from haina.chain import Block, build_chain, chain_root, deserialize_block, serialize_block
 from haina.client import USER_ADDRESS, bdam_fetch, download, speedup, unidirectional_fetch, upload
+from haina.crypto import KEY_SIZE, ciphertext_size
 from haina.errors import IncompleteChainError, IntegrityError, NetworkError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType, error_frame
@@ -29,6 +30,15 @@ from oracles import stored_addresses, verify_chain
 def _cluster(nodes=5, latency=5.0, seed=0, **kw):
     spec = ClusterSpec(nodes=nodes, latency_ms=latency, seed=seed, **kw)
     return build_cluster(spec)
+
+
+def _first_draw(nf, seed):
+    """The node `upload(..., seed=seed)` draws first for block 0: its draws replayed in order."""
+    probe = random.Random(seed)
+    probe.randbytes(32)  # file key
+    probe.randbytes(32)  # mask, nonzero at its first draw
+    probe.randbytes(16)  # iv
+    return nf.addresses[probe.getrandbits(32) % len(nf)]
 
 
 class TestUploadDownloadRoundTrip:
@@ -75,6 +85,29 @@ class TestUploadDownloadRoundTrip:
         sent = Counter(entry[3] for entry in messages if entry[1] == USER_ADDRESS)
         assert sent == {"STORE_READY": 8}
 
+    def test_upload_hashes_each_data_domain_twice_and_never_the_file(self, monkeypatch):
+        # the client's build_chain and the node's put each hash every data domain,
+        # and chain_root hashes the n content addresses: no pass over the plaintext
+        net, nf, services, cfg = _cluster(nodes=5, seed=41)
+        file, n = random.Random(41).randbytes(5000), 8
+        hashed = []
+        digest = hashing.digest
+
+        def counted(data):
+            hashed.append(len(data))
+            return digest(data)
+
+        monkeypatch.setattr(hashing, "digest", counted)
+        upload(file, n, cfg, nf, net, seed=41)
+        assert sum(hashed) == 2 * (KEY_SIZE + ciphertext_size(len(file))) + hashing.DIGEST_SIZE * n
+
+    def test_empty_file_rejected(self, record_messages):
+        net, nf, services, cfg = _cluster()
+        messages = record_messages(net)
+        with pytest.raises(UsageError, match="empty file"):
+            upload(b"", 4, cfg, nf, net, seed=1)
+        assert messages == []
+
     def test_paper_cluster_operation_sends_a_fixed_message_mix(self, record_messages):
         # 63 elections x 46 polls, and 47 HAS_BLOCKs for each of 95 resolves
         net, nf, services, cfg = _cluster(nodes=47, seed=5)
@@ -119,13 +152,15 @@ class TestUploadDownloadRoundTrip:
         assert holder.store.has(report.meta.header_digest)
 
     def test_seeded_meta_file_is_byte_identical(self):
-        # SHA-256 of the version-2 meta file this seeded upload writes under SM4-CTR.
-        # Under SM4-CBC it was 43192156...: "mode", and with the ciphertext the
-        # header digest and chain root, changed.  Version 1's was aa190095...
+        # SHA-256 of the version-2 meta file this seeded upload writes under SM4-CTR
+        # with a drawn file key.  With the key H(ts || H(file)) it was 6d50aa3a...: the
+        # 32-byte key draw moves the mask, the IV and the placements after it.  Under
+        # SM4-CBC it was 43192156...: "mode", and with the ciphertext the header
+        # digest and chain root, changed.  Version 1's was aa190095...
         net, nf, services, cfg = _cluster(seed=7)
         report = upload(random.Random(7).randbytes(1000), 8, cfg, nf, net, seed=123)
         digest = hashlib.sha256(serialize_meta_file(report.meta)).hexdigest()
-        assert digest == "6d50aa3a13968b18763b78a9e12b9c9a4262ee53b66af59067915fc6da503b26"
+        assert digest == "536e622a35b4f175a3a10421b5013432c611ec110808d9aa954b0eb53bfc25f5"
 
     def test_unseeded_uploads_do_not_depend_on_the_clock(self, monkeypatch):
         monkeypatch.setattr(time, "time_ns", lambda: 1_700_000_000_000_000_000)
@@ -241,11 +276,7 @@ class TestFaultInjection:
         net, nf, services, cfg = _cluster(nodes=5, seed=11)
         rng = random.Random(11)
         # take the node the first draw would select fully offline
-        probe = random.Random(11)
-        probe.getrandbits(64)  # timestamp draw precedes the beginner draw
-        probe.randbytes(32)  # mask
-        probe.randbytes(16)  # iv
-        first_pick = nf.addresses[probe.getrandbits(32) % len(nf)]
+        first_pick = _first_draw(nf, 11)
         net.remove_node(first_pick)
         file = rng.randbytes(200)
         report = upload(file, 4, cfg, nf, net, seed=11)
@@ -265,7 +296,7 @@ class TestFaultInjection:
         assert download(report.meta, nf, net).data == file
 
     def test_failed_store_is_resent_byte_for_byte(self):
-        # the corrupt node keeps winning elections: block 0 and four later blocks are each sent twice
+        # the corrupt node gets block 1 first, and is passed over for every later block
         net, nf, services, cfg = _cluster(nodes=5, seed=5)
         bad = nf.addresses[0]
         net.add_node(bad, _CorruptsStoredBytes(services[bad]))
@@ -282,7 +313,7 @@ class TestFaultInjection:
         file = rng.randbytes(500)
         report = upload(file, 8, cfg, nf, net, rng=rng)
         failed = [i for i, (node, _, _) in enumerate(stores) if node == bad]
-        assert failed == [0, 5, 7, 9, 11] and len(stores) == 8 + len(failed)
+        assert failed == [1] and len(stores) == 8 + len(failed)
         for i in failed:
             assert stores[i + 1][0] != bad
             assert stores[i + 1][1:] == stores[i][1:]
@@ -382,11 +413,7 @@ class TestStoreRetries:
     def test_corrupting_first_draw_moves_the_header_block(self, record_messages):
         net, nf, services, cfg = _cluster(nodes=5, seed=31)
         messages = record_messages(net)
-        probe = random.Random(31)
-        probe.getrandbits(64)  # timestamp draw precedes the beginner draw
-        probe.randbytes(32)  # mask
-        probe.randbytes(16)  # iv
-        first_pick = nf.addresses[probe.getrandbits(32) % len(nf)]
+        first_pick = _first_draw(nf, 31)
         self._corrupt(net, services, [first_pick])
         file = random.Random(31).randbytes(2000)
         report = upload(file, 12, cfg, nf, net, seed=31)
@@ -396,20 +423,18 @@ class TestStoreRetries:
         assert report.placements[-1] != report.placements[0]
         assert download(report.meta, nf, net).data == file
 
-
-    @staticmethod
-    def _first_draw(nf, seed):
-        """The node `upload(..., seed=seed)` draws first for block 0."""
-        probe = random.Random(seed)
-        probe.getrandbits(64)  # key timestamp
-        probe.randbytes(32)  # mask
-        probe.randbytes(16)  # iv
-        return nf.addresses[probe.getrandbits(32) % len(nf)]
+    def test_first_draw_is_where_an_honest_cluster_puts_the_header_block(self):
+        # the tests that fault `_first_draw`'s node still pass if upload draws another node
+        # first, so they would test nothing; this keeps the mirror and upload in step
+        for seed in range(10):
+            net, nf, services, cfg = _cluster(nodes=5, seed=seed)
+            report = upload(random.Random(seed).randbytes(2000), 8, cfg, nf, net, seed=seed)
+            assert report.placements[0] == _first_draw(nf, seed), f"seed {seed}"
 
     @pytest.mark.parametrize("seed", range(5))
     def test_full_first_draw_moves_the_header_block(self, seed):
         net, nf, services, cfg = _cluster(nodes=5, seed=seed)
-        full = self._first_draw(nf, seed)
+        full = _first_draw(nf, seed)
         services[full].store = BlockStore(10)  # answers the STORE_READY with "quota exceeded"
         file = random.Random(seed).randbytes(2000)
         report = upload(file, 8, cfg, nf, net, seed=seed)
@@ -453,6 +478,20 @@ class TestStoreRetries:
                 counts[node] += 1
                 assert counts[node] <= rate * n + 1, f"seed {seed}: block {i + 1} is {node}'s {counts[node]}th"
 
+    def test_a_node_whose_store_failed_is_passed_over_for_the_rest_of_the_upload(self, record_messages):
+        # it holds no block, so the fairness check's rule (a) would put it first for every
+        # later block it is a candidate for; it is never the only untried candidate here
+        for seed in range(40):
+            net, nf, services, cfg = _cluster(nodes=5, seed=seed)
+            messages = record_messages(net)
+            bad = nf.addresses[0]
+            self._corrupt(net, services, [bad])
+            rng = random.Random(seed)
+            report = upload(rng.randbytes(3000), 30, cfg, nf, net, rng=rng)
+            sent = sum(1 for entry in messages if entry[2] == bad and entry[3] == "STORE_READY")
+            assert sent == 1, f"seed {seed}: {sent} STORE_READYs to the corrupt node"
+            assert bad not in report.placements
+
     def test_loopback_first_draw_on_a_closed_port_moves_the_header_block(self):
         servers = [NodeServer(("127.0.0.1", 0), None) for _ in range(3)]
         with socket.socket() as probe:  # bound after the servers, so none of them can have its port
@@ -463,7 +502,7 @@ class TestStoreRetries:
             address = f"127.0.0.1:{server.server_address[1]}"
             server.service = NodeService(address, BlockStore(10**9), nf, PorConfig(), RealNet())
             server.serve_background()
-        seed = next(s for s in range(100) if self._first_draw(nf, s) == closed)
+        seed = next(s for s in range(100) if _first_draw(nf, s) == closed)
         net = RealNet()
         try:
             file = random.Random(seed).randbytes(500)

@@ -30,6 +30,11 @@ from haina.errors import HainaError, IntegrityError, UsageError
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _key(seed):
+    """A fixed file key: the one an upload seeded with `seed` would draw."""
+    return generate_key(random.Random(seed))
+
+
 def _domains(file, key, iv, n):
     """The n data domains of `file`, encrypted straight into them as upload does."""
     domains = embed_key_shards(split_ciphertext(ciphertext_size(len(file)), n), key)
@@ -72,22 +77,16 @@ def _domains_by_each_kernel(file, key, iv, n):
 
 class TestGenerateKey:
     def test_frozen_regression_vector(self):
-        # expected value computed once with a direct hashlib composition
-        key = generate_key(b"the quick brown fox jumps over the lazy dog", 1700000000123456789)
-        assert key.hex() == "dfc2155f23bf6d53ec5c3dca1b43efc7816ffd71a0ec58cef004ed4fb70a2109"
+        # a seeded upload's key is the first 32 bytes of its rng stream; the seeded pins rest on this draw
+        key = generate_key(random.Random(1700000000))
+        assert key.hex() == "0b16105271fc9c57cb9f0f310c2d4b6b7d97681ed9be3cf67f7b79d16876c0b1"
 
-    def test_distinct_timestamps_distinct_keys(self):
-        assert generate_key(b"file", 1) != generate_key(b"file", 2)
-
-    def test_distinct_files_distinct_keys(self):
-        assert generate_key(b"file-a", 7) != generate_key(b"file-b", 7)
+    def test_independent_draws_differ(self):
+        rng = random.SystemRandom()
+        assert generate_key(rng) != generate_key(rng)
 
     def test_key_is_32_bytes(self):
-        assert len(generate_key(b"x", 0)) == 32
-
-    def test_empty_file_rejected(self):
-        with pytest.raises(UsageError):
-            generate_key(b"", 1)
+        assert len(generate_key(random.SystemRandom())) == 32
 
 
 class TestGenerateMask:
@@ -125,30 +124,30 @@ class TestCipher:
     def test_roundtrip_identity(self, size):
         rng = random.Random(size)
         file = rng.randbytes(size)
-        key = generate_key(file, 123)
+        key = _key(123)
         iv = rng.randbytes(16)
         assert _decrypt(_encrypt(file, key, iv), key, iv) == file
 
     def test_padding_arithmetic(self):
         iv = b"\x01" * 16
-        key = generate_key(b"a", 0)
+        key = _key(0)
         assert len(_encrypt(b"a", key, iv)) == 16
         assert len(_encrypt(b"a" * 16, key, iv)) == 32
 
     def test_wrong_key_raises_integrity_error(self):
         iv = b"\x02" * 16
-        ct = _encrypt(b"secret payload", generate_key(b"f", 1), iv)
+        ct = _encrypt(b"secret payload", _key(1), iv)
         with pytest.raises(IntegrityError):
-            _decrypt(ct, generate_key(b"f", 2), iv)
+            _decrypt(ct, _key(2), iv)
 
     def test_same_file_distinct_ivs_distinct_ciphertexts(self):
-        key = generate_key(b"f", 1)
+        key = _key(1)
         a = _encrypt(b"f" * 100, key, b"\x01" * 16)
         b = _encrypt(b"f" * 100, key, b"\x02" * 16)
         assert a != b
 
     def test_bad_iv_length_rejected(self):
-        key = generate_key(b"f", 1)
+        key = _key(1)
         with pytest.raises(UsageError):
             _encrypt(b"f", key, b"\x00" * 8)
         with pytest.raises(UsageError):
@@ -177,7 +176,7 @@ class TestBufferedCipher:
     def test_ciphertext_matches_reference_padder(self, size):
         rng = random.Random(size + 1)
         file = rng.randbytes(size)
-        key = generate_key(file, 99)
+        key = _key(99)
         iv = rng.randbytes(16)
         assert _encrypt(file, key, iv) == _reference_ciphertext(file, key, iv)
 
@@ -185,7 +184,7 @@ class TestBufferedCipher:
     def test_in_place_decryption_matches_reference_padder(self, size):
         rng = random.Random(size + 2)
         file = rng.randbytes(size)
-        key = generate_key(file, 98)
+        key = _key(98)
         iv = rng.randbytes(16)
         buf = bytearray(_reference_ciphertext(file, key, iv))
         assert decrypt_file(buf, key, iv) is None
@@ -197,7 +196,7 @@ class TestBufferedCipher:
         ids=["last-byte-0", "last-byte-17", "mismatched-pad-bytes"],
     )
     def test_corrupt_padding_raises_integrity_error(self, tail):
-        key = generate_key(b"f", 1)
+        key = _key(1)
         iv = b"\x03" * 16
         plain = b"p" * (32 - len(tail)) + tail
         with pytest.raises(IntegrityError):
@@ -206,7 +205,7 @@ class TestBufferedCipher:
     @pytest.mark.parametrize("wrap", [bytes, memoryview])
     def test_bare_buffer_rejected(self, wrap):
         # only a bytearray can be decrypted in place and then cut to the plaintext
-        key = generate_key(b"f", 1)
+        key = _key(1)
         ct = _encrypt(b"f", key, b"\x05" * 16)
         with pytest.raises(UsageError, match="bytearray"):
             decrypt_file(wrap(bytes(ct)), key, b"\x05" * 16)
@@ -214,7 +213,7 @@ class TestBufferedCipher:
     @pytest.mark.parametrize("length", [0, 14, 17])
     def test_buffer_of_part_blocks_rejected(self, length):
         # the ciphertext is whole cipher blocks: PKCS#7 always pads, by 1 to 16 bytes
-        key = generate_key(b"f", 1)
+        key = _key(1)
         ct = _encrypt(b"f" * 20, key, b"\x06" * 16)
         with pytest.raises(UsageError, match="whole"):
             decrypt_file(bytearray(ct[:length]), key, b"\x06" * 16)
@@ -239,7 +238,7 @@ class TestStreamedDomains:
     def test_domains_equal_the_reference(self, size, n):
         rng = random.Random(size * 31 + n)
         file = rng.randbytes(size)
-        key, iv = generate_key(file, 7), rng.randbytes(16)
+        key, iv = _key(7), rng.randbytes(16)
         expected = _reference_domains(file, key, iv, n)
         assert _domains_by_each_kernel(file, key, iv, n) == {name: expected for name in KERNELS}
 
@@ -260,7 +259,7 @@ class TestStreamedDomains:
         assert _decrypt(b"".join(d[k:] for d, k in zip(domains, shards)), key, iv) == file
 
     def test_domains_of_the_wrong_size_rejected(self):
-        key = generate_key(b"f", 1)
+        key = _key(1)
         domains = embed_key_shards(split_ciphertext(32, 2), key)  # 32 bytes: a 1-byte file needs 16
         with pytest.raises(UsageError, match="ciphertext"):
             encrypt_file(b"f", key, bytes(16), domains)
@@ -268,7 +267,7 @@ class TestStreamedDomains:
     def test_building_the_domains_holds_one_file(self):
         size = 4 * 1024 * 1024
         file = random.Random(3).randbytes(size)
-        key = generate_key(file, 1)
+        key = _key(1)
         tracemalloc.start()
         try:
             _domains(file, key, bytes(16), 16)
@@ -391,26 +390,26 @@ class TestKernels:
         assert _decrypt(_encrypt(file, key, iv), key, iv) == file
 
     def test_plaintext_matches_the_reference(self):
-        file, key, iv = b"k" * 100, generate_key(b"k", 5), b"\x07" * 16
+        file, key, iv = b"k" * 100, _key(5), b"\x07" * 16
         padded = file + bytes((12,)) * 12
         assert _decrypt(_raw_sm4_ctr(padded, key, iv), key, iv) == file
 
     def test_any_bytes_like_key_and_iv(self):
-        file, key, iv = b"bytes-like", generate_key(b"b", 3), b"\x08" * 16
+        file, key, iv = b"bytes-like", _key(3), b"\x08" * 16
         buf = bytearray(_encrypt(file, key, iv))
         decrypt_file(buf, bytearray(key), memoryview(iv))
         assert buf == file
 
     def test_corrupt_padding_raises_integrity_error(self):
-        key, iv = generate_key(b"f", 1), b"\x03" * 16
+        key, iv = _key(1), b"\x03" * 16
         with pytest.raises(IntegrityError):
             _decrypt(_raw_sm4_ctr(b"p" * 30 + b"\x02\x03", key, iv), key, iv)
 
     def test_wrong_key_raises_integrity_error(self):
         iv = b"\x02" * 16
-        ct = _encrypt(b"secret payload", generate_key(b"f", 1), iv)
+        ct = _encrypt(b"secret payload", _key(1), iv)
         with pytest.raises(IntegrityError):
-            _decrypt(ct, generate_key(b"f", 2), iv)
+            _decrypt(ct, _key(2), iv)
 
     @pytest.mark.parametrize(
         "wrap",
@@ -437,7 +436,7 @@ class TestKernels:
     @pytest.mark.parametrize("sizes", [[0, 16], [8, 0, 8], [16, 0]], ids=["first", "middle", "last"])
     def test_an_empty_slice_is_skipped(self, sizes):
         # embed_key_shards takes any sizes: an empty slice holds no ciphertext, and the stream runs on past it
-        file, key, iv = b"plain", generate_key(b"e", 8), bytes(range(16))
+        file, key, iv = b"plain", _key(8), bytes(range(16))
         domains = embed_key_shards(sizes, key)
         encrypt_file(file, key, iv, domains)
         ciphertext = _reference_ciphertext(file, key, iv)
@@ -447,7 +446,7 @@ class TestKernels:
 
     def test_the_counter_carries_across_all_128_bits(self):
         # counters 2**128 - 2, 2**128 - 1, 0 and 1: each keystream block is one SM4 block of its counter
-        key, iv = generate_key(b"c", 4), b"\xff" * 15 + b"\xfe"
+        key, iv = _key(4), b"\xff" * 15 + b"\xfe"
         file = bytes(range(63))  # 4 cipher blocks with its 1 byte of padding
         ecb = Cipher(algorithms.SM4(key[:16]), modes.ECB()).encryptor()
         counters = [(1 << 128) - 2, (1 << 128) - 1, 0, 1]
@@ -470,7 +469,7 @@ class TestKernels:
 
     def test_encrypting_leaves_nothing_allocated(self):
         # no reference cycle and no cached ctypes type per slice length: with gc off, every byte comes back
-        file, key = random.Random(64).randbytes(64 * 1024), generate_key(b"m", 6)
+        file, key = random.Random(64).randbytes(64 * 1024), _key(6)
         domains = embed_key_shards(split_ciphertext(ciphertext_size(len(file)), 64), key)
         gc.disable()
         tracemalloc.start()
@@ -508,7 +507,7 @@ class _SlackDemandingCipher:
 def test_the_fallback_needs_no_slack_in_update_into(monkeypatch):
     monkeypatch.setattr(crypto, "_libgcrypt", None)
     monkeypatch.setattr(crypto, "Cipher", _SlackDemandingCipher)
-    file, key, iv = random.Random(7).randbytes(100_003), generate_key(b"s", 7), bytes(range(16))
+    file, key, iv = random.Random(7).randbytes(100_003), _key(7), bytes(range(16))
     domains = _domains(file, key, iv, 16)
     assert domains == _reference_domains(file, key, iv, 16)
     buf = bytearray().join(d[size:] for d, size in zip(domains, shard_sizes(KEY_SIZE, 16)))

@@ -146,10 +146,10 @@ README_SPEC = {"nodes": 47, "blocks": 20, "events": 10, "file_bytes": 65536,
 @pytest.mark.parametrize(
     "name,sha256",
     [
-        ("fairness", "3dcf27436edf6a22babbdc42ae7027dbbf4dabe474e6b44a5692cec4d9dd895f"),
+        ("fairness", "505a35537e6164b08a988de73df8a40f78ae1ed545173a28a2ff3fdfe98e1997"),
         ("decision_time", "ea81f47f72390a6ef833f10872f11dfb4b612422533553aa1758a49edc133fc1"),
         ("bdam_speedup", "6e6a37709df5f6fad904dd643679cccb33d077b9b8c8368dfa56a63e7b2bb8da"),
-        ("capacity", "fe2aba2ac45c85eb06fc270127bf599e68fd5296186d1ce469f8a3ed34fa5b38"),
+        ("capacity", "34c041019cd1c0605cf9209c28250a49ab7dd3f5cf9d314f3862e6c217547ae6"),
     ],
 )
 def test_readme_spec_csv_is_byte_identical(name, sha256):
