@@ -17,7 +17,7 @@ from haina import blockstore, frames, node, realnet
 from haina.blockstore import LOG_NAME, BlockStore
 from haina.chain import BLOCK_OVERHEAD, build_chain, deserialize_block, serialize_block
 from haina.client import download, upload
-from haina.errors import NetworkError, ParseError, UsageError
+from haina.errors import IntegrityError, NetworkError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType, decode_frame, encode_frame
 from haina.node import NodeServer, NodeService
@@ -49,13 +49,15 @@ class TestBlockStore:
         assert store.get(address) == raw
         assert store.has(address)
 
-    def test_put_of_a_view_keeps_its_own_bytes(self):
+    def test_put_of_a_view_keeps_its_own_bytes(self, tmp_path):
         # a received frame's body is a view of the frame buffer; the store must not alias it
-        store = BlockStore(10**6)
-        buf = bytearray(serialize_block(_block()))
-        address = store.put(memoryview(buf).toreadonly())
-        buf[-1] ^= 0xFF
-        assert type(store.get(address)) is bytes and store.get(address) == serialize_block(_block())
+        in_memory, in_log = BlockStore(10**6), BlockStore(10**6, data_dir=str(tmp_path))
+        for store in (in_memory, in_log):
+            buf = bytearray(serialize_block(_block()))
+            address = store.put(memoryview(buf).toreadonly())
+            buf[-1] ^= 0xFF
+            assert store.get(address) == serialize_block(_block())
+        assert type(in_memory.get(address)) is bytes
 
     def test_quota_accounting(self):
         raw = serialize_block(_block())
@@ -202,8 +204,56 @@ class TestBlockStore:
         finally:
             tracemalloc.stop()
         assert len(stored_addresses(reopened)) == 64 and reopened.used_bytes == size
-        # the records themselves, plus one in flight: not a second copy of the log
-        assert peak < 1.25 * size, f"reopening peaked at {peak / size:.2f}x the log"
+        # the index alone: the log is read where it is mapped, not copied record by record
+        assert peak < 2 * size / 64, f"reopening peaked at {peak / (size / 64):.2f} records"
+
+    def test_a_data_dir_store_keeps_only_an_index_in_memory(self, tmp_path):
+        store = BlockStore(10**8, data_dir=str(tmp_path))
+        rng = random.Random(8)
+        tracemalloc.start()
+        try:
+            for _ in range(64):
+                store.put(serialize_block(_block(rng.randbytes(128 * 1024))))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert store.used_bytes > 8 * 2**20
+        assert retained < 2**20, f"{retained} bytes retained after {store.used_bytes} bytes of puts"
+
+    def test_a_served_view_outlives_later_puts(self, tmp_path):
+        store = BlockStore(10**8, data_dir=str(tmp_path))
+        first = serialize_block(_block(b"first"))
+        view = store.get(store.put(first))
+        later = [serialize_block(_block(bytes([i]) * 5000)) for i in range(8)]
+        addresses = [store.put(raw) for raw in later]
+        served = [store.get(address) for address in addresses]
+        assert served[-1].obj is not view.obj  # the log was mapped again for the later records
+        assert view.readonly and view == first
+        assert [bytes(record) for record in served] == later
+
+    def test_a_store_reopened_on_a_cut_log_serves_what_it_appends(self, tmp_path):
+        first, second = serialize_block(_block(b"first")), serialize_block(_block(b"second"))
+        (tmp_path / LOG_NAME).write_bytes(first + b"\xff" * 4096)
+        reopened = BlockStore(10**6, data_dir=str(tmp_path))
+        address = reopened.put(second)
+        assert reopened.get(_block(b"first").current_hash) == first
+        assert reopened.get(address) == second
+
+    @pytest.mark.parametrize("damage", ["short", "empty", "deleted"])
+    def test_a_log_shorter_than_its_index_is_refused(self, tmp_path, damage):
+        raw = serialize_block(_block())
+        store = BlockStore(10**6, data_dir=str(tmp_path))
+        address = store.put(raw)
+        log = tmp_path / LOG_NAME
+        if damage == "deleted":
+            log.unlink()
+        else:
+            os.truncate(log, len(raw) - 1 if damage == "short" else 0)
+        with pytest.raises(IntegrityError, match=LOG_NAME):
+            store.get(address)
+        service = NodeService("a:1", store, make_node_file(["a:1"]))
+        reply = service.handle(Frame(MsgType.GET_BLOCK, {"address": address.hex()}))
+        assert reply.type is MsgType.ERROR and LOG_NAME in reply.header["reason"]
 
     def test_data_dir_holds_only_the_log_and_a_duplicate_appends_nothing(self, tmp_path):
         store = BlockStore(10**6, data_dir=str(tmp_path))
