@@ -11,7 +11,7 @@ from . import hashing
 from .blockstore import BlockStore, quota_bytes
 from .client import download as client_download
 from .client import upload as client_upload
-from .errors import HainaError, UsageError
+from .errors import HainaError, NetworkError, UsageError
 from .experiments import EXPERIMENTS, parse_cluster_spec, run_experiment
 from .metafile import META_SUFFIX, parse_meta_file, serialize_meta_file
 from .metrics import MetricsRow, rows_to_csv
@@ -67,9 +67,11 @@ def node_serve(listen, advertise, data_dir, quota_gb, nf_path, bootstrap):
             nf = _load_node_file(nf_path)
             if bootstrap:
                 reply, _ = net.request(name, bootstrap, Frame(MsgType.GET_NF), 5000.0)
-                if reply.type is MsgType.NF_DATA:
-                    digest = hashing.parse_hex_digest(reply.header.get("digest"), "digest")
-                    nf = update_node_file(nf, digest, reply.body)
+                if reply.type is not MsgType.NF_DATA:
+                    reason = reply.header.get("reason", reply.type.name)
+                    raise NetworkError(f"bootstrap peer {bootstrap} sent no roster: {reason}")
+                digest = hashing.parse_hex_digest(reply.header.get("digest"), "digest")
+                nf = update_node_file(nf, digest, reply.body)
             if name not in nf.addresses:  # a node off its own roster is never elected, and polls itself
                 flag = "--advertise" if advertise else "--listen"
                 raise UsageError(f"{flag} {name} is not on the roster this node would serve")

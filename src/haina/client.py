@@ -246,32 +246,30 @@ def upload(
 
 
 def _fetch(transport, addresses, holders, timeout_ms):
-    """Fetch each content address from its holders' node addresses, in order.
+    """Fetch each content address from its holders' node addresses, in one exchange.
 
-    `holders[i]` lists the nodes to ask for `addresses[i]`.  The first
-    holder of every address is asked in one exchange; the addresses that
-    missed go to their next holder in the next exchange, and so on.  A
-    reply counts only if it is BLOCK_DATA, deserializes, and both its
-    data domain's digest and its `current_hash` (from which the chain
-    root is computed) equal its address.  Returns one locked Block per
-    address, or None where no holder served it.
+    `holders[i]` lists the nodes to ask for `addresses[i]`; every holder
+    of every address gets its GET_BLOCK at once, and no exchange is made
+    when no address has a holder.  A reply counts only if it is
+    BLOCK_DATA, deserializes, and both its data domain's digest and its
+    `current_hash` (from which the chain root is computed) equal its
+    address; each address keeps the first such reply in holder order.
+    Returns one locked Block per address, or None where no holder served it.
     """
     blocks = [None] * len(addresses)
-    asked = [i for i, nodes in enumerate(holders) if nodes]
-    rank = 0
-    while asked:
-        queries = [(holders[i][rank], Frame(MsgType.GET_BLOCK, {"address": addresses[i].hex()})) for i in asked]
-        for i, result in zip(asked, transport.exchange(USER_ADDRESS, queries, timeout_ms)):
-            if isinstance(result, HainaError) or result[0].type is not MsgType.BLOCK_DATA:
-                continue
-            try:
-                block = deserialize_block(result[0].body)
-            except UsageError:
-                continue
-            if hashing.digest(block.data) == addresses[i] == block.current_hash:
-                blocks[i] = block
-        rank += 1
-        asked = [i for i in asked if blocks[i] is None and rank < len(holders[i])]
+    asked = [(i, node) for i, nodes in enumerate(holders) for node in nodes]
+    if not asked:
+        return blocks
+    queries = [(node, Frame(MsgType.GET_BLOCK, {"address": addresses[i].hex()})) for i, node in asked]
+    for (i, _), result in zip(asked, transport.exchange(USER_ADDRESS, queries, timeout_ms)):
+        if blocks[i] is not None or isinstance(result, HainaError) or result[0].type is not MsgType.BLOCK_DATA:
+            continue
+        try:
+            block = deserialize_block(result[0].body)
+        except UsageError:
+            continue
+        if hashing.digest(block.data) == addresses[i] == block.current_hash:
+            blocks[i] = block
     return blocks
 
 

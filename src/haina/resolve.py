@@ -11,9 +11,9 @@ def resolve(transport, origin: str, addresses, nf: NodeFile, timeout_ms: float =
     One `transport.exchange` of a HAS_BLOCK asks every roster member
     about all the addresses at once (`address`, then `address2`); a
     reply's `has` holds one "0"/"1" per address asked.  Returns one list
-    per address of the node addresses that hold it, fastest reply first
-    (deterministic under the simulated transport); an address nobody
-    holds gets an empty list.
+    per address of the node addresses that hold it, in roster order,
+    whatever their reply times; an address nobody holds gets an empty
+    list.
     """
     if not 1 <= len(addresses) <= 2:
         raise UsageError(f"HAS_BLOCK asks about one or two addresses, not {len(addresses)}")
@@ -23,13 +23,9 @@ def resolve(transport, origin: str, addresses, nf: NodeFile, timeout_ms: float =
     query = Frame(MsgType.HAS_BLOCK, header)
     results = transport.exchange(origin, [(node, query) for node in nf.addresses], timeout_ms)
     holders = [[] for _ in addresses]
-    rtts = {}  # holder -> its reply's round-trip ms
-    for node, result in zip(nf.addresses, results):  # roster order
+    for node, result in zip(nf.addresses, results):
         if not isinstance(result, HainaError) and result[0].type is MsgType.HAS_BLOCK_REPLY:
-            reply, rtts[node] = result
-            for found, bit in zip(holders, reply.header.get("has", "")):
+            for found, bit in zip(holders, result[0].header.get("has", "")):
                 if bit == "1":
                     found.append(node)
-    for found in holders:
-        found.sort(key=rtts.get)  # stable: equal times keep roster order
     return holders

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from haina.blockstore import BlockStore
 from haina.cli import main, sim
 from haina.experiments import EXPERIMENTS
-from haina.frames import Frame, MsgType
+from haina.frames import Frame, MsgType, error_frame
 from haina.metafile import parse_meta_file
 from haina.node import NodeServer, NodeService
 from haina.nodefile import make_node_file
@@ -159,6 +159,18 @@ class TestUsageErrors:
         result = self._serve_from_bootstrap(tmp_path, BadDigestPeer)
         assert result.exit_code == 2, result.output
         assert "error: digest: not valid hex" in result.output
+
+    def test_bootstrap_peer_answering_an_error_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("haina.cli.NodeServer", _no_server)
+
+        class RefusingPeer(NodeService):
+            def _on_get_nf(self, frame):
+                return error_frame("roster unavailable")
+
+        result = self._serve_from_bootstrap(tmp_path, RefusingPeer)
+        assert result.exit_code == 3, result.output
+        assert "error: bootstrap peer 127.0.0.1:" in result.output
+        assert "sent no roster: roster unavailable" in result.output
 
     def test_bootstrap_roster_without_the_node_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setattr("haina.cli.NodeServer", _no_server)

@@ -14,7 +14,7 @@ from haina.blockstore import BlockStore
 from haina.chain import Block, build_chain, chain_root, deserialize_block, serialize_block
 from haina.client import USER_ADDRESS, bdam_fetch, download, speedup, unidirectional_fetch, upload
 from haina.crypto import KEY_SIZE, ciphertext_size
-from haina.errors import IncompleteChainError, IntegrityError, NetworkError, ParseError, UsageError
+from haina.errors import CampaignError, IncompleteChainError, IntegrityError, NetworkError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType, error_frame
 from haina.locking import lock_chain, unlock_block
@@ -123,6 +123,14 @@ class TestUploadDownloadRoundTrip:
             "GET_BLOCK": 128, "BLOCK_DATA": 128,
             "STORE_READY": 64, "STORE_ACK": 64,
         }
+
+    def test_duplicate_block_contents_rejected_before_any_request(self, record_messages):
+        # 47 bytes pad to 48, so blocks 32-47 each hold one ciphertext byte and no key shard
+        net, nf, services, cfg = _cluster()
+        messages = record_messages(net)
+        with pytest.raises(UsageError, match="duplicate block contents"):
+            upload(random.Random(1).randbytes(47), 48, cfg, nf, net, seed=1)
+        assert messages == []
 
     def test_oversized_block_count_rejected(self):
         net, nf, services, cfg = _cluster()
@@ -342,6 +350,21 @@ class TestFaultInjection:
             download(replace(meta, file_length=10**15), nf, net)  # a buffer that size could not be allocated
         assert messages == []
 
+    def test_meta_file_length_within_the_padded_size_is_refused_after_decryption(self):
+        # 3,000 and 2,999 bytes both pad to 3,008, so every block fits the edited layout
+        net, nf, services, cfg = _cluster(nodes=5, seed=29)
+        meta = upload(random.Random(29).randbytes(3000), 6, cfg, nf, net, seed=29).meta
+        with pytest.raises(IntegrityError, match="recovered 3000 bytes but the meta file records 2999"):
+            download(replace(meta, file_length=2999), nf, net)
+
+    def test_campaign_with_no_follower_raises_the_beginners_campaign_error(self):
+        net, nf, services, cfg = _cluster(nodes=5, seed=29)
+        for address in nf.addresses:
+            net.add_node(address, _RefusesElections(services[address]))
+        with pytest.raises(CampaignError, match="^no candidate can hold a [0-9]+-byte block$") as err:
+            upload(random.Random(29).randbytes(300), 4, cfg, nf, net, seed=29)
+        assert err.value.exit_code == 3
+
     def test_offline_node_named_in_error(self):
         net, nf, services, cfg = _cluster(nodes=5, seed=17)
         rng = random.Random(17)
@@ -529,6 +552,18 @@ class _RefusesStores:
         return self.service.handle(frame)
 
 
+class _RefusesElections:
+    """Faulty follower: answers every ELECTION with an ERROR."""
+
+    def __init__(self, service):
+        self.service = service
+
+    def handle(self, frame):
+        if frame.type is MsgType.ELECTION:
+            return error_frame("not taking part")
+        return self.service.handle(frame)
+
+
 class _CorruptsStoredBytes:
     """Byzantine node: acknowledges every store but keeps the block with its last byte flipped."""
 
@@ -555,6 +590,19 @@ class _FlipsServedBytes:
             body = bytearray(reply.body)
             body[-1] ^= 0x01
             reply = Frame(reply.type, reply.header, bytes(body))
+        return reply
+
+
+class _AppendsAByte:
+    """Byzantine node: serves every block with one byte more than its length field frames."""
+
+    def __init__(self, service):
+        self.service = service
+
+    def handle(self, frame):
+        reply = self.service.handle(frame)
+        if reply.type is MsgType.BLOCK_DATA:
+            reply = Frame(reply.type, reply.header, bytes(reply.body) + b"\0")
         return reply
 
 
@@ -687,7 +735,7 @@ class TestMalformedStoreAck:
 class TestByzantineHolders:
     """A node that lies costs time, never wrong bytes."""
 
-    def _upload_then_turn(self, honest_copy):
+    def _upload_then_turn(self, honest_copy, serves=_FlipsServedBytes):
         net, nf, services, cfg = _cluster(nodes=5, seed=41)
         rng = random.Random(41)
         file = rng.randbytes(3000)
@@ -699,10 +747,10 @@ class TestByzantineHolders:
         if honest_copy:
             for address in stolen:
                 services[copy_to].store.put(services[flipper].store.get(address))
-        # both liars answer first: the resolver tries the fastest holder first
+        # both liars answer first, and every holder is asked at once: the first reply to arrive is not the one kept
         for node in (flipper, liar):
             net.matrix[("user:0", node)] = net.matrix[(node, "user:0")] = 1.0
-        net.add_node(flipper, _FlipsServedBytes(services[flipper]))
+        net.add_node(flipper, serves(services[flipper]))
         net.add_node(liar, _ClaimsEveryBlock(services[liar]))
         return net, nf, report, file, stolen
 
@@ -710,6 +758,36 @@ class TestByzantineHolders:
     def test_second_honest_holder_serves_the_right_bytes(self, mode):
         net, nf, report, file, _ = self._upload_then_turn(honest_copy=True)
         assert download(report.meta, nf, net, mode=mode).data == file
+
+    def test_undecodable_block_is_a_miss_an_honest_copy_makes_up(self):
+        net, nf, report, file, _ = self._upload_then_turn(honest_copy=True, serves=_AppendsAByte)
+        assert download(report.meta, nf, net).data == file
+
+    def test_undecodable_block_without_an_honest_copy_is_missing(self):
+        net, nf, report, file, stolen = self._upload_then_turn(honest_copy=False, serves=_AppendsAByte)
+        with pytest.raises(IncompleteChainError) as err:
+            download(report.meta, nf, net)
+        assert set(err.value.missing) <= stolen
+
+    def test_each_fetch_step_is_one_exchange(self, record_messages):
+        net, nf, report, file, _ = self._upload_then_turn(honest_copy=True)
+        messages = record_messages(net)
+        exchanges = []
+        exchange = net.exchange
+
+        def counted(origin, requests, timeout_ms=1000.0):
+            exchanges.append(len(requests))
+            return exchange(origin, requests, timeout_ms)
+
+        net.exchange = counted
+        for mode, rounds in (("bi", 4), ("uni", 8)):
+            exchanges.clear()
+            messages.clear()
+            result = download(report.meta, nf, net, mode=mode)
+            assert result.data == file and result.rounds == rounds
+            # the first beginner's bad header; a resolve and one fetch for the header, then for each round
+            assert len(exchanges) == 1 + 2 + 2 * rounds
+            assert sum(entry[3] == "GET_BLOCK" for entry in messages) == 18
 
     @pytest.mark.parametrize("mode", ["bi", "uni"])
     def test_without_an_honest_holder_download_raises(self, mode):

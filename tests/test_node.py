@@ -491,10 +491,10 @@ class TestResolve:
         address = services["b:1"].store.put(raw)
         assert resolve(net, "u:0", [address], nf) == [["b:1"]]
 
-    def test_lowest_latency_holder_wins(self):
+    def test_holders_come_in_roster_order_whatever_their_reply_times(self):
         nodes = ("a:1", "b:1", "c:1")
         matrix = {}
-        for n, lat in zip(nodes, (50.0, 2.5, 25.0)):
+        for n, lat in zip(nodes, (50.0, 2.5, 25.0)):  # the later holder answers first
             matrix[("u:0", n)] = lat
             matrix[(n, "u:0")] = lat
         net = SimNet(10.0, matrix=matrix)
@@ -506,7 +506,7 @@ class TestResolve:
         raw = serialize_block(_block())
         address = services["a:1"].store.put(raw)
         services["b:1"].store.put(raw)
-        assert resolve(net, "u:0", [address], nf) == [["b:1", "a:1"]]
+        assert resolve(net, "u:0", [address], nf) == [["a:1", "b:1"]]
 
     def test_unknown_address_not_found(self):
         net, nf, _ = _sim_pair()

@@ -8,7 +8,7 @@ from haina.errors import CampaignError, IntegrityError, NetworkError, ParseError
 from haina.blockstore import BlockStore
 from haina.frames import Frame, MsgType, decode_frame, encode_frame
 from haina.node import NodeService
-from haina.nodefile import MAX_ROSTER_BYTES, make_node_file, node_index, parse_node_file, update_node_file
+from haina.nodefile import MAX_ROSTER_BYTES, make_node_file, node_index, parse_address, parse_node_file, update_node_file
 from haina.por import (
     BYTES_PER_GB,
     PorConfig,
@@ -18,6 +18,8 @@ from haina.por import (
     run_campaign,
 )
 from haina.simnet import UNREACHABLE, SimNet
+
+from oracles import NON_CANONICAL_IDS, NON_CANONICAL_INTS
 
 from oracles import NON_CANONICAL_IDS, NON_CANONICAL_INTS
 
@@ -263,6 +265,24 @@ class TestNodeFile:
     def test_malformed_address_rejected(self, address):
         with pytest.raises(ParseError, match="node_file"):
             make_node_file(["a:1", address])
+
+    @pytest.mark.parametrize("port", NON_CANONICAL_INTS, ids=NON_CANONICAL_IDS)
+    def test_port_not_written_as_str_writes_it_rejected(self, port):
+        with pytest.raises(ParseError, match="node_file"):
+            make_node_file(["a:1", f"b:{port}"])
+
+    def test_address_with_no_host_rejected(self):
+        # getaddrinfo("", 9000) fails, so no client could reach it
+        with pytest.raises(ParseError, match="node_file"):
+            make_node_file(["a:1", ":9000"])
+
+    def test_crlf_roster_file_rejected(self):
+        with pytest.raises(ParseError, match="node_file"):
+            parse_node_file(b"a:1\r\nb:2\r\n")
+
+    def test_listen_address_may_leave_the_host_empty(self):
+        # `node serve --listen :7001` binds every interface
+        assert parse_address(":7001") == ("", 7001)
 
     def test_largest_roster_leaves_a_store_ack_room_under_the_header_cap(self):
         nf = make_node_file(_roster_of(MAX_ROSTER_BYTES))
