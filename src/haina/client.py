@@ -32,7 +32,6 @@ from .crypto import (
     split_ciphertext,
 )
 from .errors import (
-    CampaignError,
     HainaError,
     IncompleteChainError,
     IntegrityError,
@@ -43,13 +42,12 @@ from .errors import (
 from .frames import Frame, MsgType
 from .locking import lock_chain, unlock_block
 from .metafile import MetaFile
-from .node import decode_candidates
 from .nodefile import NodeFile
 from .por import PorConfig, check_rate, check_store, pick_first_beginner
 from .resolve import resolve
 
 USER_ADDRESS = "user:0"
-MAX_STORE_RETRIES = 3  # failed stores (an ERROR reply, no reply, a failed storage check) tolerated per block
+MAX_STORE_RETRIES = 3  # failed stores (an ERROR reply, no reply, a bad STORE_ACK) tolerated per block
 # a walk keeps each position's unlocked pointer domain: previous || current || next
 _PREVIOUS, _CURRENT, _NEXT = (slice(i * hashing.DIGEST_SIZE, (i + 1) * hashing.DIGEST_SIZE) for i in range(3))
 
@@ -86,7 +84,16 @@ class DownloadReport:
 
 
 def _place_block(transport, node, block, next_size, elect, cfg, nf):
-    """Send one STORE_READY; returns (STORE_ACK, candidates or None, campaign ms, rtt), or raises NetworkError."""
+    """Store one block on `node`: returns (candidates or None, campaign ms, rtt).
+
+    Raises the HainaError that failed the store: NetworkError for a
+    refused connect, a timeout or any reply but STORE_ACK (a failed
+    campaign is an ERROR); IntegrityError for a `stored` digest that
+    fails `check_store`; ParseError for a malformed `campaign_ms` or a
+    missing or bad candidate list.  Every candidate must be another
+    roster member: a beginner that named itself would hold two
+    neighbouring blocks, and so the mask.
+    """
     header = {"next_size": str(next_size), "elect": "1" if elect else "0"}
     frame = Frame(MsgType.STORE_READY, header, serialize_block(block))
     # a store round-trip nests the campaign, so it needs headroom
@@ -94,21 +101,25 @@ def _place_block(transport, node, block, next_size, elect, cfg, nf):
     if ack.type is not MsgType.STORE_ACK:
         reason = ack.header.get("reason", ack.type.name)
         raise NetworkError(f"store on {node} rejected: {reason}")
+    if not check_store(ack, block.current_hash):
+        raise IntegrityError(f"{node} failed the storage check")
     try:
         campaign_ms = float(ack.header.get("campaign_ms", "0") or 0)
         if not 0 <= campaign_ms < math.inf:
             raise ValueError
     except ValueError:
         raise ParseError("campaign_ms", "not a finite non-negative number") from None
-    candidates = None
-    if elect:
-        if "candidates" in ack.header:
-            candidates = decode_candidates(ack.header["candidates"], nf, node)
-        else:
-            raise CampaignError(
-                ack.header.get("campaign_error", f"beginner {node} returned no candidates")
-            )
-    return ack, candidates, campaign_ms, rtt
+    if not elect:
+        return None, campaign_ms, rtt
+    if "candidates" not in ack.header:
+        raise ParseError("candidates", f"beginner {node} returned none")
+    candidates = tuple(ack.header["candidates"].split(","))
+    followers = set(nf.addresses)  # a set: the tuple's linear scans cost more than building it
+    followers.discard(node)
+    for address in candidates:
+        if address not in followers:
+            raise ParseError("candidates", f"{address!r} is not a follower on the roster")
+    return candidates, campaign_ms, rtt
 
 
 def upload(
@@ -128,13 +139,15 @@ def upload(
     either, every draw comes from the OS entropy source.  One seed gives
     every file the same key and IV, and so the same SM4-CTR keystream.
 
-    A store fails on an ERROR reply, a refused connect or a timeout
-    (NetworkError), or a STORE_ACK that fails `check_store`; the block
+    A store fails on any error `_place_block` raises: an ERROR reply
+    (a failed campaign among them), a refused connect or a timeout, a
+    STORE_ACK that fails `check_store`, or a malformed one; the block
     then moves to an untried node, chosen as on the first try.  A node
     whose store failed is passed over for the rest of the upload while
     any other untried candidate is left.  Past MAX_STORE_RETRIES retries
     of one block, or with no untried node left, upload raises the last
-    attempt's error class.
+    attempt's error, its message prefixed with the block and the attempt
+    count.
     """
     if not file:
         raise UsageError("cannot upload an empty file")
@@ -199,19 +212,15 @@ def upload(
                 if escalated:
                     escalations.append((i, rate))
             try:
-                ack, elected, campaign_ms, rtt = _place_block(
-                    transport, current, block, sizes[(i + 1) % n], elect, cfg, nf
-                )
-            except NetworkError as exc:  # an ERROR reply, a refused connect or a timeout
-                error = exc
-            else:
-                if check_store(ack, block.current_hash):
-                    break
-                error = IntegrityError(f"{current} failed the storage check")
-            failed.add(current)
-            shunned.add(current)
-            if len(failed) > MAX_STORE_RETRIES or failed.issuperset(candidates):
-                raise type(error)(f"block {i + 1} not stored after {len(failed)} attempts; the last: {error}")
+                elected, campaign_ms, rtt = _place_block(transport, current, block, sizes[(i + 1) % n], elect, cfg, nf)
+                break
+            except HainaError as error:
+                failed.add(current)
+                shunned.add(current)
+                if len(failed) > MAX_STORE_RETRIES or failed.issuperset(candidates):
+                    # the last error's class, field and exit code, with the block and the attempt count
+                    error.args = (f"block {i + 1} not stored after {len(failed)} attempts; the last: {error}",)
+                    raise
         # stored and checked: drop the client's copy, so client and nodes hold the file once
         blocks[i] = block = None
         counts[current] += 1

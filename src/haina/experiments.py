@@ -83,7 +83,7 @@ def node_address(i: int) -> str:
 
 
 def build_cluster(spec: ClusterSpec, por_cfg: PorConfig = None):
-    """Build the simulated cluster: (transport, roster, address -> service)."""
+    """Build the simulated cluster: (SimNet, roster, address -> NodeService, PorConfig)."""
     addresses = [node_address(i) for i in range(1, spec.nodes + 1)]
     nf = make_node_file(addresses)
     matrix = {tuple(key.split(">", 1)): ms for key, ms in spec.latency_matrix.items()}

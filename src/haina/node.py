@@ -13,25 +13,11 @@ import threading
 
 from . import frames, hashing
 from .blockstore import BlockStore
-from .errors import CampaignError, HainaError, ParseError
+from .errors import HainaError
 from .frames import Frame, MsgType, error_frame, int_field
 from .nodefile import NodeFile
 from .por import PorConfig, run_campaign
 from .realnet import recv_frame, send_frame
-
-
-def decode_candidates(text: str, nf: NodeFile, beginner: str):
-    """Parse a beginner's STORE_ACK candidate list; every candidate must be another roster member.
-
-    A beginner that named itself would hold two neighbouring blocks, and so the mask.
-    """
-    candidates = tuple(text.split(","))
-    followers = set(nf.addresses)  # a set: the tuple's linear scans cost more than building it
-    followers.discard(beginner)
-    for address in candidates:
-        if address not in followers:
-            raise ParseError("candidates", f"{address!r} is not a follower on the roster")
-    return candidates
 
 
 # a connection that delivers no byte for this long, or takes none of a reply
@@ -86,14 +72,11 @@ class NodeService:
             return error_frame(f"a {len(frame.body)}-byte block cannot be served under the {frames.MAX_FRAME}-byte cap")
         address = self.store.put(frame.body)
         header = {"stored": address.hex()}
-        elect = frame.header.get("elect", "0") == "1"
-        if elect:
-            try:
-                result = run_campaign(self.transport, self.address, next_size, self.nf, self.por_cfg)
-                header["candidates"] = ",".join(result.candidates)
-                header["campaign_ms"] = repr(result.elapsed_ms)
-            except CampaignError as exc:
-                header["campaign_error"] = str(exc)
+        if frame.header.get("elect", "0") == "1":
+            # a failed campaign raises CampaignError, which `handle` answers with an ERROR; the block stays stored
+            result = run_campaign(self.transport, self.address, next_size, self.nf, self.por_cfg)
+            header["candidates"] = ",".join(result.candidates)
+            header["campaign_ms"] = repr(result.elapsed_ms)
         return Frame(MsgType.STORE_ACK, header)
 
     def _on_election(self, frame):

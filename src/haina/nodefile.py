@@ -45,9 +45,12 @@ def make_node_file(addresses) -> NodeFile:
     addrs = sorted(set(addresses))
     for a in addrs:
         host, port = parse_address(a, "node_file") if isinstance(a, str) else ("", 0)
+        # a host getaddrinfo can look up: not empty, no whitespace (split() gives [host] only then);
         # the port as str() writes it: int() also reads "+80", " 80", "8_0", "0080" and "80\r"
-        if not host or a != f"{host}:{port}" or not 0 < port < 65536:
-            raise ParseError("node_file", f"address {a!r} is not host:port with a host and a port in 1-65535")
+        if host.split() != [host] or a != f"{host}:{port}" or not 0 < port < 65536:
+            raise ParseError(
+                "node_file", f"address {a!r} is not host:port with a host free of whitespace and a port in 1-65535"
+            )
         if "," in a:
             raise ParseError("node_file", f"address {a!r} contains ',', the candidate list separator")
     nf = NodeFile(addresses=tuple(addrs))

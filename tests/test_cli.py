@@ -112,6 +112,24 @@ class TestUsageErrors:
         assert "error: mode: unsupported value 'cbc', expected 'ctr'" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--rate", "0", "rate must satisfy 0 < rate <= 1"),
+            ("--rate", "1.5", "rate must satisfy 0 < rate <= 1"),
+            ("--blocks", "0", "block count must be at least 1"),
+        ],
+    )
+    def test_upload_option_out_of_range_exits_2_before_any_request(self, tmp_path, monkeypatch, option, value, message):
+        monkeypatch.setattr(RealNet, "exchange", _no_server)  # `request` sends through `exchange`
+        data = tmp_path / "f.bin"
+        data.write_bytes(b"payload")
+        nf = tmp_path / "cluster.nf"
+        nf.write_bytes(make_node_file(["h:1", "h:2"]).canonical_bytes())
+        result = _run("upload", "--file", str(data), "--nf", str(nf), option, value)
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.output
+
     def test_unreachable_cluster_exits_3(self, tmp_path):
         dead = []
         for _ in range(2):

@@ -14,7 +14,7 @@ from haina.blockstore import BlockStore
 from haina.chain import Block, build_chain, chain_root, deserialize_block, serialize_block
 from haina.client import USER_ADDRESS, bdam_fetch, download, speedup, unidirectional_fetch, upload
 from haina.crypto import KEY_SIZE, ciphertext_size
-from haina.errors import CampaignError, IncompleteChainError, IntegrityError, NetworkError, ParseError, UsageError
+from haina.errors import IncompleteChainError, IntegrityError, NetworkError, ParseError, UsageError
 from haina.experiments import ClusterSpec, build_cluster
 from haina.frames import Frame, MsgType, error_frame
 from haina.locking import lock_chain, unlock_block
@@ -358,10 +358,12 @@ class TestFaultInjection:
             download(replace(meta, file_length=2999), nf, net)
 
     def test_campaign_with_no_follower_raises_the_beginners_campaign_error(self):
+        # each beginner answers its failed campaign with an ERROR, so block 1 moves until its retries run out
         net, nf, services, cfg = _cluster(nodes=5, seed=29)
         for address in nf.addresses:
             net.add_node(address, _RefusesElections(services[address]))
-        with pytest.raises(CampaignError, match="^no candidate can hold a [0-9]+-byte block$") as err:
+        last = "the last: store on [^ ]+ rejected: no candidate can hold a [0-9]+-byte block$"
+        with pytest.raises(NetworkError, match=f"^block 1 not stored after 4 attempts; {last}") as err:
             upload(random.Random(29).randbytes(300), 4, cfg, nf, net, seed=29)
         assert err.value.exit_code == 3
 
@@ -730,6 +732,27 @@ class TestMalformedStoreAck:
             net.add_node(address, _RewritesStoreAck(services[address], key, value))
         with pytest.raises(ParseError, match=key):
             upload(random.Random(47).randbytes(500), 4, cfg, nf, net, seed=47)
+
+
+class TestOneMalformedStoreAck:
+    """One beginner whose STORE_ACK does not parse costs a retry, never the upload."""
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("campaign_ms", "fast"), ("candidates", CANDIDATE % "10.6.6.6:7000"), ("candidates", CANDIDATE % "{self}")],
+        ids=["campaign-ms-not-a-number", "off-roster", "beginner-itself"],
+    )
+    def test_the_block_moves_and_the_node_is_passed_over(self, record_messages, key, value):
+        net, nf, services, cfg = _cluster(nodes=5, seed=47)
+        bad = _first_draw(nf, 47)  # gets block 0 first, and so a STORE_READY that asks for an election
+        net.add_node(bad, _RewritesStoreAck(services[bad], key, value))
+        messages = record_messages(net)
+        file = random.Random(47).randbytes(2000)
+        report = upload(file, 8, cfg, nf, net, seed=47)
+        stores = [entry[2] for entry in messages if entry[3] == "STORE_READY"]
+        assert stores.count(bad) == 1 and len(stores) == 8 + 1
+        assert bad not in report.placements
+        assert download(report.meta, nf, net).data == file
 
 
 class TestByzantineHolders:

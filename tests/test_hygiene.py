@@ -142,6 +142,17 @@ def test_a_node_loads_no_client_code():
     assert result.stdout.strip() == "[]", f"import haina.node loaded {result.stdout.strip()}"
 
 
+def test_a_client_loads_no_node_code():
+    # a client reads a STORE_ACK itself: importing it must not load the node's server stack
+    code = (
+        f"import sys; sys.path[:0] = {[str(REPO / 'src')]!r}; import haina.client; "
+        "print(sorted(m for m in sys.modules if m in ('haina.node', 'haina.realnet', 'socketserver')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", f"import haina.client loaded {result.stdout.strip()}"
+
+
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps to list loaded libraries")
 def test_a_node_maps_no_libgcrypt():
     # libgcrypt decrypts for the client only; a node process never loads it

@@ -64,6 +64,16 @@ def test_bool_count_rejected_on_build_and_parse(field):
         parse_meta_file(json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize("field,value", [("first_beginner", ""), ("block_count", 0), ("file_length", 0)])
+def test_empty_or_zero_field_rejected_on_build_and_parse(field, value):
+    with pytest.raises(ParseError, match=f"^{field}:"):
+        _meta(**{field: value})
+    doc = json.loads(serialize_meta_file(_meta()).decode())
+    doc[field] = value
+    with pytest.raises(ParseError, match=f"^{field}:"):
+        parse_meta_file(json.dumps(doc).encode())
+
+
 def test_block_count_past_the_ciphertext_rejected_on_build_and_parse():
     # upload gives each block at least one ciphertext byte, and 1234 bytes pad to 1248
     assert _meta(block_count=1248).block_count == 1248

@@ -427,6 +427,16 @@ class TestNodeService:
         assert ranked == ("c:1", "d:1", "b:1")  # equal free space: the nearest follower first
         assert reply.header["candidates"] == ",".join(ranked)
 
+    def test_failed_campaign_is_an_error_and_the_block_stays_stored(self):
+        net, _, services = _sim_pair()
+        net.remove_node("b:1")  # the one follower: its poll fails, so no candidate is left
+        block = _block()
+        frame = Frame(MsgType.STORE_READY, {"next_size": "64", "elect": "1"}, serialize_block(block))
+        reply, _ = net.request("u:0", "a:1", frame, 4000.0)  # the campaign waits out its 1,000 ms poll timeout
+        assert reply.type is MsgType.ERROR
+        assert reply.header == {"reason": "no candidate can hold a 64-byte block"}
+        assert services["a:1"].store.has(block.current_hash)
+
     def test_store_ack_naming_46_followers_travels_whole(self):
         net, nf, _, _ = build_cluster(ClusterSpec(nodes=47, latency_ms=5.0))
         frame = Frame(MsgType.STORE_READY, {"next_size": "64", "elect": "1"}, serialize_block(_block()))

@@ -259,8 +259,19 @@ class TestNodeFile:
             "h:72537",  # getaddrinfo would wrap it to port 7001, another node
             "h:0",
             "a:b",
+            " 127.0.0.1:80",  # an indented roster line
+            "127.0.0.1 :81",
+            "127.0.0.1\t:82",
         ],
-        ids=["comma", "port-above-65535", "port-zero", "port-not-a-number"],
+        ids=[
+            "comma",
+            "port-above-65535",
+            "port-zero",
+            "port-not-a-number",
+            "space-before-the-host",
+            "space-after-the-host",
+            "tab-in-the-host",
+        ],
     )
     def test_malformed_address_rejected(self, address):
         with pytest.raises(ParseError, match="node_file"):
