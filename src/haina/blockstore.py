@@ -44,8 +44,6 @@ class BlockStore:
     _view = memoryview(b"")  # the log as last mapped: a class default, so a store without one pays nothing
 
     def __init__(self, quota_bytes: int, data_dir=None):
-        if quota_bytes < 0:
-            raise UsageError("quota cannot be negative")
         self.quota_bytes = quota_bytes
         self._log = None if data_dir is None else os.path.join(data_dir, LOG_NAME)
         self._blocks = {}  # address -> serialized block, or with a log its (offset, length) there

@@ -185,11 +185,7 @@ def encrypt_file(file, key: bytes, iv: bytes, domains) -> None:
     padding are copied into the slices, which are then enciphered in
     place as one stream, so the whole ciphertext never exists in one piece.
     """
-    if not file:
-        raise UsageError("cannot encrypt an empty file")
     _check_key_and_iv(key, iv)
-    if not domains:
-        raise UsageError("need at least one data domain")
     slices = [memoryview(d)[size:] for d, size in zip(domains, shard_sizes(KEY_SIZE, len(domains)))]
     if sum(len(s) for s in slices) != ciphertext_size(len(file)):
         raise UsageError(f"the data domains do not hold the {ciphertext_size(len(file))}-byte ciphertext")
@@ -257,11 +253,7 @@ def embed_key_shards(sizes, key: bytes) -> list:
     One writable `bytearray` per block, for `encrypt_file` to fill with
     the block's ciphertext slice.
     """
-    if len(key) != KEY_SIZE:
-        raise UsageError(f"file key must be {KEY_SIZE} bytes")
     n = len(sizes)
-    if n < 1:
-        raise UsageError("need at least one slice")
     domains = []
     for j, size in enumerate(sizes):
         shard = key[j::n]
@@ -274,8 +266,6 @@ def embed_key_shards(sizes, key: bytes) -> list:
 def extract_key_shards(shards) -> bytes:
     """Inverse of the round-robin key layout: the key from each block's shard, in chain order."""
     n = len(shards)
-    if n < 1:
-        raise UsageError("need at least one key shard")
     if [len(s) for s in shards] != shard_sizes(KEY_SIZE, n):
         raise IntegrityError(f"the key shards are not the {KEY_SIZE}-byte key's layout over {n} blocks")
     # key byte i is byte i // n of position i % n's shard

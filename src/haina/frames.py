@@ -20,6 +20,8 @@ FRAME_OVERHEAD = HEADER_FMT.size  # 17 bytes
 MAX_FRAME = 64 * 1024 * 1024
 # the longest header, a beginner's STORE_ACK naming every other member, fits: nodefile bounds the roster by it
 MAX_HEADER = 64 * 1024
+# an ERROR's reason may quote a peer's field: cut to this many characters, it stays far under MAX_HEADER
+MAX_REASON = 1024
 
 
 class MsgType(IntEnum):
@@ -157,5 +159,5 @@ def int_field(frame: Frame, key: str) -> int:
 
 
 def error_frame(reason: str) -> Frame:
-    return Frame(MsgType.ERROR, {"reason": reason})
+    return Frame(MsgType.ERROR, {"reason": reason[:MAX_REASON]})
 

@@ -8,7 +8,7 @@ peers compare when synchronizing.
 from dataclasses import dataclass
 
 from . import hashing
-from .errors import IntegrityError, ParseError, UsageError
+from .errors import IntegrityError, ParseError
 from .frames import MAX_HEADER
 
 # A STORE_ACK's `candidates` line joins the other members with commas, so it is shorter than the
@@ -87,7 +87,4 @@ def update_node_file(local: NodeFile, remote_digest: bytes, raw) -> NodeFile:
 
 def node_index(nf: NodeFile, address: str) -> int:
     """1-based index of an address in the roster."""
-    try:
-        return nf.addresses.index(address) + 1
-    except ValueError:
-        raise UsageError(f"address {address} not in node file") from None
+    return nf.addresses.index(address) + 1

@@ -47,8 +47,6 @@ def pick_first_beginner(nf: NodeFile, draw: int) -> str:
     """Select the head node: 1-based index (draw mod N) + 1 into the roster."""
     if len(nf) == 0:
         raise UsageError("node file is empty")
-    if draw < 0:
-        raise UsageError("rng draw must be non-negative")
     return nf.addresses[draw % len(nf)]
 
 
@@ -100,8 +98,6 @@ def check_rate(candidates, counts, total_blocks: int, rate: float, step: float):
 
     Returns (chosen address, new rate, escalated flag).
     """
-    if not candidates:
-        raise CampaignError("no candidate to check")
     for address in candidates:
         if counts[address] == 0:
             return address, rate, False

@@ -1,6 +1,6 @@
 """Content-address resolution over the node roster."""
 
-from .errors import HainaError, UsageError
+from .errors import HainaError
 from .frames import Frame, MsgType
 from .nodefile import NodeFile
 
@@ -15,8 +15,6 @@ def resolve(transport, origin: str, addresses, nf: NodeFile, timeout_ms: float =
     whatever their reply times; an address nobody holds gets an empty
     list.
     """
-    if not 1 <= len(addresses) <= 2:
-        raise UsageError(f"HAS_BLOCK asks about one or two addresses, not {len(addresses)}")
     header = {"address": addresses[0].hex()}
     if len(addresses) == 2:
         header["address2"] = addresses[1].hex()

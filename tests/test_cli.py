@@ -140,7 +140,7 @@ class TestUsageErrors:
         data.write_bytes(b"payload")
         nf = tmp_path / "cluster.nf"
         nf.write_bytes(make_node_file(dead).canonical_bytes())
-        result = _run("upload", "--file", str(data), "--blocks", "1", "--nf", str(nf), "--seed", "1")
+        result = _run("upload", "--file", str(data), "--blocks", "1", "--nf", str(nf))
         assert result.exit_code == 3
 
     @staticmethod
@@ -243,6 +243,17 @@ class TestUsageErrors:
         assert result.exit_code == 0, result.output
         assert [(r.type, r.header["node"]) for r in replies] == [(MsgType.PONG, advertised)]
 
+    def test_address_already_in_use_exits_3(self, tmp_path):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            listen = f"127.0.0.1:{taken.getsockname()[1]}"
+            nf = tmp_path / "cluster.nf"
+            nf.write_bytes(make_node_file([listen, "127.0.0.1:1"]).canonical_bytes())
+            result = _run("node", "serve", "--listen", listen, "--data-dir", str(tmp_path / "data"), "--nf", str(nf))
+        assert result.exit_code == 3, result.output
+        assert f"error: cannot serve on {listen}:" in result.output
+
     @pytest.mark.parametrize("quota_gb", ["inf", "1e300", "1e-10"])
     def test_quota_that_is_not_a_byte_count_exits_2(self, tmp_path, monkeypatch, quota_gb):
         monkeypatch.setattr("haina.cli.NodeServer", _no_server)
@@ -287,8 +298,7 @@ class TestLiveRoundTrip:
         src.write_bytes(payload)
         csv_path = tmp_path / "up.csv"
         result = _run(
-            "upload", "--file", str(src), "--blocks", "6", "--nf", live_cluster,
-            "--seed", "9", "--csv-out", str(csv_path),
+            "upload", "--file", str(src), "--blocks", "6", "--nf", live_cluster, "--csv-out", str(csv_path),
         )
         assert result.exit_code == 0, result.output
         meta_path = tmp_path / "file.bin.haina.meta"
@@ -308,13 +318,3 @@ class TestLiveRoundTrip:
             assert out.read_bytes() == payload
             clocks = {r.context["stage"]: r.context["clock"] for r in rows_from_csv(csv_path.read_text())}
             assert clocks == {f"fetch_{mode}": "wall", "header_fetch": "wall", "decrypt": "wall"}
-
-    def test_a_seeded_upload_warns_on_stderr_that_it_fixes_the_key(self, tmp_path, live_cluster):
-        src = tmp_path / "file.bin"
-        src.write_bytes(b"payload" * 100)
-        warning = "warning: --seed 3 fixes the file key and IV, so files uploaded under it share a keystream"
-        for seed, stderr in ((["--seed", "3"], [warning]), ([], [])):
-            result = _run("upload", "--file", str(src), "--blocks", "4", "--nf", live_cluster, *seed)
-            assert result.exit_code == 0, result.output
-            assert result.stderr.splitlines() == stderr
-            assert "warning" not in result.stdout

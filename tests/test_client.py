@@ -106,6 +106,9 @@ class TestUploadDownloadRoundTrip:
         messages = record_messages(net)
         with pytest.raises(UsageError, match="empty file"):
             upload(b"", 4, cfg, nf, net, seed=1)
+        # nor is a roster of one, whose node would hold a block next to itself: H(b) and H(b) xor mask
+        with pytest.raises(UsageError, match="at least 2 nodes"):
+            upload(b"file", 1, cfg, make_node_file(nf.addresses[:1]), net, seed=1)
         assert messages == []
 
     def test_paper_cluster_operation_sends_a_fixed_message_mix(self, record_messages):
@@ -673,7 +676,7 @@ class TestMalformedElectionReply:
 
 
 class _RewritesStoreAck:
-    """Malformed beginner: sets one header field of every STORE_ACK it sends.
+    """Malformed beginner: sets one header field of every STORE_ACK it sends, or with value None leaves it out.
 
     "{self}" names the node, "{follower}" another roster member.
     """
@@ -682,12 +685,15 @@ class _RewritesStoreAck:
         self.service = service
         self.key = key
         follower = next(a for a in service.nf.addresses if a != service.address)
-        self.value = value.replace("{self}", service.address).replace("{follower}", follower)
+        self.value = value and value.replace("{self}", service.address).replace("{follower}", follower)
 
     def handle(self, frame):
         reply = self.service.handle(frame)
         if reply.type is MsgType.STORE_ACK:
-            reply = Frame(reply.type, {**reply.header, self.key: self.value}, reply.body)
+            header = {**reply.header, self.key: self.value}
+            if self.value is None:
+                del header[self.key]
+            reply = Frame(reply.type, header, reply.body)
         return reply
 
 
@@ -710,6 +716,7 @@ class TestMalformedStoreAck:
             ("campaign_ms", "nan"),
             ("campaign_ms", "inf"),
             ("campaign_ms", "-1"),
+            ("candidates", None),
         ],
         ids=[
             "not-json",
@@ -724,6 +731,7 @@ class TestMalformedStoreAck:
             "campaign-ms-nan",
             "campaign-ms-infinite",
             "campaign-ms-negative",
+            "candidates-missing",
         ],
     )
     def test_upload_raises_parse_error_naming_the_field(self, key, value):
@@ -892,6 +900,13 @@ class TestForgedChain:
         with pytest.raises(IntegrityError, match="not the chain the meta file records"):
             download(report.meta, nf, net, mode="bi")
 
+    def test_block_of_another_length_in_a_position_is_refused(self):
+        # position 31 holds a key byte and block 33 none, so block 33 is a byte short there
+        net, nf, services, report, h = self._upload(40)
+        self._forge(net, services, report.meta.mask, {h[30]: {"next_hash": h[33]}})
+        with pytest.raises(IntegrityError, match="block 32 has 160 data bytes, not the 161 its layout gives"):
+            download(report.meta, nf, net, mode="uni")
+
     def test_block_claiming_the_honest_current_hash_is_refused(self):
         # block 34's holder stores a made-up block whose current_hash field reads
         # block 35's address and whose pointers lead back into the chain
@@ -914,6 +929,8 @@ class TestBidirectionalFetch:
         bi = download(report.meta, nf, net, mode="bi")
         uni = download(report.meta, nf, net, mode="uni")
         assert bi.data == uni.data == file
+        with pytest.raises(UsageError, match="mode must be 'bi' or 'uni', not 'x'"):
+            download(report.meta, nf, net, mode="x")
 
     def test_round_counts(self):
         net, nf, services, cfg = _cluster(nodes=7, seed=29)

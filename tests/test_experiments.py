@@ -56,6 +56,8 @@ class TestClusterSpec:
     def test_not_json(self):
         with pytest.raises(ParseError):
             parse_cluster_spec("not json")
+        with pytest.raises(ParseError, match="top level must be an object"):
+            parse_cluster_spec("[]")  # JSON, but no object
 
 
 class TestMetricsCsv:

@@ -119,8 +119,9 @@ def test_head_alone_rejects_a_header_over_the_cap(declared, refused):
     [
         (Frame(MsgType.PING, body=b"x"), "carries no body"),
         (Frame(MsgType.PING, {"k": "v" * (MAX_HEADER - 3)}), "header size"),  # "k: " and "\n" make it one byte over
+        (Frame(MsgType.PING, {"k": "a\nb: c"}), "newline in header value"),  # it would decode as a second field
     ],
-    ids=["body-on-a-ping", "header-over-the-cap"],
+    ids=["body-on-a-ping", "header-over-the-cap", "newline-in-a-value"],
 )
 def test_encoding_refuses_what_every_peer_refuses(frame, reason):
     with pytest.raises(ParseError, match=reason):

@@ -136,3 +136,5 @@ def test_version_1_document_rejected_by_its_version():
 def test_not_json_rejected():
     with pytest.raises(ParseError):
         parse_meta_file(b"\xff\xfe not json")
+    with pytest.raises(ParseError, match="top level must be an object"):
+        parse_meta_file(b"[]")  # JSON, but no object

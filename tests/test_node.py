@@ -5,6 +5,7 @@ import os
 import random
 import socket
 import socketserver
+import struct
 import sys
 import threading
 import time
@@ -437,6 +438,14 @@ class TestNodeService:
         assert reply.header == {"reason": "no candidate can hold a 64-byte block"}
         assert services["a:1"].store.has(block.current_hash)
 
+    def test_campaign_on_a_roster_of_one_is_an_error(self):
+        net = SimNet(5.0)
+        net.add_node("a:1", NodeService("a:1", BlockStore(10**9), make_node_file(["a:1"]), transport=net))
+        frame = Frame(MsgType.STORE_READY, {"next_size": "64", "elect": "1"}, serialize_block(_block()))
+        reply, _ = net.request("u:0", "a:1", frame)
+        assert reply.type is MsgType.ERROR
+        assert reply.header == {"reason": "no follower to poll: node file has a single member"}
+
     def test_store_ack_naming_46_followers_travels_whole(self):
         net, nf, _, _ = build_cluster(ClusterSpec(nodes=47, latency_ms=5.0))
         frame = Frame(MsgType.STORE_READY, {"next_size": "64", "elect": "1"}, serialize_block(_block()))
@@ -567,6 +576,18 @@ class _ReadsLate(socketserver.BaseRequestHandler):
         time.sleep(0.2)
         while recv_frame(self.request) is not None:
             send_frame(self.request, Frame(MsgType.PONG))
+
+
+class _ResetsMidReply(socketserver.BaseRequestHandler):
+    """Answers a connection's first frame with a PONG, and its second with a PONG's first 9 bytes and then a reset."""
+
+    def handle(self):
+        if recv_frame(self.request) is not None:
+            send_frame(self.request, Frame(MsgType.PONG))
+        if recv_frame(self.request) is not None:
+            self.request.sendall(encode_frame(Frame(MsgType.PONG))[:9])  # the client reads these before the reset
+            self.request.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            self.request.close()  # with a zero linger time, close() sends a reset
 
 
 class _RawServer(socketserver.ThreadingTCPServer):
@@ -753,6 +774,25 @@ class TestTransportContract:
             net.close()
             _stop(server)
 
+    def test_reused_socket_reset_mid_reply_is_not_retried(self, connects):
+        # only a reset before the reply's first byte can be a peer that dropped an idle socket
+        server, listen = _serve_raw(_ResetsMidReply)
+        net = RealNet()
+        try:
+            net.request("client:0", listen, Frame(MsgType.PING))
+            with pytest.raises(NetworkError, match="reset"):
+                net.request("client:0", listen, Frame(MsgType.PING))
+            assert len(connects) == 1
+        finally:
+            net.close()
+            _stop(server)
+
+    def test_request_with_no_time_left_starts_no_connect(self, tcp_nodes, connects):
+        (listen, *_), net = tcp_nodes
+        with pytest.raises(NetworkError, match="timed out"):
+            net.request("client:0", listen, Frame(MsgType.PING), timeout_ms=0)
+        assert connects == []
+
     def test_timed_out_socket_is_discarded(self, connects):
         server, listen = _serve(service=_SlowEcho())
         net = RealNet()
@@ -789,6 +829,17 @@ class TestTransportContract:
         good, _ = net.request("client:0", listen, Frame(MsgType.HAS_BLOCK, {"address": "00" * 32}))
         assert good.type is MsgType.HAS_BLOCK_REPLY and good.header["has"] == "0"
         assert len(connects) == 1
+
+    def test_error_quoting_a_long_field_stays_under_the_header_cap(self, tcp_nodes, monkeypatch):
+        # the ERROR quotes the field it refuses: whole, a field under the cap made a reply over it
+        failed = []
+        monkeypatch.setattr(NodeServer, "handle_error", lambda server, request, address: failed.append(sys.exc_info()))
+        (listen, *_), net = tcp_nodes
+        election = Frame(MsgType.ELECTION, {"size": "x" * 65500})
+        assert len(encode_frame(election)) == 65524
+        reply, _ = net.request("client:0", listen, election)
+        assert reply.type is MsgType.ERROR and reply.header["reason"].startswith("size: 'xxx")
+        assert failed == []
 
 
 class TestGarbageReplies:
@@ -877,13 +928,18 @@ class _StallsAfterAHugeHead(socketserver.BaseRequestHandler):
 
 
 class _Trickle:
-    """A socket stand-in that hands out a frame's bytes `step` at a time, recording each read's (bytes in, bytes asked)."""
+    """A socket stand-in that hands out a frame's bytes `step` at a time, recording each read's (bytes in, bytes asked).
 
-    def __init__(self, data, step):
-        self.data, self.step, self.at, self.asks = data, step, 0, []
+    With `end`, a read past the last byte raises it.
+    """
+
+    def __init__(self, data, step, end=None):
+        self.data, self.step, self.at, self.asks, self.end = data, step, 0, [], end
 
     def _next(self, asked):
         self.asks.append((self.at, asked))
+        if self.end and self.at == len(self.data):
+            raise self.end
         chunk = self.data[self.at : self.at + min(asked, self.step)]
         self.at += len(chunk)
         return chunk
@@ -985,6 +1041,12 @@ class TestFrameReads:
         reader = realnet._Reader()
         assert reader.read(_Trickle(raw, 1 << 20)) and reader.raw == raw  # FIRST_READ bytes, then the rest
         assert sys.getsizeof(reader.raw) - sys.getsizeof(bytearray()) - len(raw) <= 2
+
+    def test_reset_after_the_first_byte_is_a_connection_error(self):
+        # before the first byte, a reset reads as a close; after it, not as a short frame
+        raw = encode_frame(Frame(MsgType.PING))
+        with pytest.raises(ConnectionResetError):
+            realnet._Reader().read(_Trickle(raw[:5], 5, end=ConnectionResetError()))
 
     def test_bytes_past_the_reply_fail_the_request_and_its_socket(self, connects):
         server, listen = _serve_raw(_OneByteTooMany)

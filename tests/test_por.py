@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from haina import hashing
 from haina.errors import CampaignError, IntegrityError, NetworkError, ParseError, UsageError
 from haina.blockstore import BlockStore
 from haina.frames import Frame, MsgType, decode_frame, encode_frame
@@ -249,8 +250,11 @@ class TestNodeFile:
         remote = make_node_file(["a:1", "b:2"])
         body = bytearray(remote.canonical_bytes())
         body[0] ^= 1
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="claimed digest"):
             update_node_file(local, remote.digest, bytes(body))
+        unsorted = b"b:2\na:1\n"  # the same roster under its own digest, but not in canonical form
+        with pytest.raises(IntegrityError, match="canonical"):
+            update_node_file(local, hashing.digest(unsorted), unsorted)
 
     @pytest.mark.parametrize(
         "address",
@@ -262,6 +266,7 @@ class TestNodeFile:
             " 127.0.0.1:80",  # an indented roster line
             "127.0.0.1 :81",
             "127.0.0.1\t:82",
+            b"\xff:83",
         ],
         ids=[
             "comma",
@@ -271,11 +276,13 @@ class TestNodeFile:
             "space-before-the-host",
             "space-after-the-host",
             "tab-in-the-host",
+            "not-utf-8",
         ],
     )
     def test_malformed_address_rejected(self, address):
+        line = address if isinstance(address, bytes) else address.encode()
         with pytest.raises(ParseError, match="node_file"):
-            make_node_file(["a:1", address])
+            parse_node_file(b"a:1\n" + line + b"\n")
 
     @pytest.mark.parametrize("port", NON_CANONICAL_INTS, ids=NON_CANONICAL_IDS)
     def test_port_not_written_as_str_writes_it_rejected(self, port):
